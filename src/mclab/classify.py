@@ -20,6 +20,7 @@ from .homotopy import (
     is_equivalence,
     verify_weak_model,
 )
+from .lifting import factorizations
 from .premodel import (
     PremodelStructure,
     arrow_from_initial,
@@ -93,9 +94,11 @@ def recognize_left_semi(p):
     """Weak model + strong cylinders on cofibrant objects + core left
     saturation; the stronger convention additionally wants right saturation.
     """
-    weak = verify_weak_model(p)
-    cyl_ok, cyl_failures = strong_cylinder_objects(p)
-    flags = saturation_flags(p)
+    return _left_semi(verify_weak_model(p), strong_cylinder_objects(p), saturation_flags(p))
+
+
+def _left_semi(weak, cylinders, flags):
+    cyl_ok, cyl_failures = cylinders
     failures = list(cyl_failures)
     if not weak.ok:
         failures.append("weak model axioms fail")
@@ -108,9 +111,11 @@ def recognize_left_semi(p):
 
 def recognize_right_semi(p):
     """Mirror image of recognize_left_semi, cross-checked through duality."""
-    weak = verify_weak_model(p)
-    path_ok, path_failures = strong_path_objects(p)
-    flags = saturation_flags(p)
+    return _right_semi(p, verify_weak_model(p), strong_path_objects(p), saturation_flags(p))
+
+
+def _right_semi(p, weak, paths, flags):
+    path_ok, path_failures = paths
     failures = list(path_failures)
     if not weak.ok:
         failures.append("weak model axioms fail")
@@ -119,6 +124,8 @@ def recognize_right_semi(p):
     report = RightSemiReport(
         weak.ok, path_ok, flags.core_right_saturated, flags.left_saturated, tuple(failures)
     )
+    # The mirror derives its own weak-model report on the dual: the
+    # independent side of the check.
     mirror = recognize_left_semi(dualize(p))
     if (mirror.fresse, mirror.spitzweck) != (report.fresse, report.spitzweck):
         raise VerificationError(
@@ -216,16 +223,6 @@ def right_localization_object(p, x):
     return xfc
 
 
-def _iter_factorizations(cat, left, right, h):
-    for z in cat.objects:
-        for l in cat.hom(cat.source[h], z):
-            if l not in left:
-                continue
-            for r in cat.hom(z, cat.target[h]):
-                if r in right and cat.compose_table[(r, l)] == h:
-                    yield l, r
-
-
 @dataclass(frozen=True)
 class QuillenReport:
     ok: bool
@@ -253,19 +250,21 @@ def quillen_check(p):
     """
     if not two_sided_check(p).ok:
         raise InputError("quillen_check requires a two-sided weak model structure")
+    return _quillen(p, compute_WL(p), compute_WR(p))
+
+
+def _quillen(p, wl, wr):
     cat = p.cat
-    wl = compute_WL(p)
-    wr = compute_WR(p)
     cond1 = wl == wr
     cond3 = p.anodyne_cofibrations <= wl
 
     cond5 = True
     for x in cat.objects:
         found = False
-        for _, r1 in _iter_factorizations(
+        for _, r1 in factorizations(
             cat, p.cofibrations, p.anodyne_fibrations, arrow_from_initial(p, x)
         ):
-            for l2, _ in _iter_factorizations(
+            for l2, _ in factorizations(
                 cat, p.anodyne_cofibrations, p.fibrations, arrow_to_terminal(p, x)
             ):
                 if is_equivalence(p, cat.compose_table[(l2, r1)]):
@@ -327,7 +326,12 @@ class ClassificationReport:
 
 
 def classify_full(p):
-    """Run the whole ladder bottom-up, stopping where verification stops."""
+    """Run the whole ladder bottom-up, stopping where verification stops.
+
+    Each rung is evaluated once on ``p`` and handed to the rungs above it;
+    the single-rung functions are standalone entry points that derive
+    their own inputs.
+    """
     premodel_report = verify_premodel(p)
     name = p.name or p.cat.name
     if not premodel_report.ok:
@@ -342,13 +346,15 @@ def classify_full(p):
             name, premodel_report, flags, weak, None, None, None, None, None, None, None,
             "premodel (weak model axioms fail)",
         )
-    left = recognize_left_semi(p)
-    right = recognize_right_semi(p)
-    two = two_sided_check(p)
-    quillen = quillen_check(p) if two.ok else None
-    eqs = equivalences(p)
+    cylinders = strong_cylinder_objects(p)
+    paths = strong_path_objects(p)
+    left = _left_semi(weak, cylinders, flags)
+    right = _right_semi(p, weak, paths, flags)
+    two = TwoSidedReport(weak.ok, cylinders[0], paths[0], flags.bi_saturated)
     wl = compute_WL(p)
     wr = compute_WR(p)
+    quillen = _quillen(p, wl, wr) if two.ok else None
+    eqs = equivalences(p)
 
     if two.ok and not (left.spitzweck and right.spitzweck):
         raise VerificationError("two-sided structure fails a semi-model recognizer")

@@ -99,21 +99,8 @@ class FiniteCategory:
     def arrows_from(self, x):
         return [m for m in self.morphisms if self.source[m] == x]
 
-    def arrows_to(self, y):
-        return [m for m in self.morphisms if self.target[m] == y]
-
-    def parallel_pairs(self):
-        """All ordered pairs (f, g) with the same source and target."""
-        for f in self.morphisms:
-            for g in self.morphisms:
-                if self.source[f] == self.source[g] and self.target[f] == self.target[g]:
-                    yield f, g
-
     def sort_morphisms(self, ms):
         return sorted(ms, key=self._morphism_index.__getitem__)
-
-    def sort_objects(self, xs):
-        return sorted(xs, key=self._object_index.__getitem__)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteCategory):
@@ -463,18 +450,6 @@ def identity_functor(cat):
         cat,
         {x: x for x in cat.objects},
         {m: m for m in cat.morphisms},
-    )
-
-
-def constant_functor(cat, target, obj):
-    if not target.has_object(obj):
-        raise InputError("unknown object %r in %s" % (obj, target.name))
-    return FunctorData(
-        "const_%s" % obj,
-        cat,
-        target,
-        {x: obj for x in cat.objects},
-        {m: target.identity(obj) for m in cat.morphisms},
     )
 
 

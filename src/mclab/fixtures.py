@@ -1,6 +1,6 @@
 """Built-in categories and marked structures used by tests and docs.
 
-The same fixtures ship twice: built here in code, and as ``fixtures/*.mcl``
+The same fixtures ship twice: built here in code, and as ``data/*.mcl``
 source files for the command line.  A test pins the two presentations to
 each other.
 

@@ -240,11 +240,6 @@ def find_path(p, g, mode="weak"):
     return None if w is None else _path_from_cylinder(w)
 
 
-def iter_path_witnesses(p, g, mode="weak"):
-    for w in iter_cylinder_witnesses(dualize(p), g, mode):
-        yield _path_from_cylinder(w)
-
-
 def _path_from_cylinder(w):
     return PathWitness(
         base=w.base,

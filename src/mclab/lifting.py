@@ -196,11 +196,11 @@ class WfsReport:
     failures: tuple[str, ...]
 
 
-def factor(cat, left, right, h):
-    """First factorization h = r ∘ l with l ∈ left, r ∈ right, or None.
+def factorizations(cat, left, right, h):
+    """Every factorization h = r ∘ l with l ∈ left, r ∈ right, as (l, r).
 
     The middle object is scanned in object order, then l and r in morphism
-    order, so the choice is deterministic.
+    order, so the sequence is deterministic.
     """
     for z in cat.objects:
         for l in cat.hom(cat.source[h], z):
@@ -208,8 +208,23 @@ def factor(cat, left, right, h):
                 continue
             for r in cat.hom(z, cat.target[h]):
                 if r in right and cat.compose_table[(r, l)] == h:
-                    return l, r
-    return None
+                    yield l, r
+
+
+def factor(cat, left, right, h):
+    """First factorization h = r ∘ l with l ∈ left, r ∈ right, or None."""
+    return next(factorizations(cat, left, right, h), None)
+
+
+def require_factorizations(cat, left, right, message):
+    """Raise ConstructionError on the first morphism with no factorization.
+
+    ``message`` is a format string with one ``%s`` for that morphism, which
+    is also the error's witness.
+    """
+    for h in cat.morphisms:
+        if factor(cat, left, right, h) is None:
+            raise ConstructionError(message % h, witness=h)
 
 
 def verify_wfs(wfs):
@@ -273,9 +288,7 @@ def generate_wfs(cat, generators):
     right = complement_rlp(cat, generators)
     left = complement_llp(cat, right)
     wfs = WeakFactorizationSystem(cat, left, right)
-    for h in cat.morphisms:
-        if factor(cat, left, right, h) is None:
-            raise ConstructionError("no factorization of %s" % h, witness=h)
+    require_factorizations(cat, left, right, "no factorization of %s")
     report = verify_wfs(wfs)
     if not report.ok:
         # Unreachable for the generated classes, kept as a loud invariant.

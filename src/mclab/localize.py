@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import ConstructionError, InputError, VerificationError
 from .homotopy import find_cylinder, is_equivalence, iter_cylinder_witnesses, verify_weak_model
-from .lifting import complement_llp, complement_rlp, factor, llp
+from .lifting import complement_llp, complement_rlp, llp, require_factorizations
 from .saturate import saturate
 from .premodel import (
     PremodelStructure,
@@ -116,12 +116,6 @@ def _require_weak_model(p, what):
         raise InputError("%s requires a verified weak model structure" % what)
 
 
-def _check_factorizations(cat, left, right, context):
-    for h in cat.morphisms:
-        if factor(cat, left, right, h) is None:
-            raise ConstructionError("%s loses factorization of %s" % (context, h), witness=h)
-
-
 def _assert_premodel(q, context):
     report = verify_premodel(q)
     if not report.ok:
@@ -154,9 +148,10 @@ def left_bousfield(p, arrows, mode="Lc"):
 
     new_fib = complement_rlp(cat, p.anodyne_cofibrations | closure)
     new_ac = complement_llp(cat, new_fib)
-    _check_factorizations(cat, new_ac, new_fib, "left localization")
-    intermediate = p.with_classes(anodyne_cofibrations=new_ac, fibrations=new_fib)
-    intermediate.name = "%s_loc" % (p.name or cat.name)
+    require_factorizations(cat, new_ac, new_fib, "left localization loses factorization of %s")
+    intermediate = p.with_classes(
+        anodyne_cofibrations=new_ac, fibrations=new_fib, name="%s_loc" % (p.name or cat.name)
+    )
     _assert_premodel(intermediate, "left localization intermediate")
 
     result = saturate(intermediate, mode)
@@ -223,9 +218,10 @@ def right_bousfield(p, adj, target, mode="Rc"):
         f for f in p.cofibrations if all(llp(cat, f, q) for q in localizer)
     )
     new_af = complement_rlp(cat, new_cof)
-    _check_factorizations(cat, new_cof, new_af, "right localization")
-    intermediate = p.with_classes(cofibrations=new_cof, anodyne_fibrations=new_af)
-    intermediate.name = "%s_rloc" % (p.name or cat.name)
+    require_factorizations(cat, new_cof, new_af, "right localization loses factorization of %s")
+    intermediate = p.with_classes(
+        cofibrations=new_cof, anodyne_fibrations=new_af, name="%s_rloc" % (p.name or cat.name)
+    )
     _assert_premodel(intermediate, "right localization intermediate")
 
     result = saturate(intermediate, mode)
@@ -291,9 +287,14 @@ def pre_right_localization(p, arrows):
             )
         witnesses[i] = found
 
-    _check_factorizations(cat, new_cof, new_af, "pre-right localization")
-    structure = p.with_classes(cofibrations=new_cof, anodyne_fibrations=new_af)
-    structure.name = "%s_pre_rloc" % (p.name or cat.name)
+    require_factorizations(
+        cat, new_cof, new_af, "pre-right localization loses factorization of %s"
+    )
+    structure = p.with_classes(
+        cofibrations=new_cof,
+        anodyne_fibrations=new_af,
+        name="%s_pre_rloc" % (p.name or cat.name),
+    )
     _assert_premodel(structure, "pre-right localization")
     if not verify_weak_model(structure).ok:
         raise VerificationError("pre-right localization does not verify the weak model axioms")

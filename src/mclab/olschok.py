@@ -36,7 +36,13 @@ from .fincat import (
     pushout,
 )
 from .homotopy import CylinderWitness, check_cylinder_witness, fold_cone, verify_weak_model
-from .lifting import complement_llp, complement_rlp, factor, verify_wfs, WeakFactorizationSystem
+from .lifting import (
+    WeakFactorizationSystem,
+    complement_llp,
+    complement_rlp,
+    require_factorizations,
+    verify_wfs,
+)
 from .premodel import PremodelStructure, cofibrant_objects, is_cofibrant, verify_premodel
 from .saturate import saturate
 
@@ -433,9 +439,7 @@ def olschok_model(structured, cyl, seeds=(), generators=None):
 
     new_fib = complement_rlp(cat, lam)
     new_ac = complement_llp(cat, new_fib)
-    for h in cat.morphisms:
-        if factor(cat, new_ac, new_fib, h) is None:
-            raise ConstructionError("generated system loses factorization of %s" % h, witness=h)
+    require_factorizations(cat, new_ac, new_fib, "generated system loses factorization of %s")
     p = PremodelStructure(
         cat=cat,
         cofibrations=structured.cofibrations,

@@ -159,9 +159,6 @@ class Directive:
     line: int
     col: int
 
-    def describe(self):
-        return self.args.get("text", self.kind)
-
 
 @dataclass
 class Document:

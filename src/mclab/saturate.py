@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConstructionError, InputError, VerificationError
-from .lifting import complement_llp, complement_rlp, factor, llp
+from .errors import InputError, VerificationError
+from .lifting import complement_llp, complement_rlp, llp, require_factorizations
 from .premodel import (
     PremodelStructure,
     acyclic_cofibrations,
@@ -77,11 +77,7 @@ def saturate(p, mode):
         q = p.with_classes(cofibrations=new_cof, anodyne_fibrations=new_af)
         left, right = new_cof, new_af
 
-    for h in cat.morphisms:
-        if factor(cat, left, right, h) is None:
-            raise ConstructionError(
-                "saturation %s loses factorization of %s" % (mode, h), witness=h
-            )
+    require_factorizations(cat, left, right, "saturation %s loses factorization of %%s" % mode)
 
     after = _core_signature(q)
     if before != after:

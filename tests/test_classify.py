@@ -1,5 +1,6 @@
 import pytest
 
+import mclab.classify
 from mclab import fixtures
 from mclab.classify import (
     classify_full,
@@ -93,6 +94,46 @@ def test_semi_recognizers_on_corpus(premodel_corpus):
         assert left.spitzweck, (p.name, left.failures)
         assert right.spitzweck, (p.name, right.failures)
         assert two_sided_check(p).ok
+        # the ladder hands rungs up instead of recomputing them; the values
+        # must be exactly what the standalone entry points derive
+        report = classify_full(p)
+        assert report.left_semi == left
+        assert report.right_semi == right
+        assert report.two_sided == two_sided_check(p)
+        assert report.quillen == quillen_check(p)
+        assert report.wl == compute_WL(p)
+        assert report.wr == compute_WR(p)
+
+
+RUNGS = (
+    "verify_weak_model",
+    "saturation_flags",
+    "strong_cylinder_objects",
+    "strong_path_objects",
+    "compute_WL",
+    "compute_WR",
+)
+
+
+def test_classify_full_evaluates_each_rung_once(p0, p1, premodel_corpus, monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(q, *args, **kwargs):
+            calls.append((name, q))
+            return fn(q, *args, **kwargs)
+
+        return wrapper
+
+    for name in RUNGS:
+        monkeypatch.setattr(mclab.classify, name, counting(name, getattr(mclab.classify, name)))
+    for p in (p0, p1, *premodel_corpus):
+        calls.clear()
+        assert classify_full(p).weak_model.ok
+        # the dual mirror of the right-semi check runs its own rungs on
+        # dualize(p); only the calls on p itself are counted
+        counts = {name: sum(1 for n, q in calls if n == name and q is p) for name in RUNGS}
+        assert counts == dict.fromkeys(RUNGS, 1), p.name
 
 
 def test_recognizers_mirror_under_duality(premodel_corpus):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -145,13 +146,50 @@ def test_runs_are_deterministic():
     assert first == second
 
 
-@pytest.mark.parametrize(
-    "name", ["barton", "chain3", "point", "interval", "discrete2", "collapse"]
-)
+# sha256 of ``mclab run <doc>`` output, as (text, --json): the reports on the
+# shipped documents are pinned byte for byte.
+SHIPPED_DIGESTS = {
+    "barton": (
+        "264ab52bf41fb3601fffa2110ff22e14fe4dc24c96a055e0e5054f3534333d90",
+        "a1d7c7211b1aa3d254060040bd00e8dd8ae0da53c4d686b338bd2204d597da5c",
+    ),
+    "chain3": (
+        "296bdd10ced40414ec6e8dd49260013b40bc88c4753f877625249ba9a4717745",
+        "b857ec99de817a35385a7c95850d38584ca26d9ad35326d459626fd1353c0838",
+    ),
+    "point": (
+        "28a8aeb2da195f526072f5718d97a9b3903c772b29e2d866c4665045b47e1279",
+        "74ecb388b4326ff71c027060c3bf95186092beceea5f2b9a228d8a824f3bf264",
+    ),
+    "interval": (
+        "f51d3bb01961c48b5157d4dd8b4e255a2cd867e166d9352505d2195641fb7403",
+        "02ec96992d735de137e4e724888eaf25bd8db76e8a5df56326548df6c8dc4d00",
+    ),
+    "discrete2": (
+        "4a26ba1834a78b57e7c46574b2e1f5f8ed25af931db4e4f921a820364b88bd1a",
+        "dc40c114625ccf78c01b37a97a874ff4a3d2918222d560d718b8b00d965f6ed4",
+    ),
+    "collapse": (
+        "a17e2e1651e0b47e024f2d7f80e48287b9628700e95f515c3eb334418c3a800d",
+        "df424421a4e8a4edc962d6fcd18a386991821a4b1934a74df0e7d4b6bfabf645",
+    ),
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_DIGESTS))
 def test_shipped_documents_run_clean(name, capsys):
+    text_digest, json_digest = SHIPPED_DIGESTS[name]
+    rc = main(["run", str(DATA / ("%s.mcl" % name))])
+    assert rc == OK
+    assert _sha256(capsys.readouterr().out) == text_digest
     rc = main(["run", str(DATA / ("%s.mcl" % name)), "--json"])
     out = capsys.readouterr().out
     assert rc == OK
+    assert _sha256(out) == json_digest
     for tree in json.loads(out):
         check_tree(tree)
 
