@@ -19,7 +19,8 @@ Conventions
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConstructionError, InputError
 
@@ -101,6 +102,32 @@ class FiniteCategory:
 
     def sort_morphisms(self, ms):
         return sorted(ms, key=self._morphism_index.__getitem__)
+
+    # -- derived facts, computed once on first use; never mutate the tables
+
+    @cached_property
+    def op(self):
+        """The opposite category: a new instance, so ``op.op == self`` but not ``is``."""
+        morphisms = [(m, self.target[m], self.source[m]) for m in self.morphisms]
+        compose = {(f, g): h for (g, f), h in self.compose_table.items()}
+        return FiniteCategory(self.name, self.objects, morphisms, self.identities, compose)
+
+    @cached_property
+    def initial(self):
+        """The first initial object in enumeration order, or None."""
+        cone = colimit(self, DiagramShape("empty"))
+        return None if cone is None else cone.apex
+
+    @cached_property
+    def terminal(self):
+        return self.op.initial
+
+    @cached_property
+    def lifting_pairs(self):
+        """Every (f, g) such that each commuting square from f to g has a diagonal."""
+        from .lifting import _lifting_pairs  # local import to keep module load order simple
+
+        return _lifting_pairs(self)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteCategory):
@@ -220,10 +247,8 @@ def validate_category(cat):
 
 
 def opposite(cat):
-    """Reverse every morphism.  Involutive on the nose."""
-    morphisms = [(m, cat.target[m], cat.source[m]) for m in cat.morphisms]
-    compose = {(f, g): h for (g, f), h in cat.compose_table.items()}
-    return FiniteCategory(cat.name, cat.objects, morphisms, cat.identities, compose)
+    """Reverse every morphism; built once per category, involutive on the tables."""
+    return cat.op
 
 
 def reverse_enumeration(cat):
@@ -368,7 +393,7 @@ def limit(cat, shape):
     """Dual search, run as a colimit in the opposite category."""
     _check_shape(cat, shape, ("cospan", "pair", "empty"))
     dual_kind = {"cospan": "span", "pair": "pair", "empty": "empty"}[shape.kind]
-    return colimit(opposite(cat), DiagramShape(dual_kind, shape.legs))
+    return colimit(cat.op, DiagramShape(dual_kind, shape.legs))
 
 
 def mediating_out(cat, cone, target_legs):
@@ -416,13 +441,11 @@ def product(cat, x, y):
 
 
 def initial_object(cat):
-    cone = colimit(cat, DiagramShape("empty"))
-    return None if cone is None else cone.apex
+    return cat.initial
 
 
 def terminal_object(cat):
-    cone = limit(cat, DiagramShape("empty"))
-    return None if cone is None else cone.apex
+    return cat.terminal
 
 
 # -- functors and adjunctions ----------------------------------------------

@@ -1,9 +1,10 @@
 """Lifting problems, complements and weak factorization systems.
 
-All searches are exhaustive over the composition tables.  Lifting queries are
-memoized per category instance (the answer depends only on the tables, never
-on any marked classes), which keeps the repeated whole-class complements used
-by saturation and localization cheap.
+All searches are exhaustive over the composition tables.  The lifting
+relation depends only on the tables, never on any marked classes, so each
+category searches it once, for all pairs, and keeps it as
+``FiniteCategory.lifting_pairs``; lifting queries and the whole-class
+complements used by saturation and localization are membership tests in it.
 """
 
 from __future__ import annotations
@@ -48,35 +49,40 @@ def has_lift(cat, f, g, u, v):
     return None
 
 
-def llp(cat, f, g):
-    """True when every commuting square from f to g has a diagonal."""
-    cache = cat.__dict__.setdefault("_llp_cache", {})
-    key = (f, g)
-    hit = cache.get(key)
-    if hit is None:
-        hit = all(
+def _lifting_pairs(cat):
+    """The exhaustive search behind ``FiniteCategory.lifting_pairs``."""
+    return frozenset(
+        (f, g)
+        for f in cat.morphisms
+        for g in cat.morphisms
+        if all(
             any(
                 cat.compose_table[(d, f)] == u and cat.compose_table[(g, d)] == v
                 for d in cat.hom(cat.target[f], cat.source[g])
             )
             for u, v in squares_between(cat, f, g)
         )
-        cache[key] = hit
-    return hit
+    )
+
+
+def llp(cat, f, g):
+    """True when every commuting square from f to g has a diagonal."""
+    _require_morphisms(cat, (f, g))
+    return (f, g) in cat.lifting_pairs
 
 
 def complement_llp(cat, right):
     """Everything with the left lifting property against all of ``right``."""
     right = list(right)
     _require_morphisms(cat, right)
-    return frozenset(f for f in cat.morphisms if all(llp(cat, f, g) for g in right))
+    return frozenset(f for f in cat.morphisms if all((f, g) in cat.lifting_pairs for g in right))
 
 
 def complement_rlp(cat, left):
     """Everything with the right lifting property against all of ``left``."""
     left = list(left)
     _require_morphisms(cat, left)
-    return frozenset(g for g in cat.morphisms if all(llp(cat, f, g) for f in left))
+    return frozenset(g for g in cat.morphisms if all((f, g) in cat.lifting_pairs for f in left))
 
 
 def retract_closure(cat, members):

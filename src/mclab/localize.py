@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import ConstructionError, InputError, VerificationError
 from .homotopy import find_cylinder, is_equivalence, iter_cylinder_witnesses, verify_weak_model
-from .lifting import complement_llp, complement_rlp, llp, require_factorizations
+from .lifting import complement_llp, complement_rlp, require_factorizations
 from .saturate import saturate
 from .premodel import (
     PremodelStructure,
@@ -214,9 +214,7 @@ def right_bousfield(p, adj, target, mode="Rc"):
     localizer = frozenset(
         q for q in core_fibrations(p) if adj.right.on_morphism(q) in target_acyclic
     )
-    new_cof = frozenset(
-        f for f in p.cofibrations if all(llp(cat, f, q) for q in localizer)
-    )
+    new_cof = p.cofibrations & complement_llp(cat, localizer)
     new_af = complement_rlp(cat, new_cof)
     require_factorizations(cat, new_cof, new_af, "right localization loses factorization of %s")
     intermediate = p.with_classes(

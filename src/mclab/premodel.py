@@ -14,14 +14,14 @@ against the bifibrant core, see ``acyclic_cofibrations``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import ConstructionError, InputError
 from .fincat import (
     FiniteCategory,
     Verdict,
     initial_object,
-    opposite,
     terminal_object,
 )
 from .lifting import (
@@ -29,13 +29,17 @@ from .lifting import (
     complement_llp,
     complement_rlp,
     factor,
-    llp,
     verify_wfs,
 )
 
+_CLASSES = ("cofibrations", "anodyne_fibrations", "anodyne_cofibrations", "fibrations")
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True, eq=False)
 class PremodelStructure:
+    """Four marked classes on one category; immutable, so each derived fact
+    (the dual and the acyclic classes) is computed once on first use."""
+
     cat: FiniteCategory
     cofibrations: frozenset
     anodyne_fibrations: frozenset
@@ -44,10 +48,31 @@ class PremodelStructure:
     name: str = ""
 
     def __post_init__(self):
-        self.cofibrations = frozenset(self.cofibrations)
-        self.anodyne_fibrations = frozenset(self.anodyne_fibrations)
-        self.anodyne_cofibrations = frozenset(self.anodyne_cofibrations)
-        self.fibrations = frozenset(self.fibrations)
+        for name in _CLASSES:
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
+
+    @cached_property
+    def dual(self):
+        """See ``dualize``: a new structure, so ``dual.dual`` is not ``self``."""
+        return PremodelStructure(
+            cat=self.cat.op,
+            cofibrations=self.fibrations,
+            anodyne_fibrations=self.anodyne_cofibrations,
+            anodyne_cofibrations=self.anodyne_fibrations,
+            fibrations=self.cofibrations,
+            name=self.name,
+        )
+
+    @cached_property
+    def acyclic_cofibrations(self):
+        gates = [g for g in core_fibrations(self) if is_fibrant(self, self.cat.source[g])]
+        return self.cofibrations & complement_llp(self.cat, gates)
+
+    @cached_property
+    def acyclic_fibrations(self):
+        # computed here, not through ``dual``, so the mirror stays independent
+        gates = [f for f in core_cofibrations(self) if is_cofibrant(self, self.cat.target[f])]
+        return self.fibrations & complement_rlp(self.cat, gates)
 
     @property
     def cof_system(self):
@@ -58,12 +83,7 @@ class PremodelStructure:
         return WeakFactorizationSystem(self.cat, self.anodyne_cofibrations, self.fibrations)
 
     def classes(self):
-        return {
-            "cofibrations": self.cofibrations,
-            "anodyne_fibrations": self.anodyne_fibrations,
-            "anodyne_cofibrations": self.anodyne_cofibrations,
-            "fibrations": self.fibrations,
-        }
+        return {name: getattr(self, name) for name in _CLASSES}
 
     def with_classes(self, **kw):
         return replace(self, **kw)
@@ -148,62 +168,18 @@ def core_fibrations(p):
     return frozenset(f for f in p.fibrations if is_fibrant(p, p.cat.target[f]))
 
 
-def _fibrations_with_fibrant_ends(p, strict):
-    """Fibrations between fibrant objects.
-
-    The default reads "between" as both endpoints; ``strict=True`` only asks
-    for a fibrant target.  On a verified premodel the two coincide because
-    fibrations compose, and the suite checks that coincidence on fixtures.
-    """
-    out = []
-    for g in p.fibrations:
-        if not is_fibrant(p, p.cat.target[g]):
-            continue
-        if not strict and not is_fibrant(p, p.cat.source[g]):
-            continue
-        out.append(g)
-    return out
-
-
-def acyclic_cofibrations(p, strict=False):
+def acyclic_cofibrations(p):
     """Cofibrations lifting against every fibration between fibrant objects.
 
     This class contains the anodyne cofibrations and is the left-hand
     yardstick of acyclicity for everything downstream.
     """
-    key = ("_acyclic_cof", strict)
-    cached = p.__dict__.get(key)
-    if cached is None:
-        gates = _fibrations_with_fibrant_ends(p, strict)
-        cached = frozenset(
-            f for f in p.cofibrations if all(llp(p.cat, f, g) for g in gates)
-        )
-        p.__dict__[key] = cached
-    return cached
+    return p.acyclic_cofibrations
 
 
-def acyclic_fibrations(p, strict=False):
-    """Fibrations lifting against every cofibration between cofibrant objects.
-
-    ``strict=True`` only asks the gate cofibrations for a cofibrant source;
-    in a verified premodel that already forces a cofibrant target, so the two
-    readings agree there (checked on fixtures, like the dual flag above).
-    """
-    key = ("_acyclic_fib", strict)
-    cached = p.__dict__.get(key)
-    if cached is None:
-        gates = []
-        for f in p.cofibrations:
-            if not is_cofibrant(p, p.cat.source[f]):
-                continue
-            if not strict and not is_cofibrant(p, p.cat.target[f]):
-                continue
-            gates.append(f)
-        cached = frozenset(
-            g for g in p.fibrations if all(llp(p.cat, f, g) for f in gates)
-        )
-        p.__dict__[key] = cached
-    return cached
+def acyclic_fibrations(p):
+    """Fibrations lifting against every cofibration between cofibrant objects."""
+    return p.acyclic_fibrations
 
 
 def core_acyclic_cofibrations(p):
@@ -310,16 +286,11 @@ def verify_premodel(p):
 def dualize(p):
     """The opposite premodel: swap the two systems across the opposite category.
 
-    Cofibrations become fibrations and vice versa; involutive on the nose.
+    Cofibrations become fibrations and vice versa.  Built once per structure;
+    involutive on the tables: ``dualize(dualize(p))`` has the classes and
+    category tables of ``p`` but is a new structure.
     """
-    return PremodelStructure(
-        cat=opposite(p.cat),
-        cofibrations=p.fibrations,
-        anodyne_fibrations=p.anodyne_cofibrations,
-        anodyne_cofibrations=p.anodyne_fibrations,
-        fibrations=p.cofibrations,
-        name=p.name,
-    )
+    return p.dual
 
 
 def factor_cof_afib(p, h):

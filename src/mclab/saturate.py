@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, VerificationError
-from .lifting import complement_llp, complement_rlp, llp, require_factorizations
+from .lifting import complement_llp, complement_rlp, require_factorizations
 from .premodel import (
     PremodelStructure,
     acyclic_cofibrations,
@@ -62,17 +62,13 @@ def saturate(p, mode):
 
     if mode in ("L", "Lc"):
         votes = acyclic_cofibrations(p) if mode == "L" else core_acyclic_cofibrations(p)
-        new_fib = frozenset(
-            g for g in p.fibrations if all(llp(cat, f, g) for f in votes)
-        )
+        new_fib = p.fibrations & complement_rlp(cat, votes)
         new_ac = complement_llp(cat, new_fib)
         q = p.with_classes(anodyne_cofibrations=new_ac, fibrations=new_fib)
         left, right = new_ac, new_fib
     else:
         votes = acyclic_fibrations(p) if mode == "R" else core_acyclic_fibrations(p)
-        new_cof = frozenset(
-            f for f in p.cofibrations if all(llp(cat, f, g) for g in votes)
-        )
+        new_cof = p.cofibrations & complement_llp(cat, votes)
         new_af = complement_rlp(cat, new_cof)
         q = p.with_classes(cofibrations=new_cof, anodyne_fibrations=new_af)
         left, right = new_cof, new_af

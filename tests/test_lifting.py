@@ -45,6 +45,13 @@ def test_llp_on_thin_category_is_hom_emptiness(barton):
     assert llp(barton, "ac", "ab")  # no square at all between them
 
 
+def test_llp_rejects_unknown_morphisms(barton):
+    with pytest.raises(InputError):
+        llp(barton, "nope", "ab")
+    with pytest.raises(InputError):
+        llp(barton, "ab", "nope")
+
+
 def test_complements_are_galois(barton):
     s = frozenset({"ab"})
     right = complement_rlp(barton, s)

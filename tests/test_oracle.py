@@ -106,14 +106,19 @@ def test_object_classes_agree(premodel_corpus):
 
 
 def test_acyclic_classes_agree(premodel_corpus):
+    # the oracle's one-sided reading of "between (co)fibrant objects" lands on
+    # the same class as the two-sided one on every verified premodel
     for p in premodel_corpus:
-        for strict in (False, True):
-            assert acyclic_cofibrations(p, strict=strict) == bf.acyclic_cofibrations(
-                p, strict=strict
-            ), (p.name, strict)
-            assert acyclic_fibrations(p, strict=strict) == bf.acyclic_fibrations(
-                p, strict=strict
-            ), (p.name, strict)
+        assert (
+            acyclic_cofibrations(p)
+            == bf.acyclic_cofibrations(p)
+            == bf.acyclic_cofibrations(p, strict=True)
+        ), p.name
+        assert (
+            acyclic_fibrations(p)
+            == bf.acyclic_fibrations(p)
+            == bf.acyclic_fibrations(p, strict=True)
+        ), p.name
 
 
 def test_weak_model_verdicts_agree(premodel_corpus):

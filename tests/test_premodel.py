@@ -1,8 +1,14 @@
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from mclab import fixtures
 from mclab.errors import InputError
-from mclab.fincat import identity_adjunction, opposite
+from mclab.fincat import identity_adjunction, opposite, terminal_object
+from mclab.homotopy import verify_weak_model
+from mclab.lifting import llp
 from mclab.premodel import (
     acyclic_cofibrations,
     acyclic_fibrations,
@@ -83,14 +89,6 @@ def test_acyclic_classes_frozen(p0, p1):
     assert acyclic_fibrations(p1) == IDS | {"ab"}
 
 
-def test_strict_flag_agrees_on_verified_premodels(premodel_corpus):
-    # the one-sided variant relaxes which fibrations are probed, but on a
-    # verified structure both cuts land on the same class
-    for p in premodel_corpus:
-        assert acyclic_cofibrations(p, strict=True) == acyclic_cofibrations(p)
-        assert acyclic_fibrations(p, strict=True) == acyclic_fibrations(p)
-
-
 def test_saturation_flags(premodel_corpus):
     for p in premodel_corpus:
         flags = saturation_flags(p)
@@ -121,6 +119,49 @@ def test_dualize_is_involutive_and_swaps_classes(premodel_corpus):
         assert verify_premodel(q).ok, p.name
         assert same_classes(dualize(q), p)
         assert dualize(q).cat == p.cat
+
+
+def test_premodel_is_frozen():
+    p = fixtures.barton_p1()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.cofibrations = IDS
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.name = "renamed"
+
+
+def test_derived_classes_are_computed_once_per_structure():
+    p0 = fixtures.barton_p0()
+    assert dualize(p0) is dualize(p0)
+    assert acyclic_cofibrations(p0) == IDS
+    # same cofibration system as P1, P1's fibration system: the acyclic
+    # classes and the dual are recomputed for the new classes, not copied
+    q = p0.with_classes(
+        anodyne_cofibrations=IDS | {"ac", "bd"}, fibrations=IDS | {"ab", "cd"}
+    )
+    assert acyclic_cofibrations(q) == IDS | {"ac", "bd"}
+    assert acyclic_fibrations(q) == IDS | {"ab"}
+    assert dualize(q).cofibrations == q.fibrations
+    assert acyclic_cofibrations(p0) == IDS
+
+
+def test_derived_facts_hold_no_reference_cycles():
+    # cat.op.op and p.dual.dual are new objects; a link back would make a
+    # cycle that only the cyclic garbage collector could free
+    gc.disable()
+    try:
+        cat = fixtures.barton()
+        p = fixtures.barton_p1(cat)
+        opposite(cat)
+        terminal_object(cat)
+        llp(cat, "ab", "cd")
+        dualize(p)
+        acyclic_fibrations(p)
+        verify_weak_model(p)
+        refs = [weakref.ref(x) for x in (cat, opposite(cat), p, dualize(p))]
+        del cat, p
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
 
 
 def test_verify_premodel_failure_flags(p0):
