@@ -4,6 +4,8 @@ import weakref
 
 import pytest
 
+import bruteforce as bf
+
 from mclab import fixtures
 from mclab.errors import InputError
 from mclab.fincat import identity_adjunction, opposite, terminal_object
@@ -88,6 +90,15 @@ def test_acyclic_classes_frozen(p0, p1):
     assert acyclic_cofibrations(p1) == IDS | {"ac", "bd"}
     assert acyclic_fibrations(p1) == IDS | {"ab"}
 
+
+
+def test_strict_flag_agrees_on_verified_premodels(premodel_corpus):
+    # the engine keeps one reading of "between (co)fibrant objects"; the
+    # oracle's strict reading probes more (co)fibrations, but on a verified
+    # structure both cuts land on the same class
+    for p in premodel_corpus:
+        assert acyclic_cofibrations(p) == bf.acyclic_cofibrations(p, strict=True)
+        assert acyclic_fibrations(p) == bf.acyclic_fibrations(p, strict=True)
 
 def test_saturation_flags(premodel_corpus):
     for p in premodel_corpus:
