@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .errors import InputError, VerificationError
 from .homotopy import (
-    cf_arrows,
     equivalences,
     find_cylinder,
     find_path,
@@ -22,7 +21,6 @@ from .homotopy import (
 )
 from .lifting import factorizations
 from .premodel import (
-    PremodelStructure,
     arrow_from_initial,
     arrow_to_terminal,
     cofibrant_objects,
@@ -30,7 +28,6 @@ from .premodel import (
     dualize,
     fibrant_objects,
     fibrant_replacement,
-    is_cofibrant,
     is_fibrant,
     saturation_flags,
     verify_premodel,
@@ -124,9 +121,11 @@ def _right_semi(p, weak, paths, flags):
     report = RightSemiReport(
         weak.ok, path_ok, flags.core_right_saturated, flags.left_saturated, tuple(failures)
     )
-    # The mirror derives its own weak-model report on the dual: the
-    # independent side of the check.
-    mirror = recognize_left_semi(dualize(p))
+    # The left-semi recognizer on the dual. Its weak-model report and strong
+    # cylinders are ``weak`` and ``paths``, which were already searched on the
+    # dual; its flags come from the dual's own acyclic classes, computed from
+    # the opposite category's own lifting relation: the independent side.
+    mirror = _left_semi(weak, paths, saturation_flags(dualize(p)))
     if (mirror.fresse, mirror.spitzweck) != (report.fresse, report.spitzweck):
         raise VerificationError(
             "right semi recognition disagrees with its dual on %s" % (p.name or p.cat.name)

@@ -5,12 +5,13 @@ and executes it through the same path the ``run { ... }`` blocks use, so the
 CLI cannot drift from the language.  Reports go to stdout — human-readable
 by default, machine format under ``--json``.  Exit codes: 0 all verdicts
 hold, 1 a checked property is false, 2 input/usage error, 3 a required
-construction does not exist.
+construction does not exist, 4 an internal cross-check failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ParseError
@@ -63,7 +64,9 @@ def _split_list(text):
     return [x for x in (piece.strip() for piece in text.split(",")) if x]
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and shared by every call."""
     ap = argparse.ArgumentParser(
         prog="mclab",
         description="Exhaustive checks for marked finite categories: "
@@ -119,8 +122,11 @@ def main(argv=None):
     p.add_argument("--seeds", help="comma-separated localizer arrows")
 
     cmd("run", help="execute the document's run block")
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except _Exit as stop:

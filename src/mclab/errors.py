@@ -1,10 +1,11 @@
 """Exception hierarchy shared by the whole package.
 
-Three failure families, matching the CLI exit codes:
+Failure families, matching the CLI exit codes:
 
 * bad input (unknown names, malformed shapes, unparseable files)  -> exit 2
 * a construction that needs an object which does not exist in the
   given finite category (missing pushout, unfactorizable morphism) -> exit 3
+* an internal cross-check that failed (``VerificationError``)      -> exit 4
 * a *verdict* that comes out false is never an exception; verdicts are
   ordinary report data                                             -> exit 1
 """

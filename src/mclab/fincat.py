@@ -114,13 +114,23 @@ class FiniteCategory:
 
     @cached_property
     def initial(self):
-        """The first initial object in enumeration order, or None."""
-        cone = colimit(self, DiagramShape("empty"))
-        return None if cone is None else cone.apex
+        """The first object with exactly one arrow to every object, or None.
+
+        This is the apex the empty-shape colimit search returns; reading it
+        off the hom-sets keeps endpoint queries from building categories.
+        """
+        return next(
+            (x for x in self.objects if all(len(self.hom(x, y)) == 1 for y in self.objects)),
+            None,
+        )
 
     @cached_property
     def terminal(self):
-        return self.op.initial
+        """The first object with exactly one arrow from every object, or None."""
+        return next(
+            (x for x in self.objects if all(len(self.hom(y, x)) == 1 for y in self.objects)),
+            None,
+        )
 
     @cached_property
     def lifting_pairs(self):

@@ -10,8 +10,9 @@ codiagonal ∇: Q -> B.  A witness consists of
 
 such that e∘c = l∘∇ and the first leg c∘q0: B -> Z is an acyclic
 cofibration.  The witness is *strong* when D = B and l is the identity, in
-which case e∘c = ∇ on the nose.  Path witnesses are the same thing run in
-the opposite structure and translated back.
+which case e∘c = ∇ on the nose.  A path witness for a fibration is a
+cylinder witness of the dual structure: the same morphism ids, read in the
+opposite category, where the pushout is a pullback and ∇ a diagonal.
 
 "Acyclic" always means: lifts against every fibration between fibrant
 objects (or dually), computed fresh from the marked classes — see the
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import ConstructionError, InputError, VerificationError
-from .fincat import Cone, FiniteCategory, mediating_out, pushout, validate_category
+from .fincat import FiniteCategory, mediating_out, pushout, validate_category
 from .premodel import (
     acyclic_cofibrations,
     arrow_from_initial,
@@ -51,23 +52,6 @@ class CylinderWitness:
     weak_target: str     # D
     anodyne_leg: str     # l: B -> D, an acyclic cofibration
     comparison: str      # e: Z -> D with e∘c = l∘∇
-    strong: bool
-
-
-@dataclass(frozen=True)
-class PathWitness:
-    """The dual witness for a fibration, in original-category terms."""
-
-    base: str            # the fibration p: X -> Y
-    pair_apex: str       # W = X ×_Y X
-    proj0: str           # W -> X
-    proj1: str           # W -> X
-    diagonal: str        # Δ: X -> W
-    path_obj: str        # Z
-    path_fib: str        # Z -> W, a fibration
-    weak_source: str     # D
-    anodyne_leg: str     # D -> X, an acyclic fibration
-    comparison: str      # D -> Z with path_fib∘comparison = Δ∘anodyne_leg
     strong: bool
 
 
@@ -235,46 +219,13 @@ def weak_to_strong(p, w):
 
 
 def find_path(p, g, mode="weak"):
-    """First path witness for a fibration g, via the opposite structure."""
-    w = find_cylinder(dualize(p), g, mode)
-    return None if w is None else _path_from_cylinder(w)
-
-
-def _path_from_cylinder(w):
-    return PathWitness(
-        base=w.base,
-        pair_apex=w.fold_apex,
-        proj0=w.coproj0,
-        proj1=w.coproj1,
-        diagonal=w.codiagonal,
-        path_obj=w.cylinder_obj,
-        path_fib=w.cylinder_cof,
-        weak_source=w.weak_target,
-        anodyne_leg=w.anodyne_leg,
-        comparison=w.comparison,
-        strong=w.strong,
-    )
-
-
-def _cylinder_from_path(w):
-    return CylinderWitness(
-        base=w.base,
-        fold_apex=w.pair_apex,
-        coproj0=w.proj0,
-        coproj1=w.proj1,
-        codiagonal=w.diagonal,
-        cylinder_obj=w.path_obj,
-        cylinder_cof=w.path_fib,
-        weak_target=w.weak_source,
-        anodyne_leg=w.anodyne_leg,
-        comparison=w.comparison,
-        strong=w.strong,
-    )
+    """First path witness for a fibration g: a cylinder witness of the dual."""
+    return find_cylinder(dualize(p), g, mode)
 
 
 def check_path_witness(p, w):
-    """Validate a path witness by checking its mirror on the opposite."""
-    return check_cylinder_witness(dualize(p), _cylinder_from_path(w))
+    """Recheck a path witness as the cylinder witness it is on the dual."""
+    return check_cylinder_witness(dualize(p), w)
 
 
 @dataclass(frozen=True)
@@ -478,8 +429,26 @@ def cf_arrows(p):
     return tuple(out)
 
 
+def core_cofibration_representative(p, s):
+    """A cofibration with cofibrant source standing in for an arbitrary arrow s.
+
+    With r: X' -> X the cofibrant replacement of the source and j: Y -> Y'
+    the fibrant replacement of the target, factor j∘s∘r as (cofibration,
+    anodyne fibration) and return the cofibration.  Each replacement is the
+    identity on an object that needs none.
+    """
+    cat = p.cat
+    if not cat.has_morphism(s):
+        raise InputError("unknown morphism %r" % s)
+    _, r = cofibrant_replacement(p, cat.source[s])
+    _, j = fibrant_replacement(p, cat.target[s])
+    composite = cat.compose_table[(j, cat.compose_table[(s, r)])]
+    l, _ = factor_cof_afib(p, composite)
+    return l
+
+
 def is_equivalence(p, f):
-    """Replace endpoints only when needed, factor, test the left part.
+    """Is the core cofibration representative of f acyclic?
 
     f must join objects that are each cofibrant or fibrant.  The verdict is
     independent of the replacement and factorization choices; the oracle in
@@ -488,17 +457,12 @@ def is_equivalence(p, f):
     cat = p.cat
     if not cat.has_morphism(f):
         raise InputError("unknown morphism %r" % f)
-    x, y = cat.source[f], cat.target[f]
-    for z in (x, y):
+    for z in (cat.source[f], cat.target[f]):
         if not (is_cofibrant(p, z) or is_fibrant(p, z)):
             raise InputError(
                 "equivalence undefined: %s is neither cofibrant nor fibrant" % z
             )
-    _, r = cofibrant_replacement(p, x)
-    _, j = fibrant_replacement(p, y)
-    composite = cat.compose_table[(j, cat.compose_table[(f, r)])]
-    l, _ = factor_cof_afib(p, composite)
-    return l in acyclic_cofibrations(p)
+    return core_cofibration_representative(p, f) in acyclic_cofibrations(p)
 
 
 def equivalences(p):

@@ -18,17 +18,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, InputError, VerificationError
-from .homotopy import find_cylinder, is_equivalence, iter_cylinder_witnesses, verify_weak_model
+from .homotopy import (
+    core_cofibration_representative,
+    find_cylinder,
+    is_equivalence,
+    iter_cylinder_witnesses,
+    verify_weak_model,
+)
 from .lifting import complement_llp, complement_rlp, require_factorizations
 from .saturate import saturate
 from .premodel import (
     PremodelStructure,
     acyclic_fibrations,
     check_quillen_adjunction,
-    cofibrant_replacement,
     core_fibrations,
-    factor_cof_afib,
-    fibrant_replacement,
     is_cofibrant,
     is_fibrant,
     saturation_flags,
@@ -90,25 +93,6 @@ def _nabla_closure(p, seeds):
             members.add(nxt)
             frontier.append(nxt)
     return frozenset(members)
-
-
-def core_cofibration_representative(p, s):
-    """A cofibration between a cofibrant source and a sturdy target standing
-    in for an arbitrary arrow s.
-
-    Cofibrant-replace the source, fibrant-replace the target, factor the
-    composite as cofibration ∘ anodyne fibration... backwards: the composite
-    factors as (cofibration, anodyne fibration) and the left part is the
-    representative.
-    """
-    cat = p.cat
-    if not cat.has_morphism(s):
-        raise InputError("unknown morphism %r" % s)
-    _, r = cofibrant_replacement(p, cat.source[s])
-    _, j = fibrant_replacement(p, cat.target[s])
-    composite = cat.compose_table[(j, cat.compose_table[(s, r)])]
-    l, _ = factor_cof_afib(p, composite)
-    return l
 
 
 def _require_weak_model(p, what):

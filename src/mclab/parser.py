@@ -251,39 +251,47 @@ class _Parser:
             label = self.expect_name("a field label")
             self.expect_punct(":")
             if label.value == "objects":
-                objects.extend(n.value for n in self.name_list())
+                objects.extend(n.value for n in self._items(self.expect_name))
             elif label.value == "arrows":
-                while True:
-                    arrow = self.expect_name("an arrow name")
-                    self.expect_punct(":")
-                    src = self.expect_name("a source object")
-                    self.expect_punct("->")
-                    tgt = self.expect_name("a target object")
-                    arrows.append((arrow.value, src.value, tgt.value))
-                    if self.accept_punct(";"):
-                        break
-                    self.expect_punct(",")
+                arrows.extend(self._items(self._arrow_decl))
             elif label.value == "relations":
-                while True:
-                    g = self.expect_name("an arrow name")
-                    self.expect_punct(".")
-                    f = self.expect_name("an arrow name")
-                    self.expect_punct("=")
-                    h = self.expect_name("an arrow name")
-                    relations.append((g.value, f.value, h.value))
-                    if self.accept_punct(";"):
-                        break
-                    self.expect_punct(",")
+                relations.extend(self._items(self._relation))
             else:
                 self.fail("unknown category field %r" % label.value, label)
         return CategoryDecl(name.value, thin, objects, arrows, relations, head.line, head.col)
 
-    def name_list(self):
-        names = [self.expect_name()]
+    def _items(self, parse_one):
+        """Items read by ``parse_one``, separated by ',' and ending in ';'."""
+        items = [parse_one()]
         while not self.accept_punct(";"):
             self.expect_punct(",")
-            names.append(self.expect_name())
-        return names
+            items.append(parse_one())
+        return items
+
+    def _arrow_decl(self):
+        """``f: a -> b`` as (f, a, b)."""
+        arrow = self.expect_name("an arrow name")
+        self.expect_punct(":")
+        src = self.expect_name("a source object")
+        self.expect_punct("->")
+        tgt = self.expect_name("a target object")
+        return arrow.value, src.value, tgt.value
+
+    def _relation(self):
+        """``g . f = h`` as (g, f, h)."""
+        g = self.expect_name("an arrow name")
+        self.expect_punct(".")
+        f = self.expect_name("an arrow name")
+        self.expect_punct("=")
+        h = self.expect_name("an arrow name")
+        return g.value, f.value, h.value
+
+    def _maps_to(self):
+        """``a -> b`` as (a, b)."""
+        a = self.expect_name()
+        self.expect_punct("->")
+        b = self.expect_name()
+        return a.value, b.value
 
     def parse_poset(self):
         head = self.next()
@@ -357,14 +365,7 @@ class _Parser:
             if label.value not in ("objects", "arrows"):
                 self.fail("unknown functor field %r" % label.value, label)
             pairs = objects if label.value == "objects" else arrows
-            while True:
-                a = self.expect_name()
-                self.expect_punct("->")
-                b = self.expect_name()
-                pairs.append((a.value, b.value))
-                if self.accept_punct(";"):
-                    break
-                self.expect_punct(",")
+            pairs.extend(self._items(self._maps_to))
         return FunctorDecl(src.value, tgt.value, objects, arrows)
 
     def parse_adjunction(self):
@@ -382,14 +383,7 @@ class _Parser:
                 right = self.parse_functor_body()
             elif label.value in ("unit", "counit"):
                 pairs = unit if label.value == "unit" else counit
-                while True:
-                    a = self.expect_name()
-                    self.expect_punct("->")
-                    b = self.expect_name()
-                    pairs.append((a.value, b.value))
-                    if self.accept_punct(";"):
-                        break
-                    self.expect_punct(",")
+                pairs.extend(self._items(self._maps_to))
             else:
                 self.fail("unknown adjunction field %r" % label.value, label)
         if left is None or right is None:

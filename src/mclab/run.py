@@ -10,14 +10,16 @@ premodels; hocat for a category), so pipelines can chain:
 
 Exit-code conventions live here as small integers on the outcome:
 0 all verdicts hold, 1 some checked property is false (the report carries
-the witnesses), 2 bad input, 3 a required construction does not exist.
+the witnesses), 2 bad input, 3 a required construction does not exist,
+4 an internal cross-check failed (a ``VerificationError``: the input broke
+an unchecked precondition, or the engine has a bug).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError, InputError, VerificationError
 from .fincat import check_adjunction, validate_category
 from .homotopy import homotopy_category, is_equivalence, verify_weak_model
 from .lifting import verify_wfs
@@ -28,7 +30,7 @@ from .saturate import saturate
 from .classify import classify_full
 
 
-OK, CHECK_FAILED, BAD_INPUT, NO_CONSTRUCTION = 0, 1, 2, 3
+OK, CHECK_FAILED, BAD_INPUT, NO_CONSTRUCTION, INTERNAL = 0, 1, 2, 3, 4
 
 
 @dataclass
@@ -379,7 +381,7 @@ def _do_olschok(session, args, tree):
 
 
 def run_directives(env, directives):
-    """Run a pipeline; stops at the first input/construction error."""
+    """Run a pipeline; stops at the first input, construction or internal error."""
     session = Session(env)
     trees = []
     code = OK
@@ -395,6 +397,9 @@ def run_directives(env, directives):
                 err["witness"] = exc.witness
             trees.append({"directive": _describe(d), "error": err})
             return Outcome(trees, NO_CONSTRUCTION)
+        except VerificationError as exc:
+            trees.append({"directive": _describe(d), "error": {"kind": "internal", "message": str(exc)}})
+            return Outcome(trees, INTERNAL)
         trees.append(tree)
         if not ok:
             code = CHECK_FAILED

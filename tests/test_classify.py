@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import mclab.classify
@@ -15,7 +17,7 @@ from mclab.classify import (
     strong_path_objects,
     two_sided_check,
 )
-from mclab.errors import InputError
+from mclab.errors import InputError, VerificationError
 from mclab.premodel import dualize
 
 IDS = frozenset({"id_a", "id_b", "id_c", "id_d"})
@@ -130,10 +132,33 @@ def test_classify_full_evaluates_each_rung_once(p0, p1, premodel_corpus, monkeyp
     for p in (p0, p1, *premodel_corpus):
         calls.clear()
         assert classify_full(p).weak_model.ok
-        # the dual mirror of the right-semi check runs its own rungs on
-        # dualize(p); only the calls on p itself are counted
+        # the right-semi mirror reuses the weak-model report and the strong
+        # path objects; the dual contributes only its own saturation flags
         counts = {name: sum(1 for n, q in calls if n == name and q is p) for name in RUNGS}
         assert counts == dict.fromkeys(RUNGS, 1), p.name
+        assert [(n, q) for n, q in calls if q is not p] == [("saturation_flags", dualize(p))]
+
+
+def test_classify_full_builds_no_second_opposite():
+    p = fixtures.barton_p1()
+    classify_full(p)
+    assert "op" not in vars(p.cat.op)
+    assert "dual" not in vars(p.dual)
+
+
+def test_right_semi_mirror_still_votes(monkeypatch):
+    p = fixtures.barton_p1()
+    real = mclab.classify.saturation_flags
+
+    def flipped(q):
+        flags = real(q)
+        if q is not p:
+            return flags
+        return replace(flags, core_right_saturated=not flags.core_right_saturated)
+
+    monkeypatch.setattr(mclab.classify, "saturation_flags", flipped)
+    with pytest.raises(VerificationError, match="disagrees with its dual"):
+        classify_full(p)
 
 
 def test_recognizers_mirror_under_duality(premodel_corpus):

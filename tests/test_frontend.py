@@ -14,7 +14,7 @@ from mclab.report import check_tree, from_machine, to_machine, to_text
 from mclab.run import (
     BAD_INPUT,
     CHECK_FAILED,
-    NO_CONSTRUCTION,
+    INTERNAL,
     OK,
     run_directives,
 )
@@ -224,6 +224,28 @@ def test_exit_codes():
     )
     outcome = run_directives(env, env.directives)
     assert outcome.code == CHECK_FAILED  # endpoints are missing, verdict false
+
+
+def test_internal_error_exit_code(tmp_path, capsys):
+    # not a premodel: saturation breaks an internal cross-check
+    doc = tmp_path / "broken.mcl"
+    doc.write_text(
+        BARTON_POSET
+        + "premodel P on barton {\n"
+        "  cofibrations: {ids, ab};\n"
+        "  anodyne_fibrations: all;\n"
+        "  anodyne_cofibrations: all;\n"
+        "  fibrations: {ids};\n"
+        "}\n"
+        "run { check premodel P; saturate P mode L; }\n"
+    )
+    assert main(["run", str(doc), "--json"]) == INTERNAL
+    check, saturate = json.loads(capsys.readouterr().out)
+    assert check["directive"] == "check premodel P" and check["ok"] is False
+    assert saturate["directive"] == "saturate P mode L"
+    assert saturate["error"]["kind"] == "internal"
+    assert saturate["error"]["message"]
+    assert main(["saturate", str(doc), "P", "--mode", "L"]) == INTERNAL
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -73,9 +73,10 @@ def test_path_witnesses_mirror_cylinders(p1):
     w = find_path(p1, g)
     assert w is not None
     assert check_path_witness(p1, w).ok
-    # the same data read in the opposite category is a cylinder witness
+    # a path witness is the dual structure's cylinder witness, ids unchanged
     dual = dualize(p1)
-    assert find_cylinder(dual, g) is not None
+    assert w == find_cylinder(dual, g)
+    assert check_cylinder_witness(dual, w).ok
 
 
 def test_verify_weak_model_corpus(premodel_corpus):

@@ -5,15 +5,17 @@ premodels always have their endpoints) and derive marked systems from random
 generating sets, discarding draws whose factorizations do not exist.
 """
 
-import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from mclab import fixtures
 from mclab.classify import classify_full, compute_WL, compute_WR
 from mclab.errors import ConstructionError
 from mclab.fincat import (
-    FiniteCategory,
+    DiagramShape,
+    colimit,
     initial_object,
+    limit,
     opposite,
     poset_category,
     reverse_enumeration,
@@ -106,6 +108,27 @@ def test_opposite_involution_and_duality(cat):
     assert opposite(opposite(cat)) == cat
     assert initial_object(cat) == terminal_object(opposite(cat))
     assert terminal_object(cat) == initial_object(opposite(cat))
+
+
+def _endpoints_are_the_empty_shape_search(cat):
+    op = opposite(cat)
+    ends = (initial_object(cat), terminal_object(cat), initial_object(op), terminal_object(op))
+    # endpoints are read off the hom-sets: no query builds op.op
+    assert "op" not in vars(op)
+    empty = DiagramShape("empty")
+    cones = (colimit(cat, empty), limit(cat, empty), colimit(op, empty), limit(op, empty))
+    assert ends == tuple(None if cone is None else cone.apex for cone in cones)
+
+
+@given(posets())
+@settings(max_examples=80, deadline=None)
+def test_endpoints_are_the_empty_shape_search(cat):
+    _endpoints_are_the_empty_shape_search(cat)
+
+
+def test_endpoints_are_the_empty_shape_search_on_fixtures():
+    for cat in fixtures.category_fixtures():
+        _endpoints_are_the_empty_shape_search(cat)
 
 
 @given(premodels())
