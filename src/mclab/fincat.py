@@ -133,11 +133,12 @@ class FiniteCategory:
         )
 
     @cached_property
-    def lifting_pairs(self):
-        """Every (f, g) such that each commuting square from f to g has a diagonal."""
-        from .lifting import _lifting_pairs  # local import to keep module load order simple
+    def lifting_rows(self):
+        """``(rows, cols)``: bit j of ``rows[f]`` and bit i of ``cols[g]``, for f and g
+        at morphism indices i and j, say each square from f to g has a diagonal."""
+        from .lifting import _lifting_rows  # local import to keep module load order simple
 
-        return _lifting_pairs(self)
+        return _lifting_rows(self)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteCategory):

@@ -2,9 +2,10 @@
 
 All searches are exhaustive over the composition tables.  The lifting
 relation depends only on the tables, never on any marked classes, so each
-category searches it once, for all pairs, and keeps it as
-``FiniteCategory.lifting_pairs``; lifting queries and the whole-class
-complements used by saturation and localization are membership tests in it.
+category searches it once, for all pairs, and keeps it as integer bitmask
+rows and columns, ``FiniteCategory.lifting_rows``.  A lifting query is one
+bit test; a whole-class complement ANDs the rows (or columns) of the class
+and decodes the result to a frozenset of morphism ids.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, InputError
-from .fincat import Verdict
 
 
 def _require_morphisms(cat, ms):
@@ -49,40 +49,48 @@ def has_lift(cat, f, g, u, v):
     return None
 
 
-def _lifting_pairs(cat):
-    """The exhaustive search behind ``FiniteCategory.lifting_pairs``."""
-    return frozenset(
-        (f, g)
-        for f in cat.morphisms
-        for g in cat.morphisms
-        if all(
-            any(
-                cat.compose_table[(d, f)] == u and cat.compose_table[(g, d)] == v
-                for d in cat.hom(cat.target[f], cat.source[g])
-            )
-            for u, v in squares_between(cat, f, g)
-        )
-    )
+def _lifting_rows(cat):
+    """The exhaustive search behind ``FiniteCategory.lifting_rows``."""
+    rows = dict.fromkeys(cat.morphisms, 0)
+    cols = dict.fromkeys(cat.morphisms, 0)
+    for i, f in enumerate(cat.morphisms):
+        for j, g in enumerate(cat.morphisms):
+            if all(
+                any(
+                    cat.compose_table[(d, f)] == u and cat.compose_table[(g, d)] == v
+                    for d in cat.hom(cat.target[f], cat.source[g])
+                )
+                for u, v in squares_between(cat, f, g)
+            ):
+                rows[f] |= 1 << j
+                cols[g] |= 1 << i
+    return rows, cols
 
 
 def llp(cat, f, g):
     """True when every commuting square from f to g has a diagonal."""
     _require_morphisms(cat, (f, g))
-    return (f, g) in cat.lifting_pairs
+    return bool(cat.lifting_rows[0][f] >> cat.morphism_index(g) & 1)
+
+
+def _meet(cat, masks, ms):
+    """The morphisms whose bit is set in the mask of every member of ``ms``."""
+    ms = list(ms)
+    _require_morphisms(cat, ms)
+    meet = (1 << len(cat.morphisms)) - 1
+    for m in ms:
+        meet &= masks[m]
+    return frozenset(m for i, m in enumerate(cat.morphisms) if meet >> i & 1)
 
 
 def complement_llp(cat, right):
     """Everything with the left lifting property against all of ``right``."""
-    right = list(right)
-    _require_morphisms(cat, right)
-    return frozenset(f for f in cat.morphisms if all((f, g) in cat.lifting_pairs for g in right))
+    return _meet(cat, cat.lifting_rows[1], right)
 
 
 def complement_rlp(cat, left):
     """Everything with the right lifting property against all of ``left``."""
-    left = list(left)
-    _require_morphisms(cat, left)
-    return frozenset(g for g in cat.morphisms if all((f, g) in cat.lifting_pairs for f in left))
+    return _meet(cat, cat.lifting_rows[0], left)
 
 
 def retract_closure(cat, members):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from .errors import ParseError
 from .fincat import FiniteCategory, FunctorData, AdjunctionData, poset_category
 from .lifting import complement_llp, complement_rlp
-from .olschok import QuillenCylinderData, identity_cylinder
+from .olschok import identity_cylinder
 from .premodel import PremodelStructure
 
 _PUNCT2 = ("->", "<=")

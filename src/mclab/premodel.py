@@ -20,7 +20,6 @@ from functools import cached_property
 from .errors import ConstructionError, InputError
 from .fincat import (
     FiniteCategory,
-    Verdict,
     initial_object,
     terminal_object,
 )

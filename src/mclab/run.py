@@ -10,7 +10,8 @@ premodels; hocat for a category), so pipelines can chain:
 
 Exit-code conventions live here as small integers on the outcome:
 0 all verdicts hold, 1 some checked property is false (the report carries
-the witnesses), 2 bad input, 3 a required construction does not exist,
+the witnesses), 2 bad input (also ``hocat``/``equiv`` on a structure that
+fails ``check premodel``), 3 a required construction does not exist,
 4 an internal cross-check failed (a ``VerificationError``: the input broke
 an unchecked precondition, or the engine has a bug).
 """
@@ -208,7 +209,7 @@ def execute(session, directive):
     if kind == "localize":
         return _do_localize(session, args, tree)
     if kind == "hocat":
-        p = session.premodel(args["target"])
+        p = _verified_premodel(session, args["target"])
         h = homotopy_category(p)
         session.result_category = h.category
         tree["homotopy_category"] = _category_tree(h.category)
@@ -220,7 +221,7 @@ def execute(session, directive):
         }
         return tree, True
     if kind == "equiv":
-        p = session.premodel(args["target"])
+        p = _verified_premodel(session, args["target"])
         verdict = is_equivalence(p, args["arrow"])
         tree["arrow"] = args["arrow"]
         tree["equivalence"] = verdict
@@ -238,6 +239,15 @@ def execute(session, directive):
     if kind == "olschok":
         return _do_olschok(session, args, tree)
     raise InputError("unknown directive %r" % kind)
+
+
+def _verified_premodel(session, name):
+    """The premodel ``name``; InputError naming its first failed check if it is not one."""
+    p = session.premodel(name)
+    rep = verify_premodel(p)
+    if not rep.ok:
+        raise InputError("%s is not a premodel: %s" % (name, rep.failures[0]))
+    return p
 
 
 def _do_validate(session, name, tree):

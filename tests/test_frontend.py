@@ -226,19 +226,20 @@ def test_exit_codes():
     assert outcome.code == CHECK_FAILED  # endpoints are missing, verdict false
 
 
+NOT_A_PREMODEL = BARTON_POSET + """
+premodel P on barton {
+  cofibrations: {ids, ab};
+  anodyne_fibrations: all;
+  anodyne_cofibrations: all;
+  fibrations: {ids};
+}
+"""
+
+
 def test_internal_error_exit_code(tmp_path, capsys):
     # not a premodel: saturation breaks an internal cross-check
     doc = tmp_path / "broken.mcl"
-    doc.write_text(
-        BARTON_POSET
-        + "premodel P on barton {\n"
-        "  cofibrations: {ids, ab};\n"
-        "  anodyne_fibrations: all;\n"
-        "  anodyne_cofibrations: all;\n"
-        "  fibrations: {ids};\n"
-        "}\n"
-        "run { check premodel P; saturate P mode L; }\n"
-    )
+    doc.write_text(NOT_A_PREMODEL + "run { check premodel P; saturate P mode L; }\n")
     assert main(["run", str(doc), "--json"]) == INTERNAL
     check, saturate = json.loads(capsys.readouterr().out)
     assert check["directive"] == "check premodel P" and check["ok"] is False
@@ -246,6 +247,22 @@ def test_internal_error_exit_code(tmp_path, capsys):
     assert saturate["error"]["kind"] == "internal"
     assert saturate["error"]["message"]
     assert main(["saturate", str(doc), "P", "--mode", "L"]) == INTERNAL
+
+
+def test_hocat_and_equiv_need_a_premodel(tmp_path, capsys):
+    doc = tmp_path / "broken.mcl"
+    doc.write_text(NOT_A_PREMODEL + "run { hocat P; }\n")
+    assert main(["run", str(doc), "--json"]) == BAD_INPUT
+    hocat = json.loads(capsys.readouterr().out)
+    assert hocat["error"] == {
+        "kind": "input",
+        "message": "P is not a premodel: (C, AF): no lift of ab against ad",
+    }
+    env = load(NOT_A_PREMODEL + "run { equiv P ab; }\n")
+    assert run_directives(env, env.directives).code == BAD_INPUT
+    assert main(["hocat", str(doc), "P"]) == BAD_INPUT
+    assert main(["equiv", str(doc), "P", "ab"]) == BAD_INPUT
+    assert "not a premodel" in capsys.readouterr().out
 
 
 def test_cli_error_paths(tmp_path, capsys):

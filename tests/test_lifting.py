@@ -50,6 +50,11 @@ def test_llp_rejects_unknown_morphisms(barton):
         llp(barton, "nope", "ab")
     with pytest.raises(InputError):
         llp(barton, "ab", "nope")
+    for complement in (complement_llp, complement_rlp):
+        with pytest.raises(InputError):
+            complement(barton, ["ab", "nope"])
+        with pytest.raises(InputError):
+            complement(barton, iter(["nope"]))
 
 
 def test_complements_are_galois(barton):

@@ -1,7 +1,7 @@
 import pytest
 
 from mclab import fixtures
-from mclab.errors import ConstructionError, InputError
+from mclab.errors import InputError
 from mclab.localize import (
     core_cofibration_representative,
     left_bousfield,

@@ -5,11 +5,8 @@ definitions with nested loops and no shared search code, then insists the
 two agree on every fixture.
 """
 
-import pytest
-
 import bruteforce as bf
 
-from mclab import fixtures
 from mclab.errors import InputError
 from mclab.fincat import initial_object, opposite, pushout, terminal_object
 from mclab.homotopy import homotopic, is_equivalence, verify_weak_model

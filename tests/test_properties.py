@@ -8,6 +8,8 @@ generating sets, discarding draws whose factorizations do not exist.
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import bruteforce as bf
+
 from mclab import fixtures
 from mclab.classify import classify_full, compute_WL, compute_WR
 from mclab.errors import ConstructionError
@@ -27,6 +29,7 @@ from mclab.lifting import (
     complement_llp,
     complement_rlp,
     generate_wfs,
+    llp,
     retract_closure,
 )
 from mclab.premodel import (
@@ -100,6 +103,12 @@ def test_lifting_galois_connection(data):
     assert retract_closure(cat, left) == left
     assert retract_closure(cat, right) == right
     assert complement_rlp(cat, cell_closure(cat, s)) == right
+    # the bitmask rows decode to the oracle's quantifier loops
+    assert right == bf.rlp_class(cat, s)
+    assert left == bf.llp_class(cat, right)
+    everything = frozenset(cat.morphisms)
+    assert complement_rlp(cat, ()) == complement_llp(cat, iter(())) == everything
+    assert bf.rlp_class(cat, ()) == bf.llp_class(cat, ()) == everything
 
 
 @given(posets())
@@ -108,6 +117,11 @@ def test_opposite_involution_and_duality(cat):
     assert opposite(opposite(cat)) == cat
     assert initial_object(cat) == terminal_object(opposite(cat))
     assert terminal_object(cat) == initial_object(opposite(cat))
+    # the opposite searches its own rows: this checks one search against the other
+    op = opposite(cat)
+    for f in cat.morphisms:
+        for g in cat.morphisms:
+            assert llp(cat, f, g) == llp(op, g, f)
 
 
 def _endpoints_are_the_empty_shape_search(cat):
