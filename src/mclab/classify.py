@@ -28,7 +28,6 @@ from .premodel import (
     dualize,
     fibrant_objects,
     fibrant_replacement,
-    is_fibrant,
     saturation_flags,
     verify_premodel,
 )
@@ -283,10 +282,10 @@ def _quillen(p, wl, wr):
         x, y = cat.source[v], cat.target[v]
         found = False
         for wx in cat.arrows_from(x):
-            if wx not in wl or not is_fibrant(p, cat.target[wx]):
+            if wx not in wl or cat.target[wx] not in p.fibrant:
                 continue
             for wy in cat.arrows_from(y):
-                if wy not in wl or not is_fibrant(p, cat.target[wy]):
+                if wy not in wl or cat.target[wy] not in p.fibrant:
                     continue
                 rhs = cat.compose_table[(wy, v)]
                 if any(
@@ -296,7 +295,7 @@ def _quillen(p, wl, wr):
                     found = True
         if not found:
             square_ok = False
-    vacuous = all(is_fibrant(p, x) for x in cat.objects)
+    vacuous = all(x in p.fibrant for x in cat.objects)
 
     verdicts = (cond1, cond3, cond5, cond6)
     if len(set(verdicts)) != 1:

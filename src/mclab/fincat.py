@@ -14,6 +14,9 @@ Conventions
 * ``compose(g, f)`` is "g after f" and requires target(f) == source(g).
 * ``opposite`` keeps every id and reverses source/target; applying it twice
   gives back identical tables.
+* A category computes each derived fact once and keeps it: its opposite, its
+  endpoints and the arrows to and from them, its validation verdict, every
+  (co)limit asked of it, its lifting rows and the complements decoded from them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError, InputError, VerificationError
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,8 @@ class FiniteCategory:
         self._hom = {}
         for m in self.morphisms:
             self._hom.setdefault((self.source[m], self.target[m]), []).append(m)
+        self._colimits = {}  # (shape kind, legs) -> Cone or None, filled by ``colimit``
+        self._classes = {}  # bitmask -> frozenset of ids, filled by the lifting complements
 
     # -- basic queries ----------------------------------------------------
 
@@ -133,6 +138,23 @@ class FiniteCategory:
         )
 
     @cached_property
+    def from_initial(self):
+        """``{y: the arrow initial -> y}``, or None without an initial object."""
+        x = self.initial
+        return None if x is None else {y: self.hom(x, y)[0] for y in self.objects}
+
+    @cached_property
+    def to_terminal(self):
+        """``{y: the arrow y -> terminal}``, or None without a terminal object."""
+        x = self.terminal
+        return None if x is None else {y: self.hom(y, x)[0] for y in self.objects}
+
+    @cached_property
+    def verdict(self):
+        """What ``validate_category`` says about the tables."""
+        return _validate_tables(self)
+
+    @cached_property
     def lifting_rows(self):
         """``(rows, cols)``: bit j of ``rows[f]`` and bit i of ``cols[g]``, for f and g
         at morphism indices i and j, say each square from f to g has a diagonal."""
@@ -176,8 +198,12 @@ def same_presentation(a, b):
 def validate_category(cat):
     """Check the category axioms on the raw tables.
 
-    Returns a Verdict; every violation is reported, none raises.
+    Reports every violation in a Verdict computed once per category.
     """
+    return cat.verdict
+
+
+def _validate_tables(cat):
     v = []
     seen = set()
     for x in cat.objects:
@@ -375,9 +401,17 @@ def colimit(cat, shape):
     """First universal cocone in enumeration order, or None if absent.
 
     Universality is checked literally: against *every* competing cocone
-    there must be exactly one mediating morphism.
+    there must be exactly one mediating morphism.  The shape is checked on
+    every call; the search runs once per shape and category.
     """
     _check_shape(cat, shape, ("span", "pair", "empty"))
+    key = (shape.kind, tuple(shape.legs))
+    if key not in cat._colimits:
+        cat._colimits[key] = _search_colimit(cat, shape)
+    return cat._colimits[key]
+
+
+def _search_colimit(cat, shape):
     feet, equations = _colimit_feet(cat, shape)
     for apex in cat.objects:
         for legs in _cocones(cat, feet, equations, apex):
@@ -411,8 +445,8 @@ def mediating_out(cat, cone, target_legs):
     """The unique morphism out of a colimit apex hitting the given cocone.
 
     Raises ConstructionError when no morphism matches (the target legs do not
-    form a cocone) and VerificationError-grade RuntimeError on ambiguity,
-    which a genuine colimit rules out.
+    form a cocone) and VerificationError on ambiguity, which a genuine
+    colimit rules out.
     """
     if not target_legs:
         raise InputError("mediating_out needs at least one target leg")
@@ -430,7 +464,7 @@ def mediating_out(cat, cone, target_legs):
             "no mediating morphism %s -> %s" % (cone.apex, tgt), witness=cone.apex
         )
     if len(hits) > 1:
-        raise RuntimeError("mediating morphism not unique; cone is not a colimit")
+        raise VerificationError("mediating morphism not unique; cone is not a colimit")
     return hits[0]
 
 

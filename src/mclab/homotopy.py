@@ -33,8 +33,6 @@ from .premodel import (
     factor_cof_afib,
     fibrant_replacement,
     cofibrant_replacement,
-    is_cofibrant,
-    is_fibrant,
     verify_premodel,
 )
 from .lifting import has_lift
@@ -187,7 +185,7 @@ def weak_to_strong(p, w):
         return w
     cat = p.cat
     b = cat.target[w.base]
-    if not is_fibrant(p, b):
+    if b not in p.fibrant:
         raise ConstructionError(
             "cannot strengthen: %s is not fibrant" % b, witness=w.base
         )
@@ -245,9 +243,7 @@ def _cylinder_axiom(p):
     """Strong cylinders for every cofibration from cofibrant to fibrant."""
     failures = []
     for i in p.cat.sort_morphisms(p.cofibrations):
-        if not is_cofibrant(p, p.cat.source[i]):
-            continue
-        if not is_fibrant(p, p.cat.target[i]):
+        if p.cat.source[i] not in p.cofibrant or p.cat.target[i] not in p.fibrant:
             continue
         if find_cylinder(p, i, "strong") is None:
             failures.append("no strong cylinder for %s" % i)
@@ -263,11 +259,7 @@ def _alt_criterion(p):
     """
     cat = p.cat
     failures = []
-    core = [
-        f
-        for f in cat.sort_morphisms(p.cofibrations)
-        if is_cofibrant(p, cat.source[f])
-    ]
+    core = [f for f in cat.sort_morphisms(p.cofibrations) if cat.source[f] in p.cofibrant]
     for i in core:
         if find_cylinder(p, i, "weak") is None:
             failures.append("no weak cylinder for %s" % i)
@@ -328,9 +320,9 @@ def homotopic(p, f, g):
     x, y = cat.source[f], cat.target[f]
     if (cat.source[g], cat.target[g]) != (x, y):
         raise InputError("%s and %s are not parallel" % (f, g))
-    if not is_cofibrant(p, x):
+    if x not in p.cofibrant:
         raise InputError("source %s is not cofibrant" % x)
-    if not is_fibrant(p, y):
+    if y not in p.fibrant:
         raise InputError("target %s is not fibrant" % y)
 
     w = find_cylinder(p, arrow_from_initial(p, x), "weak")
@@ -364,7 +356,7 @@ def homotopy_category(p):
     raises (the caller is expected to have verified the weak model axioms).
     """
     cat = p.cat
-    objs = [x for x in cat.objects if is_cofibrant(p, x) and is_fibrant(p, x)]
+    objs = [x for x in cat.objects if x in p.cofibrant and x in p.fibrant]
     class_of = {}
     classes = {}
     for x in objs:
@@ -422,7 +414,7 @@ def cf_arrows(p):
     for m in p.cat.morphisms:
         ends_ok = True
         for x in (p.cat.source[m], p.cat.target[m]):
-            if not (is_cofibrant(p, x) or is_fibrant(p, x)):
+            if x not in p.cofibrant and x not in p.fibrant:
                 ends_ok = False
         if ends_ok:
             out.append(m)
@@ -458,7 +450,7 @@ def is_equivalence(p, f):
     if not cat.has_morphism(f):
         raise InputError("unknown morphism %r" % f)
     for z in (cat.source[f], cat.target[f]):
-        if not (is_cofibrant(p, z) or is_fibrant(p, z)):
+        if z not in p.cofibrant and z not in p.fibrant:
             raise InputError(
                 "equivalence undefined: %s is neither cofibrant nor fibrant" % z
             )

@@ -4,8 +4,9 @@ All searches are exhaustive over the composition tables.  The lifting
 relation depends only on the tables, never on any marked classes, so each
 category searches it once, for all pairs, and keeps it as integer bitmask
 rows and columns, ``FiniteCategory.lifting_rows``.  A lifting query is one
-bit test; a whole-class complement ANDs the rows (or columns) of the class
-and decodes the result to a frozenset of morphism ids.
+bit test; a whole-class complement ANDs the rows (or columns) of the class,
+looking each id up only there, and decodes each resulting mask to a frozenset
+of morphism ids once per category.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ from .errors import ConstructionError, InputError
 def _require_morphisms(cat, ms):
     for m in ms:
         if not cat.has_morphism(m):
-            raise InputError("unknown morphism %r in %s" % (m, cat.name))
+            raise _unknown_morphism(cat, m)
+
+
+def _unknown_morphism(cat, m):
+    return InputError("unknown morphism %r in %s" % (m, cat.name))
 
 
 def squares_between(cat, f, g):
@@ -69,18 +74,27 @@ def _lifting_rows(cat):
 
 def llp(cat, f, g):
     """True when every commuting square from f to g has a diagonal."""
-    _require_morphisms(cat, (f, g))
-    return bool(cat.lifting_rows[0][f] >> cat.morphism_index(g) & 1)
+    rows = cat.lifting_rows[0]
+    try:
+        return bool(rows[f] >> cat.morphism_index(g) & 1)
+    except KeyError as err:
+        raise _unknown_morphism(cat, err.args[0]) from None
 
 
 def _meet(cat, masks, ms):
-    """The morphisms whose bit is set in the mask of every member of ``ms``."""
-    ms = list(ms)
-    _require_morphisms(cat, ms)
+    """The morphisms whose bit is set in the mask of every member of ``ms``;
+    an unknown id fails the mask lookup, and each result is decoded once."""
     meet = (1 << len(cat.morphisms)) - 1
-    for m in ms:
-        meet &= masks[m]
-    return frozenset(m for i, m in enumerate(cat.morphisms) if meet >> i & 1)
+    try:
+        for m in ms:
+            meet &= masks[m]
+    except KeyError as err:
+        raise _unknown_morphism(cat, err.args[0]) from None
+    members = cat._classes.get(meet)
+    if members is None:
+        members = frozenset(m for i, m in enumerate(cat.morphisms) if meet >> i & 1)
+        cat._classes[meet] = members
+    return members
 
 
 def complement_llp(cat, right):
@@ -298,7 +312,6 @@ def generate_wfs(cat, generators):
     construction; what can genuinely fail at finite scale is factorization,
     in which case a ConstructionError carries the unfactorizable morphism.
     """
-    _require_morphisms(cat, generators)
     right = complement_rlp(cat, generators)
     left = complement_llp(cat, right)
     wfs = WeakFactorizationSystem(cat, left, right)

@@ -32,8 +32,6 @@ from .premodel import (
     acyclic_fibrations,
     check_quillen_adjunction,
     core_fibrations,
-    is_cofibrant,
-    is_fibrant,
     saturation_flags,
     verify_premodel,
 )
@@ -142,7 +140,7 @@ def left_bousfield(p, arrows, mode="Lc"):
 
     if result.cofibrations != p.cofibrations:
         raise VerificationError("left localization moved the cofibrations")
-    local_fibrant = {x for x in cat.objects if is_fibrant(result, x)}
+    local_fibrant = result.fibrant
     before = {
         g
         for g in p.fibrations
@@ -210,7 +208,7 @@ def right_bousfield(p, adj, target, mode="Rc"):
 
     if result.fibrations != p.fibrations:
         raise VerificationError("right localization moved the fibrations")
-    local_cofibrant = {x for x in cat.objects if is_cofibrant(result, x)}
+    local_cofibrant = result.cofibrant
     before = {
         f
         for f in p.cofibrations

@@ -43,7 +43,7 @@ from .lifting import (
     require_factorizations,
     verify_wfs,
 )
-from .premodel import PremodelStructure, cofibrant_objects, is_cofibrant, verify_premodel
+from .premodel import PremodelStructure, cofibrant_objects, verify_premodel
 from .saturate import saturate
 
 
@@ -291,7 +291,7 @@ def weak_cylinder_theorem_harness(p, cyl):
     failures = []
     for f in cat.sort_morphisms(p.cofibrations):
         a, b = cat.source[f], cat.target[f]
-        if not is_cofibrant(p, a):
+        if a not in p.cofibrant:
             continue
         cone, codiag = fold_cone(p, f)
         i_f = cyl.cylinder.on_morphism(f)

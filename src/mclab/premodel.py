@@ -18,11 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import ConstructionError, InputError
-from .fincat import (
-    FiniteCategory,
-    initial_object,
-    terminal_object,
-)
+from .fincat import FiniteCategory
 from .lifting import (
     WeakFactorizationSystem,
     complement_llp,
@@ -37,7 +33,8 @@ _CLASSES = ("cofibrations", "anodyne_fibrations", "anodyne_cofibrations", "fibra
 @dataclass(frozen=True, eq=False)
 class PremodelStructure:
     """Four marked classes on one category; immutable, so each derived fact
-    (the dual and the acyclic classes) is computed once on first use."""
+    (the dual, the cofibrant and fibrant objects and the acyclic classes) is
+    computed once on first use."""
 
     cat: FiniteCategory
     cofibrations: frozenset
@@ -63,14 +60,26 @@ class PremodelStructure:
         )
 
     @cached_property
+    def cofibrant(self):
+        """Objects whose arrow from the initial object is a cofibration."""
+        arrows = _endpoint_arrows(self.cat, self.cat.from_initial, "initial")
+        return frozenset(x for x, i in arrows.items() if i in self.cofibrations)
+
+    @cached_property
+    def fibrant(self):
+        """Objects whose arrow to the terminal object is a fibration."""
+        arrows = _endpoint_arrows(self.cat, self.cat.to_terminal, "terminal")
+        return frozenset(x for x, t in arrows.items() if t in self.fibrations)
+
+    @cached_property
     def acyclic_cofibrations(self):
-        gates = [g for g in core_fibrations(self) if is_fibrant(self, self.cat.source[g])]
+        gates = [g for g in core_fibrations(self) if self.cat.source[g] in self.fibrant]
         return self.cofibrations & complement_llp(self.cat, gates)
 
     @cached_property
     def acyclic_fibrations(self):
         # computed here, not through ``dual``, so the mirror stays independent
-        gates = [f for f in core_cofibrations(self) if is_cofibrant(self, self.cat.target[f])]
+        gates = [f for f in core_cofibrations(self) if self.cat.target[f] in self.cofibrant]
         return self.fibrations & complement_rlp(self.cat, gates)
 
     @property
@@ -93,45 +102,36 @@ def same_classes(p, q):
     return p.classes() == q.classes()
 
 
-def initial_of(p):
-    x = initial_object(p.cat)
-    if x is None:
-        raise ConstructionError("category %s has no initial object" % p.cat.name)
-    return x
+def _require_object(p, x):
+    if not p.cat.has_object(x):
+        raise InputError("unknown object %r in %s" % (x, p.cat.name))
 
 
-def terminal_of(p):
-    x = terminal_object(p.cat)
-    if x is None:
-        raise ConstructionError("category %s has no terminal object" % p.cat.name)
-    return x
+def _endpoint_arrows(cat, arrows, end):
+    if arrows is None:
+        raise ConstructionError("category %s has no %s object" % (cat.name, end))
+    return arrows
 
 
 def arrow_from_initial(p, x):
     """The unique morphism from the initial object to x."""
-    if not p.cat.has_object(x):
-        raise InputError("unknown object %r in %s" % (x, p.cat.name))
-    hom = p.cat.hom(initial_of(p), x)
-    if len(hom) != 1:
-        raise ConstructionError("initial object is not strict enough at %r" % x)
-    return hom[0]
+    _require_object(p, x)
+    return _endpoint_arrows(p.cat, p.cat.from_initial, "initial")[x]
 
 
 def arrow_to_terminal(p, x):
-    if not p.cat.has_object(x):
-        raise InputError("unknown object %r in %s" % (x, p.cat.name))
-    hom = p.cat.hom(x, terminal_of(p))
-    if len(hom) != 1:
-        raise ConstructionError("terminal object is not strict enough at %r" % x)
-    return hom[0]
+    _require_object(p, x)
+    return _endpoint_arrows(p.cat, p.cat.to_terminal, "terminal")[x]
 
 
 def is_cofibrant(p, x):
-    return arrow_from_initial(p, x) in p.cofibrations
+    _require_object(p, x)
+    return x in p.cofibrant
 
 
 def is_fibrant(p, x):
-    return arrow_to_terminal(p, x) in p.fibrations
+    _require_object(p, x)
+    return x in p.fibrant
 
 
 @dataclass(frozen=True)
@@ -142,29 +142,25 @@ class ObjectStatus:
 
 
 def object_status(p, x):
-    if not p.cat.has_object(x):
-        raise InputError("unknown object %r in %s" % (x, p.cat.name))
     return ObjectStatus(x, is_cofibrant(p, x), is_fibrant(p, x))
 
 
 def cofibrant_objects(p):
-    return tuple(x for x in p.cat.objects if is_cofibrant(p, x))
+    return tuple(x for x in p.cat.objects if x in p.cofibrant)
 
 
 def fibrant_objects(p):
-    return tuple(x for x in p.cat.objects if is_fibrant(p, x))
+    return tuple(x for x in p.cat.objects if x in p.fibrant)
 
 
 def core_cofibrations(p):
     """Cofibrations whose source is cofibrant (their target then is too)."""
-    return frozenset(
-        f for f in p.cofibrations if is_cofibrant(p, p.cat.source[f])
-    )
+    return frozenset(f for f in p.cofibrations if p.cat.source[f] in p.cofibrant)
 
 
 def core_fibrations(p):
     """Fibrations whose target is fibrant."""
-    return frozenset(f for f in p.fibrations if is_fibrant(p, p.cat.target[f]))
+    return frozenset(f for f in p.fibrations if p.cat.target[f] in p.fibrant)
 
 
 def acyclic_cofibrations(p):
@@ -182,15 +178,11 @@ def acyclic_fibrations(p):
 
 
 def core_acyclic_cofibrations(p):
-    return frozenset(
-        f for f in acyclic_cofibrations(p) if is_cofibrant(p, p.cat.source[f])
-    )
+    return frozenset(f for f in acyclic_cofibrations(p) if p.cat.source[f] in p.cofibrant)
 
 
 def core_acyclic_fibrations(p):
-    return frozenset(
-        g for g in acyclic_fibrations(p) if is_fibrant(p, p.cat.target[g])
-    )
+    return frozenset(g for g in acyclic_fibrations(p) if p.cat.target[g] in p.fibrant)
 
 
 @dataclass(frozen=True)
@@ -269,10 +261,10 @@ def verify_premodel(p):
         failures.append("anodyne fibrations outside fibrations: %s" % ", ".join(bad_af))
 
     endpoints_ok = True
-    if initial_object(p.cat) is None:
+    if p.cat.initial is None:
         endpoints_ok = False
         failures.append("no initial object")
-    if terminal_object(p.cat) is None:
+    if p.cat.terminal is None:
         endpoints_ok = False
         failures.append("no terminal object")
 

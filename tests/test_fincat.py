@@ -2,7 +2,7 @@ import pytest
 
 import mclab.fincat
 from mclab import fixtures
-from mclab.errors import ConstructionError, InputError
+from mclab.errors import ConstructionError, InputError, VerificationError
 from mclab.fincat import (
     AdjunctionData,
     Cone,
@@ -107,6 +107,50 @@ def test_derived_facts_are_computed_once(monkeypatch):
     assert calls == []
 
 
+def _fresh_copy(cat):
+    morphisms = [(m, cat.source[m], cat.target[m]) for m in cat.morphisms]
+    return FiniteCategory(cat.name, cat.objects, morphisms, cat.identities, cat.compose_table)
+
+
+def test_colimits_are_searched_once_per_shape():
+    cat = fixtures.barton()
+    assert pushout(cat, "ab", "ac") is pushout(cat, "ab", "ac")
+    assert pullback(cat, "bd", "cd") is pullback(cat, "bd", "cd")
+    # the shape is checked on every call, also once a valid one is cached
+    with pytest.raises(InputError):
+        pushout(cat, "ab", "bd")
+    with pytest.raises(InputError):
+        colimit(cat, DiagramShape("cospan", ("bd", "cd")))
+    # a span and a pair with the same legs are different shapes
+    idem = _one_object("idem", "e", "e")
+    assert pushout(idem, "id_x", "id_x") == Cone("x", ("id_x", "id_x"))
+    assert coproduct(idem, "x", "x") is None
+
+
+def test_cached_colimits_equal_a_fresh_search():
+    for cat in fixtures.category_fixtures():
+        spans = [
+            (f, g)
+            for f in cat.morphisms
+            for g in cat.morphisms
+            if cat.source[f] == cat.source[g]
+        ]
+        for f, g in spans:
+            pushout(cat, f, g)
+        for f, g in spans:
+            assert pushout(cat, f, g) == pushout(_fresh_copy(cat), f, g), (cat.name, f, g)
+
+
+def test_endpoint_arrows_and_verdict_are_kept():
+    cat = fixtures.barton()
+    assert cat.from_initial == {"a": "id_a", "b": "ab", "c": "ac", "d": "ad"}
+    assert cat.to_terminal == {"a": "ad", "b": "bd", "c": "cd", "d": "id_d"}
+    assert cat.from_initial is cat.from_initial
+    assert validate_category(cat) is validate_category(cat)
+    assert fixtures.discrete2().from_initial is None
+    assert fixtures.discrete2().to_terminal is None
+
+
 def test_opposite_swaps_homs():
     cat = fixtures.barton()
     op = opposite(cat)
@@ -164,6 +208,13 @@ def test_mediating_out_missing_raises():
         mediating_out(cat, Cone("b", ("id_b", "id_b")), ("ab", "ab"))
     cone = pushout(cat, "ab", "ac")
     assert mediating_out(cat, cone, ("bd", "cd")) == "id_d"
+
+
+def test_mediating_out_ambiguity_is_a_verification_error():
+    # both id_x and e satisfy m∘e = e, so Cone("x", ("e",)) is no colimit
+    idem = _one_object("idem", "e", "e")
+    with pytest.raises(VerificationError):
+        mediating_out(idem, Cone("x", ("e",)), ("e",))
 
 
 def test_poset_category_rejects_cycles():

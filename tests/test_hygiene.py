@@ -1,13 +1,27 @@
-"""Source hygiene: every imported name is read somewhere in its module.
+"""Source hygiene.
 
-``__init__.py`` is left out because its imports are the package's exports.
-A name that appears only in a comment or a docstring counts as unread.
+Every imported name is read somewhere in its module.  ``__init__.py`` is
+left out because its imports are the package's exports.  A name that
+appears only in a comment or a docstring counts as unread.
+
+The brute-force oracle ``tests/bruteforce.py`` stays independent of the
+engine: it imports nothing from ``mclab`` and reads only the raw tables of a
+category and the four marked classes of a structure, never a cached fact.
 """
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+ORACLE = ROOT / "tests" / "bruteforce.py"
+ORACLE_ATTRIBUTES = {
+    # raw tables of a category
+    "objects", "morphisms", "source", "target", "identities", "compose_table",
+    # a premodel structure's category and its four marked classes
+    "cat", "cofibrations", "anodyne_fibrations", "anodyne_cofibrations", "fibrations",
+    # builtin methods
+    "append", "values", "items",
+}
 SOURCES = sorted(
     [p for p in (ROOT / "src" / "mclab").glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
@@ -52,3 +66,36 @@ def test_no_unread_imports():
         if (unread := unread_imports(p))
     }
     assert found == {}
+
+
+def oracle_leaks(path):
+    """(line, what) for each mclab import and each attribute read outside
+    ``ORACLE_ATTRIBUTES`` in ``path``."""
+    tree = ast.parse(path.read_text(), str(path))
+    leaks = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        leaks += [(node.lineno, m) for m in modules if m.split(".")[0] == "mclab"]
+        if isinstance(node, ast.Attribute) and node.attr not in ORACLE_ATTRIBUTES:
+            leaks.append((node.lineno, "." + node.attr))
+    return sorted(leaks)
+
+
+def test_oracle_check_finds_a_planted_leak(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from mclab.lifting import llp\n"
+        "import mclab.fincat\n"
+        "def rows(cat):\n"
+        "    return cat.lifting_rows, cat.morphisms\n"
+    )
+    assert oracle_leaks(probe) == [(1, "mclab.lifting"), (2, "mclab.fincat"), (4, ".lifting_rows")]
+
+
+def test_oracle_reads_only_raw_tables():
+    assert oracle_leaks(ORACLE) == []

@@ -55,6 +55,16 @@ def test_llp_rejects_unknown_morphisms(barton):
             complement(barton, ["ab", "nope"])
         with pytest.raises(InputError):
             complement(barton, iter(["nope"]))
+    # the first unknown id in iteration order is the one named
+    with pytest.raises(InputError, match="'nope'"):
+        complement_rlp(barton, ["ab", "nope", "zz"])
+
+
+def test_complements_are_decoded_once(barton):
+    right = complement_rlp(barton, ["ab"])
+    assert complement_rlp(barton, ["ab"]) is right
+    assert complement_rlp(barton, iter(["ab"])) is right
+    assert complement_llp(barton, right) is complement_llp(barton, sorted(right))
 
 
 def test_complements_are_galois(barton):

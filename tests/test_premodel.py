@@ -7,7 +7,8 @@ import pytest
 import bruteforce as bf
 
 from mclab import fixtures
-from mclab.errors import InputError
+from mclab.classify import classify_full
+from mclab.errors import ConstructionError, InputError
 from mclab.fincat import identity_adjunction, opposite, terminal_object
 from mclab.homotopy import verify_weak_model
 from mclab.lifting import llp
@@ -25,6 +26,8 @@ from mclab.premodel import (
     dualize,
     fibrant_objects,
     fibrant_replacement,
+    is_cofibrant,
+    is_fibrant,
     object_status,
     same_classes,
     saturation_flags,
@@ -168,6 +171,7 @@ def test_derived_facts_hold_no_reference_cycles():
         dualize(p)
         acyclic_fibrations(p)
         verify_weak_model(p)
+        classify_full(p)
         refs = [weakref.ref(x) for x in (cat, opposite(cat), p, dualize(p))]
         del cat, p
         assert [r() for r in refs] == [None] * 4
@@ -219,5 +223,25 @@ def test_quillen_adjunction_rejects_wrong_categories(p0):
 
 
 def test_arrow_lookup_rejects_unknown_object(p0):
-    with pytest.raises(InputError):
-        arrow_from_initial(p0, "z")
+    lookups = (arrow_from_initial, arrow_to_terminal, is_cofibrant, is_fibrant, object_status)
+    for lookup in lookups:
+        with pytest.raises(InputError):
+            lookup(p0, "z")
+    # an unknown object is reported before a missing endpoint
+    p = fixtures.trivial_premodel(fixtures.discrete2())
+    for lookup in lookups:
+        with pytest.raises(InputError):
+            lookup(p, "z")
+    for lookup, end in zip(lookups, ("initial", "terminal", "initial", "terminal", "initial")):
+        with pytest.raises(ConstructionError, match="no %s object" % end):
+            lookup(p, "u")
+
+
+def test_object_status_is_kept_per_structure(premodel_corpus):
+    for p in premodel_corpus:
+        assert p.cofibrant == bf.cofibrant_set(p), p.name
+        assert p.fibrant == bf.fibrant_set(p), p.name
+        assert p.cofibrant is p.cofibrant
+        # the dual computes its own status on the opposite category
+        assert dualize(p).fibrant == p.cofibrant
+        assert dualize(p).cofibrant == p.fibrant
