@@ -16,7 +16,11 @@ Conventions
   gives back identical tables.
 * A category computes each derived fact once and keeps it: its opposite, its
   endpoints and the arrows to and from them, its validation verdict, every
-  (co)limit asked of it, its lifting rows and the complements decoded from them.
+  (co)limit asked of it, the fold of each arrow (its pushout along itself, with
+  the codiagonal), its lifting rows and the complements decoded from them.
+* The arrows leaving each object are indexed once, in enumeration order;
+  validation, functor checks and the lifting-row and cylinder searches walk
+  composable arrows through this index instead of scanning every pair.
 """
 
 from __future__ import annotations
@@ -69,9 +73,12 @@ class FiniteCategory:
         self._morphism_index = {m: i for i, m in enumerate(self.morphisms)}
         self._identity_ids = set(self.identities.values())
         self._hom = {}
+        self._out = {}  # object -> arrows leaving it, in morphism order
         for m in self.morphisms:
             self._hom.setdefault((self.source[m], self.target[m]), []).append(m)
+            self._out.setdefault(self.source[m], []).append(m)
         self._colimits = {}  # (shape kind, legs) -> Cone or None, filled by ``colimit``
+        self._folds = {}  # arrow -> (pushout of it along itself, codiagonal) or None, by ``fold``
         self._classes = {}  # bitmask -> frozenset of ids, filled by the lifting complements
 
     # -- basic queries ----------------------------------------------------
@@ -103,7 +110,8 @@ class FiniteCategory:
         return self._morphism_index[m]
 
     def arrows_from(self, x):
-        return [m for m in self.morphisms if self.source[m] == x]
+        """Morphisms leaving x, in enumeration order."""
+        return self._out.get(x, [])
 
     def sort_morphisms(self, ms):
         return sorted(ms, key=self._morphism_index.__getitem__)
@@ -239,17 +247,13 @@ def _validate_tables(cat):
         # pile up noise; report the structural problems first.
         return Verdict.from_violations(v)
 
-    composable = set()
     for f in cat.morphisms:
-        for g in cat.morphisms:
-            if cat.target[f] == cat.source[g]:
-                composable.add((g, f))
-    for pair in composable:
-        if pair not in cat.compose_table:
-            v.append("missing composite %s ∘ %s" % pair)
+        for g in cat.arrows_from(cat.target[f]):
+            if (g, f) not in cat.compose_table:
+                v.append("missing composite %s ∘ %s" % (g, f))
     for pair, h in cat.compose_table.items():
         g, f = pair
-        if pair not in composable:
+        if not (cat.has_morphism(f) and cat.has_morphism(g) and cat.target[f] == cat.source[g]):
             v.append("composition table has non-composable entry %s ∘ %s" % (g, f))
             continue
         if h not in cat._morphism_index:
@@ -266,13 +270,9 @@ def _validate_tables(cat):
             v.append("right identity law fails at %s" % f)
 
     for f in cat.morphisms:
-        for g in cat.morphisms:
-            if cat.target[f] != cat.source[g]:
-                continue
+        for g in cat.arrows_from(cat.target[f]):
             gf = cat.compose_table[(g, f)]
-            for h in cat.morphisms:
-                if cat.target[g] != cat.source[h]:
-                    continue
+            for h in cat.arrows_from(cat.target[g]):
                 left = cat.compose_table[(cat.compose_table[(h, g)], f)]
                 right = cat.compose_table[(h, gf)]
                 if left != right:
@@ -473,6 +473,16 @@ def pushout(cat, f, g):
     return colimit(cat, DiagramShape("span", (f, g)))
 
 
+def fold(cat, i):
+    """``(pushout cone of i along itself, codiagonal ∇)``, or None when that
+    pushout is absent; found once per arrow and category."""
+    if i not in cat._folds:
+        cone = pushout(cat, i, i)
+        ident = cat.identity(cat.target[i])
+        cat._folds[i] = None if cone is None else (cone, mediating_out(cat, cone, (ident, ident)))
+    return cat._folds[i]
+
+
 def pullback(cat, f, g):
     return limit(cat, DiagramShape("cospan", (f, g)))
 
@@ -552,9 +562,7 @@ def check_functor(fun):
         if fun.morphism_map[src.identity(x)] != tgt.identity(fun.object_map[x]):
             v.append("identity of %r not preserved" % x)
     for f in src.morphisms:
-        for g in src.morphisms:
-            if src.target[f] != src.source[g]:
-                continue
+        for g in src.arrows_from(src.target[f]):
             lhs = fun.morphism_map[src.compose_table[(g, f)]]
             rhs = tgt.compose_table[(fun.morphism_map[g], fun.morphism_map[f])]
             if lhs != rhs:

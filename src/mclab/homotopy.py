@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import ConstructionError, InputError, VerificationError
-from .fincat import FiniteCategory, mediating_out, pushout, validate_category
+from .fincat import FiniteCategory, fold, validate_category
 from .premodel import (
     acyclic_cofibrations,
     arrow_from_initial,
@@ -56,18 +56,15 @@ class CylinderWitness:
 def fold_cone(p, i):
     """The pushout B ⊔_A B of a cofibration along itself, plus ∇.
 
-    Returns (Cone, codiagonal).  Raises ConstructionError when the pushout is
-    absent — no cylinder can exist then.
+    Returns (Cone, codiagonal), found once per category.  Raises
+    ConstructionError when the pushout is absent — no cylinder can exist then.
     """
     if i not in p.cofibrations:
         raise InputError("%s is not a cofibration of %s" % (i, p.name or p.cat.name))
-    cone = pushout(p.cat, i, i)
-    if cone is None:
+    folded = fold(p.cat, i)
+    if folded is None:
         raise ConstructionError("pushout of %s along itself is absent" % i, witness=i)
-    b = p.cat.target[i]
-    ident = p.cat.identity(b)
-    codiag = mediating_out(p.cat, cone, (ident, ident))
-    return cone, codiag
+    return folded
 
 
 def iter_cylinder_witnesses(p, i, mode="weak"):
@@ -82,8 +79,8 @@ def iter_cylinder_witnesses(p, i, mode="weak"):
     ident_b = cat.identity(b)
     acyclic = acyclic_cofibrations(p)
 
-    for c in cat.morphisms:
-        if cat.source[c] != q or c not in p.cofibrations:
+    for c in cat.arrows_from(q):
+        if c not in p.cofibrations:
             continue
         if cat.compose_table[(c, q0)] not in acyclic:
             continue
@@ -97,8 +94,8 @@ def iter_cylinder_witnesses(p, i, mode="weak"):
                         anodyne_leg=ident_b, comparison=e, strong=True,
                     )
         else:
-            for l in cat.morphisms:
-                if cat.source[l] != b or l not in acyclic:
+            for l in cat.arrows_from(b):
+                if l not in acyclic:
                     continue
                 d = cat.target[l]
                 rhs = cat.compose_table[(l, codiag)]

@@ -3,8 +3,10 @@
 All searches are exhaustive over the composition tables.  The lifting
 relation depends only on the tables, never on any marked classes, so each
 category searches it once, for all pairs, and keeps it as integer bitmask
-rows and columns, ``FiniteCategory.lifting_rows``.  A lifting query is one
-bit test; a whole-class complement ANDs the rows (or columns) of the class,
+rows and columns, ``FiniteCategory.lifting_rows``.  The search walks only
+composable arrows, through the out-arrow index (``_lifting_rows`` states its
+criterion); the opposite category runs its own.  A lifting query is one bit
+test; a whole-class complement ANDs the rows (or columns) of the class,
 looking each id up only there, and decodes each resulting mask to a frozenset
 of morphism ids once per category.
 """
@@ -55,20 +57,31 @@ def has_lift(cat, f, g, u, v):
 
 
 def _lifting_rows(cat):
-    """The exhaustive search behind ``FiniteCategory.lifting_rows``."""
-    rows = dict.fromkeys(cat.morphisms, 0)
-    cols = dict.fromkeys(cat.morphisms, 0)
+    """The exhaustive search behind ``FiniteCategory.lifting_rows``.
+
+    For f: A -> B, ``over[w]`` holds the v leaving B with v∘f = w.  The squares
+    from f to g with top u: A -> src g are the (u, v) with v in ``over[g∘u]``,
+    and their diagonals are the d in ``over[u]``; since g∘d lies in ``over[g∘u]``
+    for each such d, every one of these squares lifts exactly when
+    ``over[g∘u] == {g∘d : d in over[u]}``.  A pair with no top u lifts vacuously.
+    """
+    table, index = cat.compose_table, cat._morphism_index
+    full = (1 << len(cat.morphisms)) - 1
+    rows = {}
+    cols = dict.fromkeys(cat.morphisms, full)
     for i, f in enumerate(cat.morphisms):
-        for j, g in enumerate(cat.morphisms):
-            if all(
-                any(
-                    cat.compose_table[(d, f)] == u and cat.compose_table[(g, d)] == v
-                    for d in cat.hom(cat.target[f], cat.source[g])
-                )
-                for u, v in squares_between(cat, f, g)
-            ):
-                rows[f] |= 1 << j
-                cols[g] |= 1 << i
+        over = {}
+        for v in cat.arrows_from(cat.target[f]):
+            over.setdefault(table[(v, f)], set()).add(v)
+        row = full
+        for u in cat.arrows_from(cat.source[f]):
+            diagonals = over.get(u, ())
+            for g in cat.arrows_from(cat.target[u]):
+                bit = 1 << index[g]
+                if row & bit and over.get(table[(g, u)], set()) != {table[(g, d)] for d in diagonals}:
+                    row ^= bit
+                    cols[g] ^= 1 << i
+        rows[f] = row
     return rows, cols
 
 

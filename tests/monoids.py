@@ -1,0 +1,44 @@
+"""Small non-thin categories for the test suite: bounded monoids.
+
+A bounded monoid has one object x whose endomorphisms form a monoid M, plus
+an initial object 0 and a terminal object 1 adjoined.  Its arrows are the
+three identities, the non-identity elements of M, z: 0 -> x, t: x -> 1 and
+zt: 0 -> 1, so it has |M| + 5 of them.  Squares in it can commute in several
+ways and have several diagonals, unlike in a poset.
+"""
+
+from mclab.fincat import FiniteCategory
+
+
+def bounded_monoid(name, elements, product):
+    """``elements`` are the non-identity endomorphisms of x; ``product`` maps
+    each pair (g, f) of them to g∘f, which may be ``id_x``."""
+    identities = {"0": "id_0", "x": "id_x", "1": "id_1"}
+    morphisms = [("id_0", "0", "0"), ("id_x", "x", "x"), ("id_1", "1", "1")]
+    morphisms += [(m, "x", "x") for m in elements]
+    morphisms += [("z", "0", "x"), ("t", "x", "1"), ("zt", "0", "1")]
+    endo = ["id_x", *elements]
+    compose = {("t", "z"): "zt"}
+    for g in endo:
+        compose[(g, "z")] = "z"
+        compose[("t", g)] = "t"
+        for f in endo:
+            compose[(g, f)] = f if g == "id_x" else g if f == "id_x" else product[(g, f)]
+    for m, s, t in morphisms:
+        compose[(identities[t], m)] = m
+        compose[(m, identities[s])] = m
+    return FiniteCategory(name, ["0", "x", "1"], morphisms, identities, compose)
+
+
+def bounded_monoids():
+    """Z/2, Z/3, {1, e} with e idempotent and {1, p, q} left-zero, bounded."""
+    return [
+        bounded_monoid("Z2", ["s"], {("s", "s"): "id_x"}),
+        bounded_monoid(
+            "Z3",
+            ["r", "rr"],
+            {("r", "r"): "rr", ("r", "rr"): "id_x", ("rr", "r"): "id_x", ("rr", "rr"): "r"},
+        ),
+        bounded_monoid("idempotent", ["e"], {("e", "e"): "e"}),
+        bounded_monoid("left_zero", ["p", "q"], {(g, f): g for g in "pq" for f in "pq"}),
+    ]

@@ -30,6 +30,7 @@ from mclab.fincat import (
     validate_category,
 )
 from mclab.premodel import is_cofibrant
+from monoids import bounded_monoids
 
 
 def test_all_fixture_categories_validate(category_corpus):
@@ -62,7 +63,37 @@ def test_validate_catches_broken_associativity():
         table,
     )
     verdict = validate_category(broken)
+    assert verdict.violations == ("composite cd ∘ ac = id_a has wrong endpoints",)
     assert not verdict.ok
+
+
+def test_validate_reports_every_associativity_failure_in_order():
+    # a non-associative unital magma {id_x, a, b} on x, with a terminal
+    # object adjoined so that composable triples are not all triples
+    morphisms = [("id_x", "x", "x"), ("a", "x", "x"), ("t", "x", "1"), ("id_1", "1", "1"),
+                 ("b", "x", "x")]
+    endo = ("id_x", "a", "b")
+    magma = {("a", "a"): "id_x", ("a", "b"): "id_x", ("b", "a"): "b", ("b", "b"): "b"}
+    table = {("id_1", "t"): "t", ("id_1", "id_1"): "id_1"}
+    for g in endo:
+        table[("t", g)] = "t"
+        for f in endo:
+            table[(g, f)] = f if g == "id_x" else g if f == "id_x" else magma[(g, f)]
+    cat = FiniteCategory("magma", ["x", "1"], morphisms, {"x": "id_x", "1": "id_1"}, table)
+    assert validate_category(cat).violations == (
+        "associativity fails: (a∘b)∘a = a but a∘(b∘a) = id_x",
+        "associativity fails: (a∘a)∘b = b but a∘(a∘b) = a",
+        "associativity fails: (a∘b)∘b = b but a∘(b∘b) = id_x",
+    )
+
+
+def test_arrows_from_is_the_out_arrows_in_order(category_corpus):
+    for base in category_corpus + bounded_monoids():
+        for cat in (base, reverse_enumeration(base)):
+            for x in cat.objects:
+                assert cat.arrows_from(x) == [
+                    m for m in cat.morphisms if cat.source[m] == x
+                ], (cat.name, x)
 
 
 def test_validate_catches_missing_identity_law():
@@ -291,7 +322,7 @@ def test_functor_check_catches_noncomposition():
     )
     report = check_functor(fun)
     assert not report.ok
-    assert any("composition" in s for s in report.violations)
+    assert report.violations == ("composition not preserved at e ∘ e",)
     good = FunctorData(
         "collapse", idem, group, {"x": "x"}, {"id_x": "id_x", "e": "id_x"}
     )

@@ -1,7 +1,7 @@
 import pytest
 
 from mclab import fixtures
-from mclab.errors import InputError
+from mclab.errors import ConstructionError, InputError
 from mclab.fincat import validate_category
 from mclab.homotopy import (
     check_cylinder_witness,
@@ -18,6 +18,7 @@ from mclab.homotopy import (
     weak_to_strong,
 )
 from mclab.premodel import dualize
+from monoids import bounded_monoids
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,23 @@ def test_fold_cone(p1):
     assert codiag == "id_c"
     with pytest.raises(InputError):
         fold_cone(p1, "ab")  # not a cofibration there
+
+
+def test_folds_are_found_once_per_category():
+    cat = fixtures.barton()
+    p0, p1 = fixtures.barton_p0(cat), fixtures.barton_p1(cat)
+    folded = fold_cone(p0, "ac")
+    assert fold_cone(p1, "ac") is folded
+    # membership is checked on every call, also once another structure has
+    # cached the fold of that arrow
+    fold_cone(fixtures.trivial_premodel(cat), "ab")
+    with pytest.raises(InputError):
+        fold_cone(p1, "ab")
+    # an absent fold pushout raises on every call, not only the first
+    z2 = fixtures.trivial_premodel(bounded_monoids()[0])
+    for _ in range(2):
+        with pytest.raises(ConstructionError, match="pushout of z along itself is absent"):
+            fold_cone(z2, "z")
 
 
 def test_find_cylinder_on_identity_like_data(p1):

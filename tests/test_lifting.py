@@ -1,7 +1,9 @@
 import pytest
 
+import bruteforce as bf
 from mclab import fixtures
 from mclab.errors import InputError
+from mclab.fincat import validate_category
 from mclab.lifting import (
     ArrowClass,
     WeakFactorizationSystem,
@@ -16,6 +18,7 @@ from mclab.lifting import (
     squares_between,
     verify_wfs,
 )
+from monoids import bounded_monoids
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +46,17 @@ def test_llp_on_thin_category_is_hom_emptiness(barton):
     assert not llp(barton, "ab", "ab")  # would force ab to be invertible
     assert not llp(barton, "ab", "cd")
     assert llp(barton, "ac", "ab")  # no square at all between them
+
+
+def test_llp_agrees_with_the_oracle_on_bounded_monoids():
+    # non-thin: squares commute in several ways and may have several diagonals
+    for base in bounded_monoids():
+        for cat in (base, base.op):
+            assert validate_category(cat).ok, (cat.name, cat.verdict.violations)
+            for f in cat.morphisms:
+                for g in cat.morphisms:
+                    assert llp(cat, f, g) == bf.lifts(cat, f, g), (cat.name, f, g)
+                    assert llp(cat, f, g) == llp(cat.op, g, f), (cat.name, f, g)
 
 
 def test_llp_rejects_unknown_morphisms(barton):

@@ -10,7 +10,7 @@ from mclab import fixtures
 from mclab.classify import classify_full
 from mclab.errors import ConstructionError, InputError
 from mclab.fincat import identity_adjunction, opposite, terminal_object
-from mclab.homotopy import verify_weak_model
+from mclab.homotopy import fold_cone, verify_weak_model
 from mclab.lifting import llp
 from mclab.premodel import (
     acyclic_cofibrations,
@@ -170,6 +170,7 @@ def test_derived_facts_hold_no_reference_cycles():
         llp(cat, "ab", "cd")
         dualize(p)
         acyclic_fibrations(p)
+        fold_cone(p, "ac")
         verify_weak_model(p)
         classify_full(p)
         refs = [weakref.ref(x) for x in (cat, opposite(cat), p, dualize(p))]
