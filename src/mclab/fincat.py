@@ -17,7 +17,10 @@ Conventions
 * A category computes each derived fact once and keeps it: its opposite, its
   endpoints and the arrows to and from them, its validation verdict, every
   (co)limit asked of it, the fold of each arrow (its pushout along itself, with
-  the codiagonal), its lifting rows and the complements decoded from them.
+  the codiagonal), its factorization index, its lifting rows and the
+  complements decoded from them.
+* The factorization index ``factor_pairs`` lists each arrow's factorizations
+  in scan order, and every factorization search walks it.
 * The arrows leaving each object are indexed once, in enumeration order;
   validation, functor checks and the lifting-row and cylinder searches walk
   composable arrows through this index instead of scanning every pair.
@@ -161,6 +164,20 @@ class FiniteCategory:
     def verdict(self):
         """What ``validate_category`` says about the tables."""
         return _validate_tables(self)
+
+    @cached_property
+    def factor_pairs(self):
+        """``{h: [(l, r), ...]}``: every composable pair with r∘l = h, middle
+        object in object order, then l and r in morphism order."""
+        into = {}
+        for m in self.morphisms:
+            into.setdefault(self.target[m], []).append(m)
+        pairs = {h: [] for h in self.morphisms}
+        for z in self.objects:
+            for l in into.get(z, ()):
+                for r in self.arrows_from(z):
+                    pairs[self.compose_table[(r, l)]].append((l, r))
+        return pairs
 
     @cached_property
     def lifting_rows(self):

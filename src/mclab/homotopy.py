@@ -261,11 +261,12 @@ def _alt_criterion(p):
         if find_cylinder(p, i, "weak") is None:
             failures.append("no weak cylinder for %s" % i)
     acyclic = acyclic_cofibrations(p)
+    in_core = set(core)
     for j in core:
-        for i in core:
-            if cat.target[j] != cat.source[i]:
-                continue
-            if j in acyclic and cat.compose_table[(i, j)] in acyclic and i not in acyclic:
+        if j not in acyclic:
+            continue
+        for i in cat.arrows_from(cat.target[j]):
+            if i in in_core and i not in acyclic and cat.compose_table[(i, j)] in acyclic:
                 failures.append("right cancellation fails at %s after %s" % (i, j))
     return not failures, tuple(failures)
 
@@ -451,7 +452,9 @@ def is_equivalence(p, f):
             raise InputError(
                 "equivalence undefined: %s is neither cofibrant nor fibrant" % z
             )
-    return core_cofibration_representative(p, f) in acyclic_cofibrations(p)
+    if f not in p.equivalence_verdicts:
+        p.equivalence_verdicts[f] = core_cofibration_representative(p, f) in acyclic_cofibrations(p)
+    return p.equivalence_verdicts[f]
 
 
 def equivalences(p):

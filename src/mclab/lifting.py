@@ -8,7 +8,9 @@ composable arrows, through the out-arrow index (``_lifting_rows`` states its
 criterion); the opposite category runs its own.  A lifting query is one bit
 test; a whole-class complement ANDs the rows (or columns) of the class,
 looking each id up only there, and decodes each resulting mask to a frozenset
-of morphism ids once per category.
+of morphism ids once per category; ``verify_wfs`` tests a whole row against
+the right class's mask.  Factorization searches walk the category's index
+``FiniteCategory.factor_pairs``.
 """
 
 from __future__ import annotations
@@ -240,16 +242,10 @@ class WfsReport:
 def factorizations(cat, left, right, h):
     """Every factorization h = r ∘ l with l ∈ left, r ∈ right, as (l, r).
 
-    The middle object is scanned in object order, then l and r in morphism
-    order, so the sequence is deterministic.
+    A walk of the category's index: the middle object in object order, then
+    l and r in morphism order, so the sequence is deterministic.
     """
-    for z in cat.objects:
-        for l in cat.hom(cat.source[h], z):
-            if l not in left:
-                continue
-            for r in cat.hom(z, cat.target[h]):
-                if r in right and cat.compose_table[(r, l)] == h:
-                    yield l, r
+    return ((l, r) for l, r in cat.factor_pairs[h] if l in left and r in right)
 
 
 def factor(cat, left, right, h):
@@ -281,12 +277,17 @@ def verify_wfs(wfs):
     _require_morphisms(cat, wfs.right)
     failures = []
 
+    rows = cat.lifting_rows[0]
+    right_mask = sum(1 << cat.morphism_index(g) for g in wfs.right)
     lifting_ok = True
     for f in cat.sort_morphisms(wfs.left):
-        for g in cat.sort_morphisms(wfs.right):
-            if not llp(cat, f, g):
-                lifting_ok = False
-                failures.append("no lift of %s against %s" % (f, g))
+        if rows[f] & right_mask != right_mask:
+            lifting_ok = False
+            failures.extend(
+                "no lift of %s against %s" % (f, g)
+                for g in cat.sort_morphisms(wfs.right)
+                if not llp(cat, f, g)
+            )
 
     expected_left = complement_llp(cat, wfs.right)
     left_ok = expected_left == wfs.left

@@ -33,8 +33,8 @@ _CLASSES = ("cofibrations", "anodyne_fibrations", "anodyne_cofibrations", "fibra
 @dataclass(frozen=True, eq=False)
 class PremodelStructure:
     """Four marked classes on one category; immutable, so each derived fact
-    (the dual, the cofibrant and fibrant objects and the acyclic classes) is
-    computed once on first use."""
+    (the dual, the cofibrant and fibrant objects, the acyclic classes, each
+    replacement and each equivalence verdict) is computed once on first use."""
 
     cat: FiniteCategory
     cofibrations: frozenset
@@ -81,6 +81,16 @@ class PremodelStructure:
         # computed here, not through ``dual``, so the mirror stays independent
         gates = [f for f in core_cofibrations(self) if self.cat.target[f] in self.cofibrant]
         return self.fibrations & complement_rlp(self.cat, gates)
+
+    @cached_property
+    def replacements(self):
+        """``{("initial" | "terminal", x): (x', arrow)}``: each replacement, kept once found."""
+        return {}
+
+    @cached_property
+    def equivalence_verdicts(self):
+        """``{f: bool}``: each ``homotopy.is_equivalence`` answer, kept once found."""
+        return {}
 
     @property
     def cof_system(self):
@@ -308,16 +318,22 @@ def cofibrant_replacement(p, x):
     """
     if is_cofibrant(p, x):
         return x, p.cat.identity(x)
-    l, r = factor_cof_afib(p, arrow_from_initial(p, x))
-    return p.cat.target[l], r
+    key = ("initial", x)
+    if key not in p.replacements:
+        l, r = factor_cof_afib(p, arrow_from_initial(p, x))
+        p.replacements[key] = p.cat.target[l], r
+    return p.replacements[key]
 
 
 def fibrant_replacement(p, x):
     """(x', j) with x' fibrant and j: x -> x' an anodyne cofibration."""
     if is_fibrant(p, x):
         return x, p.cat.identity(x)
-    l, r = factor_acof_fib(p, arrow_to_terminal(p, x))
-    return p.cat.target[l], l
+    key = ("terminal", x)
+    if key not in p.replacements:
+        l, _ = factor_acof_fib(p, arrow_to_terminal(p, x))
+        p.replacements[key] = p.cat.target[l], l
+    return p.replacements[key]
 
 
 @dataclass(frozen=True)

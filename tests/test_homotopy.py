@@ -17,7 +17,7 @@ from mclab.homotopy import (
     verify_weak_model,
     weak_to_strong,
 )
-from mclab.premodel import dualize
+from mclab.premodel import PremodelStructure, cofibrant_replacement, dualize, fibrant_replacement
 from monoids import bounded_monoids
 
 
@@ -145,6 +145,25 @@ def test_is_equivalence_domain(p1):
     for m in ("ab", "id_b", "bd"):
         with pytest.raises(InputError):
             is_equivalence(p1, m)
+
+
+def test_kept_answers_keep_the_contract(p1):
+    # every call re-checks its preconditions, and a call that raises keeps nothing
+    equivalences(p1)
+    for _ in range(2):
+        for m in ("zz", "ab", "id_b", "bd"):
+            with pytest.raises(InputError):
+                is_equivalence(p1, m)
+    ids = frozenset({"id_a", "id_b", "id_c", "id_d"})
+    p = PremodelStructure(fixtures.barton(), ids, ids, ids, ids, name="bare")
+    calls = ((cofibrant_replacement, "b"), (fibrant_replacement, "b"), (is_equivalence, "ad"))
+    for _ in range(2):
+        for call, arg in calls:
+            with pytest.raises(ConstructionError, match="factorization of"):
+                call(p, arg)
+    assert p.replacements == {} and p.equivalence_verdicts == {}
+    assert is_equivalence(p1, "ac") and is_equivalence(p1, "ac")
+    assert p1.equivalence_verdicts["ac"] is True
 
 
 def test_equivalences_frozen(p0, p1):

@@ -4,6 +4,9 @@ Every imported name is read somewhere in its module.  ``__init__.py`` is
 left out because its imports are the package's exports.  A name that
 appears only in a comment or a docstring counts as unread.
 
+No engine module reads or writes an instance's ``__dict__``: a derived fact
+is a ``cached_property`` or an attribute set in ``__init__``.
+
 The brute-force oracle ``tests/bruteforce.py`` stays independent of the
 engine: it imports nothing from ``mclab`` and reads only the raw tables of a
 category and the four marked classes of a structure, never a cached fact.
@@ -22,9 +25,9 @@ ORACLE_ATTRIBUTES = {
     # builtin methods
     "append", "values", "items",
 }
+ENGINE = sorted((ROOT / "src" / "mclab").glob("*.py"))
 SOURCES = sorted(
-    [p for p in (ROOT / "src" / "mclab").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py"))
+    [p for p in ENGINE if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py"))
 )
 
 
@@ -65,6 +68,34 @@ def test_no_unread_imports():
         for p in SOURCES
         if (unread := unread_imports(p))
     }
+    assert found == {}
+
+
+def dict_accesses(path):
+    """Lines of ``path`` that touch an object's ``__dict__``."""
+    tree = ast.parse(path.read_text(), str(path))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+    )
+
+
+def test_dict_check_finds_a_planted_access(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class C:\n"
+        "    def fact(self):\n"
+        "        # self.__dict__ in a comment is fine\n"
+        "        self.__dict__['fact'] = 1\n"
+        "        return self.__dict__.get('fact')\n"
+    )
+    assert dict_accesses(probe) == [4, 5]
+
+
+def test_engine_keeps_no_ad_hoc_dict_caches():
+    assert len(ENGINE) > 10
+    found = {str(p.relative_to(ROOT)): lines for p in ENGINE if (lines := dict_accesses(p))}
     assert found == {}
 
 

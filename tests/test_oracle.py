@@ -5,12 +5,16 @@ definitions with nested loops and no shared search code, then insists the
 two agree on every fixture.
 """
 
-import bruteforce as bf
+import dataclasses
 
+import bruteforce as bf
+from monoids import bounded_monoids
+
+from mclab import fixtures
 from mclab.errors import InputError
-from mclab.fincat import initial_object, opposite, pushout, terminal_object
+from mclab.fincat import initial_object, opposite, pushout, reverse_enumeration, terminal_object
 from mclab.homotopy import homotopic, is_equivalence, verify_weak_model
-from mclab.lifting import complement_llp, complement_rlp, factor, has_lift, llp
+from mclab.lifting import complement_llp, complement_rlp, factor, factorizations, has_lift, llp
 from mclab.premodel import (
     acyclic_cofibrations,
     acyclic_fibrations,
@@ -94,6 +98,27 @@ def test_factorizations_agree(premodel_corpus):
                     assert got is None
 
 
+def _reversed(p):
+    return dataclasses.replace(p, cat=reverse_enumeration(p.cat))
+
+
+def test_factorization_order_is_pinned(premodel_corpus):
+    # ``factor`` takes the first pair, and replacements and reports follow
+    # that choice, so the whole sequence must match the oracle's scan order
+    corpus = premodel_corpus + [fixtures.trivial_premodel(cat) for cat in bounded_monoids()]
+    for p in corpus + [_reversed(p) for p in corpus]:
+        cat = p.cat
+        everything = frozenset(cat.morphisms)  # the whole index, every middle object
+        for left, right in (
+            (p.cofibrations, p.anodyne_fibrations),
+            (p.anodyne_cofibrations, p.fibrations),
+            (everything, everything),
+        ):
+            for h in cat.morphisms:
+                want = bf.factorizations(cat, left, right, h)
+                assert list(factorizations(cat, left, right, h)) == want, (p.name, h)
+
+
 def test_object_classes_agree(premodel_corpus):
     for p in premodel_corpus:
         assert frozenset(cofibrant_objects(p)) == bf.cofibrant_set(p)
@@ -141,7 +166,9 @@ def test_homotopy_verdicts_agree(premodel_corpus):
 
 
 def test_equivalence_verdicts_agree(premodel_corpus):
-    for p in premodel_corpus:
+    # the reversed copy picks other factorizations first; a kept verdict must
+    # still be the one every choice gives
+    for p in premodel_corpus + [_reversed(p) for p in premodel_corpus]:
         for f in p.cat.morphisms:
             verdicts = set(bf.equivalence_verdicts(p, f))
             try:

@@ -10,8 +10,8 @@ from mclab import fixtures
 from mclab.classify import classify_full
 from mclab.errors import ConstructionError, InputError
 from mclab.fincat import identity_adjunction, opposite, terminal_object
-from mclab.homotopy import fold_cone, verify_weak_model
-from mclab.lifting import llp
+from mclab.homotopy import equivalences, fold_cone, verify_weak_model
+from mclab.lifting import factor, llp
 from mclab.premodel import (
     acyclic_cofibrations,
     acyclic_fibrations,
@@ -171,6 +171,11 @@ def test_derived_facts_hold_no_reference_cycles():
         dualize(p)
         acyclic_fibrations(p)
         fold_cone(p, "ac")
+        factor(cat, p.cofibrations, p.anodyne_fibrations, "ab")
+        for x in cat.objects:
+            cofibrant_replacement(p, x)
+            fibrant_replacement(p, x)
+        equivalences(p)
         verify_weak_model(p)
         classify_full(p)
         refs = [weakref.ref(x) for x in (cat, opposite(cat), p, dualize(p))]

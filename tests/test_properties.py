@@ -23,7 +23,7 @@ from mclab.fincat import (
     reverse_enumeration,
     terminal_object,
 )
-from mclab.homotopy import verify_weak_model
+from mclab.homotopy import _alt_criterion, find_cylinder, verify_weak_model
 from mclab.lifting import (
     cell_closure,
     complement_llp,
@@ -188,6 +188,42 @@ def test_classification_never_contradicts_itself(p):
     assert report.summary
     if report.two_sided is not None and report.two_sided.ok:
         assert report.left_semi.spitzweck and report.right_semi.spitzweck
+
+
+def _alt_failures_by_pairs(p):
+    """The core criterion's failures, right cancellation read over core × core."""
+    cat = p.cat
+    acyclic = acyclic_cofibrations(p)
+    core = [f for f in cat.sort_morphisms(p.cofibrations) if cat.source[f] in p.cofibrant]
+    failures = ["no weak cylinder for %s" % i for i in core if find_cylinder(p, i) is None]
+    for j in core:
+        for i in core:
+            if cat.target[j] != cat.source[i]:
+                continue
+            if j in acyclic and cat.compose_table[(i, j)] in acyclic and i not in acyclic:
+                failures.append("right cancellation fails at %s after %s" % (i, j))
+    return tuple(failures)
+
+
+def _alt_criterion_walks_composable_pairs(p):
+    for q in (p, dualize(p)):
+        failures = _alt_failures_by_pairs(q)
+        assert _alt_criterion(q) == (not failures, failures), q.name
+
+
+def test_alt_criterion_walks_composable_pairs_on_fixtures():
+    for p in fixtures.premodel_fixtures():
+        _alt_criterion_walks_composable_pairs(p)
+
+
+@given(premodels())
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_alt_criterion_walks_composable_pairs(p):
+    _alt_criterion_walks_composable_pairs(p)
 
 
 def _reversed_copy(p):
