@@ -13,7 +13,7 @@ Conventions
 * Objects and morphisms are referred to by their string ids everywhere.
 * ``compose(g, f)`` is "g after f" and requires target(f) == source(g).
 * ``opposite`` keeps every id and reverses source/target; applying it twice
-  gives back identical tables.
+  gives back the same category, not a copy (see ``FiniteCategory.op``).
 * A category computes each derived fact once and keeps it: its opposite, its
   endpoints and the arrows to and from them, its validation verdict, every
   (co)limit asked of it, the fold of each arrow (its pushout along itself, with
@@ -29,6 +29,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,6 +47,21 @@ class Verdict:
     def from_violations(violations):
         violations = tuple(violations)
         return Verdict(not violations, violations)
+
+
+def involution(build):
+    """Like ``cached_property``, for an opposite kept in ``_opposite`` that refers
+    back to its base weakly, in ``_base`` (so no reference cycle): its own opposite
+    is that base while the base lives; an orphan builds a new opposite once."""
+    def get(obj):
+        base = obj._base and obj._base()
+        if base is None and obj._opposite is None:
+            other = build(obj)
+            object.__setattr__(other, "_base", weakref.ref(obj))
+            object.__setattr__(obj, "_opposite", other)
+        return obj._opposite if base is None else base
+
+    return property(get, doc=build.__doc__)
 
 
 class FiniteCategory:
@@ -83,6 +99,7 @@ class FiniteCategory:
         self._colimits = {}  # (shape kind, legs) -> Cone or None, filled by ``colimit``
         self._folds = {}  # arrow -> (pushout of it along itself, codiagonal) or None, by ``fold``
         self._classes = {}  # bitmask -> frozenset of ids, filled by the lifting complements
+        self._opposite = self._base = None  # kept by ``op``, see ``involution``
 
     # -- basic queries ----------------------------------------------------
 
@@ -121,9 +138,9 @@ class FiniteCategory:
 
     # -- derived facts, computed once on first use; never mutate the tables
 
-    @cached_property
+    @involution
     def op(self):
-        """The opposite category: a new instance, so ``op.op == self`` but not ``is``."""
+        """The opposite category, built once; ``op.op is self``."""
         morphisms = [(m, self.target[m], self.source[m]) for m in self.morphisms]
         compose = {(f, g): h for (g, f), h in self.compose_table.items()}
         return FiniteCategory(self.name, self.objects, morphisms, self.identities, compose)
@@ -301,7 +318,7 @@ def _validate_tables(cat):
 
 
 def opposite(cat):
-    """Reverse every morphism; built once per category, involutive on the tables."""
+    """Reverse every morphism; built once, and ``opposite(opposite(cat)) is cat``."""
     return cat.op
 
 

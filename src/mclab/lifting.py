@@ -245,6 +245,8 @@ def factorizations(cat, left, right, h):
     A walk of the category's index: the middle object in object order, then
     l and r in morphism order, so the sequence is deterministic.
     """
+    if not cat.has_morphism(h):
+        raise _unknown_morphism(cat, h)
     return ((l, r) for l, r in cat.factor_pairs[h] if l in left and r in right)
 
 

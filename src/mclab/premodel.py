@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import ConstructionError, InputError
-from .fincat import FiniteCategory
+from .fincat import FiniteCategory, involution
 from .lifting import (
     WeakFactorizationSystem,
     complement_llp,
@@ -42,14 +42,15 @@ class PremodelStructure:
     anodyne_cofibrations: frozenset
     fibrations: frozenset
     name: str = ""
+    _opposite = _base = None  # not fields: kept by ``dual``, see ``fincat.involution``
 
     def __post_init__(self):
         for name in _CLASSES:
             object.__setattr__(self, name, frozenset(getattr(self, name)))
 
-    @cached_property
+    @involution
     def dual(self):
-        """See ``dualize``: a new structure, so ``dual.dual`` is not ``self``."""
+        """See ``dualize``: built once, and ``dual.dual is self``."""
         return PremodelStructure(
             cat=self.cat.op,
             cofibrations=self.fibrations,
@@ -287,9 +288,9 @@ def verify_premodel(p):
 def dualize(p):
     """The opposite premodel: swap the two systems across the opposite category.
 
-    Cofibrations become fibrations and vice versa.  Built once per structure;
-    involutive on the tables: ``dualize(dualize(p))`` has the classes and
-    category tables of ``p`` but is a new structure.
+    Cofibrations become fibrations and vice versa.  Built once per structure,
+    on ``p.cat.op``, and involutive on the nose: ``dualize(dualize(p)) is p``.
+    Only a dual whose ``p`` has been freed builds a new, equal structure.
     """
     return p.dual
 

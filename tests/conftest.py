@@ -1,9 +1,10 @@
+import contextlib
 import re
 
 import pytest
 
 from mclab import fixtures
-from mclab.fincat import AdjunctionData, FunctorData
+from mclab.fincat import AdjunctionData, FiniteCategory, FunctorData
 
 _ACCEPTANCE = {}
 _PATTERN = re.compile(r"test_criterion_(\d+)")
@@ -31,6 +32,23 @@ def collapse_adjunction(pt, bart):
     )
     counit = {"a": "id_a", "b": "ab", "c": "ac", "d": "ad"}
     return AdjunctionData("collapse", left, right, {"x": "id_x"}, counit)
+
+
+@contextlib.contextmanager
+def categories_built():
+    """The names of the categories constructed inside the block, in order."""
+    built = []
+    init = FiniteCategory.__init__
+
+    def counted_init(obj, *args):
+        built.append(args[0])
+        init(obj, *args)
+
+    FiniteCategory.__init__ = counted_init
+    try:
+        yield built
+    finally:
+        FiniteCategory.__init__ = init
 
 
 @pytest.fixture

@@ -20,6 +20,8 @@ from mclab.classify import (
 from mclab.errors import InputError, VerificationError
 from mclab.premodel import dualize
 
+from conftest import categories_built
+
 IDS = frozenset({"id_a", "id_b", "id_c", "id_d"})
 
 
@@ -141,9 +143,11 @@ def test_classify_full_evaluates_each_rung_once(p0, p1, premodel_corpus, monkeyp
 
 def test_classify_full_builds_no_second_opposite():
     p = fixtures.barton_p1()
-    classify_full(p)
-    assert "op" not in vars(p.cat.op)
-    assert "dual" not in vars(p.dual)
+    with categories_built() as built:
+        classify_full(p)
+    # one opposite in all: the dual's dual is p, on p.cat
+    assert built == [p.cat.name]
+    assert p.dual.dual is p and p.cat.op.op is p.cat
 
 
 def test_right_semi_mirror_still_votes(monkeypatch):

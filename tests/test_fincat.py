@@ -122,8 +122,8 @@ def test_opposite_is_involutive(category_corpus):
 def test_derived_facts_are_computed_once(monkeypatch):
     cat = fixtures.barton()
     assert opposite(cat) is opposite(cat)
-    # no link back from the opposite: op.op is a new, equal category
-    assert opposite(opposite(cat)) is not cat
+    # the opposite links back (weakly), so op.op is the category itself
+    assert opposite(opposite(cat)) is cat
     assert initial_object(cat) == "a"
     p = fixtures.barton_p1(cat)
     calls = []

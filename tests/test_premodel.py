@@ -6,12 +6,14 @@ import pytest
 
 import bruteforce as bf
 
+import mclab.fincat
+import mclab.lifting
 from mclab import fixtures
 from mclab.classify import classify_full
 from mclab.errors import ConstructionError, InputError
 from mclab.fincat import identity_adjunction, opposite, terminal_object
 from mclab.homotopy import equivalences, fold_cone, verify_weak_model
-from mclab.lifting import factor, llp
+from mclab.lifting import factor, factorizations, llp
 from mclab.premodel import (
     acyclic_cofibrations,
     acyclic_fibrations,
@@ -24,6 +26,8 @@ from mclab.premodel import (
     core_cofibrations,
     core_fibrations,
     dualize,
+    factor_acof_fib,
+    factor_cof_afib,
     fibrant_objects,
     fibrant_replacement,
     is_cofibrant,
@@ -159,8 +163,8 @@ def test_derived_classes_are_computed_once_per_structure():
 
 
 def test_derived_facts_hold_no_reference_cycles():
-    # cat.op.op and p.dual.dual are new objects; a link back would make a
-    # cycle that only the cyclic garbage collector could free
+    # cat.op.op is cat and p.dual.dual is p through weak links back; a strong
+    # link would make a cycle that only the cyclic garbage collector could free
     gc.disable()
     try:
         cat = fixtures.barton()
@@ -178,11 +182,70 @@ def test_derived_facts_hold_no_reference_cycles():
         equivalences(p)
         verify_weak_model(p)
         classify_full(p)
+        classify_full(dualize(p))
+        assert opposite(opposite(cat)) is cat
+        assert dualize(dualize(p)) is p
         refs = [weakref.ref(x) for x in (cat, opposite(cat), p, dualize(p))]
         del cat, p
         assert [r() for r in refs] == [None] * 4
     finally:
         gc.enable()
+
+
+def test_orphaned_dual_builds_its_opposite_once():
+    cat = fixtures.barton()
+    p = fixtures.barton_p1(cat)
+    classify_full(p)
+    dual = dualize(p)
+    refs = [weakref.ref(cat), weakref.ref(p)]
+    del cat, p
+    assert [r() for r in refs] == [None, None]
+    # only now does the dual's category build an opposite: a new, equal one,
+    # whose own opposite is the dual's category again
+    rebuilt = dual.cat.op
+    assert rebuilt == fixtures.barton()
+    assert opposite(dual.cat) is rebuilt and rebuilt.op is dual.cat
+    q = dualize(dual)
+    assert dualize(dual) is q and q.cat is rebuilt and q.dual is dual
+    got, want = classify_full(q), classify_full(fixtures.barton_p1())
+    assert (got.summary, got.flags, got.equivalences, got.wl, got.wr) == (
+        want.summary, want.flags, want.equivalences, want.wl, want.wr
+    )
+
+
+def test_weak_model_check_of_the_dual_searches_nothing_new(monkeypatch, premodel_corpus):
+    rows, colimits = [], []
+    search_rows, search_colimit = mclab.lifting._lifting_rows, mclab.fincat._search_colimit
+
+    def counted_rows(cat):
+        rows.append(cat)
+        return search_rows(cat)
+
+    def counted_colimit(cat, shape):
+        colimits.append(shape)
+        return search_colimit(cat, shape)
+
+    for p in premodel_corpus:
+        verify_weak_model(p)
+        monkeypatch.setattr(mclab.lifting, "_lifting_rows", counted_rows)
+        monkeypatch.setattr(mclab.fincat, "_search_colimit", counted_colimit)
+        # p.dual.dual is p, so every row and colimit search was already run
+        assert verify_weak_model(dualize(p)).ok == verify_weak_model(p).ok
+        assert (rows, colimits) == ([], []), p.name
+        monkeypatch.undo()
+
+
+def test_factoring_an_unknown_arrow_names_it(p0):
+    calls = (
+        lambda: factor(p0.cat, p0.cofibrations, p0.anodyne_fibrations, "zz"),
+        lambda: list(factorizations(p0.cat, p0.cofibrations, p0.anodyne_fibrations, "zz")),
+        lambda: factor_cof_afib(p0, "zz"),
+        lambda: factor_acof_fib(p0, "zz"),
+    )
+    for call in calls:
+        for _ in range(2):
+            with pytest.raises(InputError, match="'zz'"):
+                call()
 
 
 def test_verify_premodel_failure_flags(p0):
