@@ -108,6 +108,9 @@ class FiniteCategory:
         return self._hom.get((x, y), [])
 
     def compose(self, g, f):
+        for m in (g, f):
+            if m not in self._morphism_index:
+                raise InputError("unknown morphism %r in %s" % (m, self.name))
         if self.target[f] != self.source[g]:
             raise InputError(
                 "cannot compose %s after %s: target/source mismatch" % (g, f)
@@ -521,12 +524,19 @@ def pullback(cat, f, g):
     return limit(cat, DiagramShape("cospan", (f, g)))
 
 
+def _pair(cat, x, y):
+    for z in (x, y):
+        if not cat.has_object(z):
+            raise InputError("unknown object %r in %s" % (z, cat.name))
+    return DiagramShape("pair", (cat.identity(x), cat.identity(y)))
+
+
 def coproduct(cat, x, y):
-    return colimit(cat, DiagramShape("pair", (cat.identity(x), cat.identity(y))))
+    return colimit(cat, _pair(cat, x, y))
 
 
 def product(cat, x, y):
-    return limit(cat, DiagramShape("pair", (cat.identity(x), cat.identity(y))))
+    return limit(cat, _pair(cat, x, y))
 
 
 def initial_object(cat):

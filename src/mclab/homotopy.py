@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import ConstructionError, InputError, VerificationError
-from .fincat import FiniteCategory, fold, validate_category
+from .fincat import FiniteCategory, Verdict, fold, validate_category
 from .premodel import (
     acyclic_cofibrations,
     arrow_from_initial,
@@ -127,15 +127,15 @@ def check_cylinder_witness(p, w):
         if not cat.has_morphism(m):
             v.append("unknown morphism %r" % m)
     if v:
-        return _verdict(v)
+        return Verdict.from_violations(v)
 
     if w.base not in p.cofibrations:
         v.append("base %s is not a cofibration" % w.base)
-        return _verdict(v)
+        return Verdict.from_violations(v)
     cone, codiag = fold_cone(p, w.base)
     if (w.fold_apex, w.coproj0, w.coproj1, w.codiagonal) != (cone.apex, cone.legs[0], cone.legs[1], codiag):
         v.append("fold data does not match the canonical pushout")
-        return _verdict(v)
+        return Verdict.from_violations(v)
 
     b = cat.target[w.base]
     acyclic = acyclic_cofibrations(p)
@@ -162,13 +162,7 @@ def check_cylinder_witness(p, w):
             v.append("strong witness must target the base's codomain")
         if w.anodyne_leg != cat.identity(b):
             v.append("strong witness must have an identity anodyne leg")
-    return _verdict(v)
-
-
-def _verdict(violations):
-    from .fincat import Verdict
-
-    return Verdict.from_violations(violations)
+    return Verdict.from_violations(v)
 
 
 def weak_to_strong(p, w):

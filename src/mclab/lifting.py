@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, InputError
+from .fincat import pushout
 
 
 def _require_morphisms(cat, ms):
@@ -170,8 +171,6 @@ def cell_closure(cat, generators):
     Pushouts that do not exist simply contribute nothing.  Terminates because
     the morphism set is finite and the class only grows.
     """
-    from .fincat import pushout  # local import to keep module load order simple
-
     _require_morphisms(cat, generators)
     members = {cat.identity(x) for x in cat.objects}
     members.update(generators)

@@ -104,6 +104,11 @@ def _assert_premodel(q, context):
         raise VerificationError("%s is not a premodel: %s" % (context, "; ".join(report.failures)))
 
 
+def _between(cat, arrows, objects):
+    """The members of ``arrows`` with both endpoints in ``objects``."""
+    return {f for f in arrows if cat.source[f] in objects and cat.target[f] in objects}
+
+
 @dataclass(frozen=True)
 class LeftLocalization:
     structure: PremodelStructure
@@ -140,18 +145,8 @@ def left_bousfield(p, arrows, mode="Lc"):
 
     if result.cofibrations != p.cofibrations:
         raise VerificationError("left localization moved the cofibrations")
-    local_fibrant = result.fibrant
-    before = {
-        g
-        for g in p.fibrations
-        if cat.source[g] in local_fibrant and cat.target[g] in local_fibrant
-    }
-    after = {
-        g
-        for g in result.fibrations
-        if cat.source[g] in local_fibrant and cat.target[g] in local_fibrant
-    }
-    if before != after:
+    local = result.fibrant
+    if _between(cat, p.fibrations, local) != _between(cat, result.fibrations, local):
         raise VerificationError(
             "left localization changed fibrations between locally fibrant objects"
         )
@@ -208,18 +203,8 @@ def right_bousfield(p, adj, target, mode="Rc"):
 
     if result.fibrations != p.fibrations:
         raise VerificationError("right localization moved the fibrations")
-    local_cofibrant = result.cofibrant
-    before = {
-        f
-        for f in p.cofibrations
-        if cat.source[f] in local_cofibrant and cat.target[f] in local_cofibrant
-    }
-    after = {
-        f
-        for f in result.cofibrations
-        if cat.source[f] in local_cofibrant and cat.target[f] in local_cofibrant
-    }
-    if before != after:
+    local = result.cofibrant
+    if _between(cat, p.cofibrations, local) != _between(cat, result.cofibrations, local):
         raise VerificationError(
             "right localization changed cofibrations between locally cofibrant objects"
         )

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .fincat import FiniteCategory, FunctorData, AdjunctionData, poset_category
 from .lifting import complement_llp, complement_rlp
 from .olschok import identity_cylinder
@@ -566,7 +566,7 @@ def _build_poset(decl):
             pairs.add((lo, hi))
     try:
         return poset_category(decl.name, order, sorted(pairs))
-    except Exception as exc:   # cycle / arrow-name-collision diagnostics
+    except InputError as exc:   # cycle / arrow-name-collision diagnostics
         raise ParseError(
             "poset %s does not define a category: %s" % (decl.name, exc),
             decl.line,

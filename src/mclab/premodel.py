@@ -10,6 +10,9 @@ Naming: "anodyne" marks the classes coming from the *other* system's side —
 anodyne cofibrations lift against all fibrations, anodyne fibrations against
 all cofibrations.  "Acyclic" is reserved for the derived classes computed
 against the bifibrant core, see ``acyclic_cofibrations``.
+
+A right-hand construction is its left twin on ``dualize(p)``: the fibrant
+replacement of x is its cofibrant replacement in the dual, kept there.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import ConstructionError, InputError
-from .fincat import FiniteCategory, involution
+from .fincat import FiniteCategory, check_adjunction, involution, validate_category
 from .lifting import (
     WeakFactorizationSystem,
     complement_llp,
@@ -85,7 +88,8 @@ class PremodelStructure:
 
     @cached_property
     def replacements(self):
-        """``{("initial" | "terminal", x): (x', arrow)}``: each replacement, kept once found."""
+        """``{x: (x', arrow)}``: each cofibrant replacement, kept once found; the
+        fibrant ones are the dual's."""
         return {}
 
     @cached_property
@@ -249,8 +253,6 @@ class PremodelReport:
 
 def verify_premodel(p):
     """Both systems verified, AC ⊆ C and AF ⊆ F, initial and terminal exist."""
-    from .fincat import validate_category
-
     failures = []
     cat_verdict = validate_category(p.cat)
     if not cat_verdict.ok:
@@ -303,14 +305,6 @@ def factor_cof_afib(p, h):
     return hit
 
 
-def factor_acof_fib(p, h):
-    """h = (fibration) ∘ (anodyne cofibration); first choice in order."""
-    hit = factor(p.cat, p.anodyne_cofibrations, p.fibrations, h)
-    if hit is None:
-        raise ConstructionError("no (anodyne cofibration, fibration) factorization of %s" % h, witness=h)
-    return hit
-
-
 def cofibrant_replacement(p, x):
     """(x', r) with x' cofibrant and r: x' -> x an anodyne fibration.
 
@@ -319,22 +313,24 @@ def cofibrant_replacement(p, x):
     """
     if is_cofibrant(p, x):
         return x, p.cat.identity(x)
-    key = ("initial", x)
-    if key not in p.replacements:
-        l, r = factor_cof_afib(p, arrow_from_initial(p, x))
-        p.replacements[key] = p.cat.target[l], r
-    return p.replacements[key]
+    if x not in p.replacements:
+        h = arrow_from_initial(p, x)
+        hit = factor(p.cat, p.cofibrations, p.anodyne_fibrations, h)
+        if hit is None:
+            raise ConstructionError(
+                "no factorization of %s gives a replacement of %s" % (h, x), witness=h
+            )
+        l, r = hit
+        p.replacements[x] = p.cat.target[l], r
+    return p.replacements[x]
 
 
 def fibrant_replacement(p, x):
-    """(x', j) with x' fibrant and j: x -> x' an anodyne cofibration."""
+    """(x', j) with x' fibrant and j: x -> x' an anodyne cofibration: the
+    cofibrant replacement of x in the dual, kept there."""
     if is_fibrant(p, x):
         return x, p.cat.identity(x)
-    key = ("terminal", x)
-    if key not in p.replacements:
-        l, _ = factor_acof_fib(p, arrow_to_terminal(p, x))
-        p.replacements[key] = p.cat.target[l], l
-    return p.replacements[key]
+    return cofibrant_replacement(p.dual, x)
 
 
 @dataclass(frozen=True)
@@ -355,8 +351,6 @@ def check_quillen_adjunction(adj, p_src, p_tgt):
     adj.left must run p_src.cat -> p_tgt.cat.  Decision: left preserves
     cofibrations and right preserves fibrations.
     """
-    from .fincat import check_adjunction
-
     base = check_adjunction(adj)
     failures = list(base.violations)
     if adj.left.source != p_src.cat or adj.left.target != p_tgt.cat:

@@ -18,14 +18,15 @@ an unchecked precondition, or the engine has a bug).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConstructionError, InputError, VerificationError
 from .fincat import check_adjunction, validate_category
 from .homotopy import homotopy_category, is_equivalence, verify_weak_model
 from .lifting import verify_wfs
 from .localize import left_bousfield, right_bousfield
-from .olschok import olschok_model, structured_from_premodel, verify_quillen_cylinder
+from .olschok import _structural_cylinder_check, olschok_model
+from .olschok import structured_from_premodel, verify_quillen_cylinder
 from .premodel import dualize, same_classes, saturation_flags, verify_premodel
 from .saturate import saturate
 from .classify import classify_full
@@ -112,36 +113,21 @@ def _weak_model_tree(r):
     }
 
 
-def _semi_tree(r, side):
+def _fields(r, skip=()):
+    """A report's dataclass fields in declaration order, less ``skip``."""
+    return {f.name: getattr(r, f.name) for f in fields(r) if f.name not in skip}
+
+
+def _semi_tree(r):
     if r is None:
         return None
-    tree = {"weak_model": r.weak_model}
-    if side == "left":
-        tree["strong_cylinders"] = r.strong_cylinders
-        tree["core_left_saturated"] = r.core_left_saturated
-        tree["right_saturated"] = r.right_saturated
-    else:
-        tree["strong_paths"] = r.strong_paths
-        tree["core_right_saturated"] = r.core_right_saturated
-        tree["left_saturated"] = r.left_saturated
-    tree["fresse"] = r.fresse
-    tree["spitzweck"] = r.spitzweck
-    tree["failures"] = list(r.failures)
+    tree = _fields(r, skip=("failures",))
+    tree.update(fresse=r.fresse, spitzweck=r.spitzweck, failures=list(r.failures))
     return tree
 
 
 def _quillen_tree(q):
-    if q is None:
-        return None
-    return {
-        "ok": q.ok,
-        "wl_equals_wr": q.wl_equals_wr,
-        "anodyne_in_wl": q.anodyne_in_wl,
-        "replacement_composite_exists": q.replacement_composite_exists,
-        "replacement_composite_canonical": q.replacement_composite_canonical,
-        "square_condition": q.square_condition,
-        "square_condition_vacuous": q.square_condition_vacuous,
-    }
+    return None if q is None else _fields(q, skip=("wl", "wr"))
 
 
 def _category_tree(cat):
@@ -274,8 +260,6 @@ def _do_validate(session, name, tree):
         return tree, verdict.ok
     if name in env.cylinders:
         cyl, cat = env.cylinders[name]
-        from .olschok import _structural_cylinder_check
-
         violations = _structural_cylinder_check(cyl, cat)
         tree["kind"] = "cylinder"
         tree["ok"] = not violations
@@ -344,18 +328,10 @@ def _do_classify(session, p, name, tree):
         tree["derived_classes"] = list(derived)
     tree["saturation"] = rep.flags.as_dict() if rep.flags else None
     tree["weak_model"] = _weak_model_tree(rep.weak_model) if rep.weak_model else None
-    tree["left_semi"] = _semi_tree(rep.left_semi, "left")
-    tree["right_semi"] = _semi_tree(rep.right_semi, "right")
-    if rep.two_sided is not None:
-        tree["two_sided"] = {
-            "ok": rep.two_sided.ok,
-            "weak_model": rep.two_sided.weak_model,
-            "strong_cylinders": rep.two_sided.strong_cylinders,
-            "strong_paths": rep.two_sided.strong_paths,
-            "bi_saturated": rep.two_sided.bi_saturated,
-        }
-    else:
-        tree["two_sided"] = None
+    tree["left_semi"] = _semi_tree(rep.left_semi)
+    tree["right_semi"] = _semi_tree(rep.right_semi)
+    two = rep.two_sided
+    tree["two_sided"] = None if two is None else {"ok": two.ok, **_fields(two)}
     tree["quillen"] = _quillen_tree(rep.quillen)
     tree["equivalences"] = cat.sort_morphisms(rep.equivalences) if rep.equivalences is not None else None
     tree["wl"] = cat.sort_morphisms(rep.wl) if rep.wl is not None else None

@@ -1,7 +1,9 @@
+import itertools
 from dataclasses import replace
 
 import pytest
 
+import bruteforce as bf
 import mclab.classify
 from mclab import fixtures
 from mclab.classify import (
@@ -18,9 +20,11 @@ from mclab.classify import (
     two_sided_check,
 )
 from mclab.errors import InputError, VerificationError
-from mclab.premodel import dualize
+from mclab.homotopy import is_equivalence
+from mclab.premodel import PremodelStructure, dualize, fibrant_replacement, verify_premodel
 
 from conftest import categories_built
+from monoids import bounded_monoids
 
 IDS = frozenset({"id_a", "id_b", "id_c", "id_d"})
 
@@ -78,6 +82,58 @@ def test_localization_objects(p1):
     assert right_localization_object(p1, "b") == "d"
     assert left_localization_object(p1, "a") == "c"
     assert right_localization_object(p1, "d") == "d"
+
+
+@pytest.fixture(scope="module")
+def monoid_premodels():
+    """Every verified premodel on the bounded monoids, from the oracle's
+    weak factorization systems (llp rlp S, rlp S) over all sets S of arrows."""
+    found = []
+    for cat in bounded_monoids():
+        systems = []
+        for k in range(len(cat.morphisms) + 1):
+            for s in itertools.combinations(cat.morphisms, k):
+                right = bf.rlp_class(cat, s)
+                wfs = (bf.llp_class(cat, right), right)
+                if wfs not in systems and all(bf.factorizations(cat, *wfs, h) for h in cat.morphisms):
+                    systems.append(wfs)
+        for (c, af), (ac, f) in itertools.product(systems, repeat=2):
+            p = PremodelStructure(cat, c, af, ac, f, name=cat.name)
+            if ac <= c and verify_premodel(p).ok:
+                found.append(p)
+    return found
+
+
+def _oracle_fibrant_replacement(p, x):
+    """The first (anodyne cofibration, fibration) factorization of x -> 1."""
+    cat = p.cat
+    if x in bf.fibrant_set(p):
+        return x, cat.identities[x]
+    to_one = bf.hom(cat, x, bf.terminal_objects(cat)[0])[0]
+    l, _ = bf.factorizations(cat, p.anodyne_cofibrations, p.fibrations, to_one)[0]
+    return cat.target[l], l
+
+
+def test_fibrant_replacements_on_bounded_monoids(monoid_premodels):
+    # non-thin categories: several arrows x -> z can factor x -> 1
+    pairs = [(p, x) for p in monoid_premodels for x in p.cat.objects if x not in bf.fibrant_set(p)]
+    assert (len(monoid_premodels), len(pairs)) == (66, 62)
+    for p, x in pairs:
+        assert fibrant_replacement(p, x) == _oracle_fibrant_replacement(p, x), (p.name, x)
+
+
+def test_wr_on_bounded_monoids(monoid_premodels):
+    for p in monoid_premodels:
+        cat = p.cat
+        wr = set()
+        for f in cat.morphisms:
+            xf, j_x = _oracle_fibrant_replacement(p, cat.source[f])
+            yf, j_y = _oracle_fibrant_replacement(p, cat.target[f])
+            top = bf.comp(cat, j_y, f)
+            d = next(d for d in bf.hom(cat, xf, yf) if bf.comp(cat, d, j_x) == top)
+            if is_equivalence(p, d):
+                wr.add(f)
+        assert compute_WR(p) == wr, p.name
 
 
 def test_quillen_check_needs_two_sided_structure():

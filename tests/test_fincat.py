@@ -248,6 +248,20 @@ def test_mediating_out_ambiguity_is_a_verification_error():
         mediating_out(idem, Cone("x", ("e",)), ("e",))
 
 
+def test_unknown_ids_are_named():
+    cat = fixtures.barton()
+    calls = (
+        (lambda: coproduct(cat, "nope", "a"), "'nope'"),
+        (lambda: product(cat, "a", "nope"), "'nope'"),
+        (lambda: cat.compose("zz", "ab"), "'zz'"),
+        (lambda: cat.compose("bd", "zz"), "'zz'"),
+    )
+    for call, name in calls:
+        for _ in range(2):
+            with pytest.raises(InputError, match=name):
+                call()
+
+
 def test_poset_category_rejects_cycles():
     with pytest.raises(InputError):
         poset_category("cyc", ["x", "y"], [("x", "y"), ("y", "x")])

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import mclab.parser
 from mclab import fixtures
 from mclab.cli import main
 from mclab.errors import ParseError
@@ -93,6 +94,15 @@ def test_unresolved_reference_is_input_error():
 def test_duplicate_names_rejected():
     with pytest.raises(ParseError, match="duplicate"):
         load(BARTON_POSET + BARTON_POSET)
+
+
+def test_engine_error_in_a_poset_is_not_bad_input(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setattr(mclab.parser, "poset_category", broken)
+    with pytest.raises(RuntimeError, match="engine bug"):
+        load(BARTON_POSET)
 
 
 def test_thin_declaration_rejects_parallel_arrows():

@@ -156,12 +156,20 @@ def test_kept_answers_keep_the_contract(p1):
                 is_equivalence(p1, m)
     ids = frozenset({"id_a", "id_b", "id_c", "id_d"})
     p = PremodelStructure(fixtures.barton(), ids, ids, ids, ids, name="bare")
-    calls = ((cofibrant_replacement, "b"), (fibrant_replacement, "b"), (is_equivalence, "ad"))
+    # a fibrant replacement is the dual's cofibrant one, so its text names
+    # neither side's classes
+    calls = (
+        (cofibrant_replacement, "b", "no factorization of ab gives a replacement of b"),
+        (fibrant_replacement, "b", "no factorization of bd gives a replacement of b"),
+        (is_equivalence, "ad", "no (cofibration, anodyne fibration) factorization of ad"),
+    )
     for _ in range(2):
-        for call, arg in calls:
-            with pytest.raises(ConstructionError, match="factorization of"):
+        for call, arg, text in calls:
+            with pytest.raises(ConstructionError) as err:
                 call(p, arg)
+            assert str(err.value) == text
     assert p.replacements == {} and p.equivalence_verdicts == {}
+    assert p.dual.replacements == {}
     assert is_equivalence(p1, "ac") and is_equivalence(p1, "ac")
     assert p1.equivalence_verdicts["ac"] is True
 

@@ -4,6 +4,9 @@ Every imported name is read somewhere in its module.  ``__init__.py`` is
 left out because its imports are the package's exports.  A name that
 appears only in a comment or a docstring counts as unread.
 
+The engine imports at module level.  The one function-local import left is
+``fincat``'s of ``lifting._lifting_rows``: ``lifting`` imports ``fincat``.
+
 No engine module reads or writes an instance's ``__dict__``: a derived fact
 is a ``cached_property`` or an attribute set in ``__init__``.
 
@@ -69,6 +72,31 @@ def test_no_unread_imports():
         if (unread := unread_imports(p))
     }
     assert found == {}
+
+
+def local_imports(path):
+    """(function, module, names) for each import made inside a function of ``path``."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    found.append((fn.name, node.module, tuple(a.name for a in node.names)))
+                elif isinstance(node, ast.Import):
+                    found.append((fn.name, None, tuple(a.name for a in node.names)))
+    return found
+
+
+def test_local_import_check_finds_a_planted_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import os\n\ndef f():\n    import sys\n    from .a import b, c\n")
+    assert local_imports(probe) == [("f", None, ("sys",)), ("f", "a", ("b", "c"))]
+
+
+def test_the_only_function_local_import_is_the_lifting_rows():
+    found = {p.name: hits for p in ENGINE if (hits := local_imports(p))}
+    assert found == {"fincat.py": [("lifting_rows", "lifting", ("_lifting_rows",))]}
 
 
 def dict_accesses(path):

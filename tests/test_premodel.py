@@ -26,7 +26,6 @@ from mclab.premodel import (
     core_cofibrations,
     core_fibrations,
     dualize,
-    factor_acof_fib,
     factor_cof_afib,
     fibrant_objects,
     fibrant_replacement,
@@ -240,7 +239,6 @@ def test_factoring_an_unknown_arrow_names_it(p0):
         lambda: factor(p0.cat, p0.cofibrations, p0.anodyne_fibrations, "zz"),
         lambda: list(factorizations(p0.cat, p0.cofibrations, p0.anodyne_fibrations, "zz")),
         lambda: factor_cof_afib(p0, "zz"),
-        lambda: factor_acof_fib(p0, "zz"),
     )
     for call in calls:
         for _ in range(2):
