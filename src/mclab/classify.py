@@ -16,21 +16,19 @@ from dataclasses import dataclass
 
 from .errors import InputError, VerificationError
 from .homotopy import (
+    _cylinder_search,
     equivalences,
-    find_cylinder,
-    find_path,
     is_equivalence,
     verify_weak_model,
 )
 from .lifting import factorizations
 from .premodel import (
-    arrow_from_initial,
-    arrow_to_terminal,
+    _cofibrant_replacement,
+    _fibrant_replacement,
     cofibrant_objects,
     cofibrant_replacement,
     dualize,
     fibrant_objects,
-    fibrant_replacement,
     saturation_flags,
     verify_premodel,
 )
@@ -41,7 +39,7 @@ def strong_cylinder_objects(p):
     failures = tuple(
         "no strong cylinder object for %s" % x
         for x in cofibrant_objects(p)
-        if find_cylinder(p, arrow_from_initial(p, x), "strong") is None
+        if not any(_cylinder_search(p, p.cat.from_initial[x], "strong"))
     )
     return not failures, failures
 
@@ -50,7 +48,7 @@ def strong_path_objects(p):
     failures = tuple(
         "no strong path object for %s" % x
         for x in fibrant_objects(p)
-        if find_path(p, arrow_to_terminal(p, x), "strong") is None
+        if not any(_cylinder_search(p.dual, p.cat.to_terminal[x], "strong"))
     )
     return not failures, failures
 
@@ -169,8 +167,8 @@ def _induced_between_cofibrant_replacements(p, f):
     """
     cat = p.cat
     x, y = cat.source[f], cat.target[f]
-    xc, r_x = cofibrant_replacement(p, x)
-    yc, r_y = cofibrant_replacement(p, y)
+    xc, r_x = _cofibrant_replacement(p, x)
+    yc, r_y = _cofibrant_replacement(p, y)
     bottom = cat.compose_table[(f, r_x)]
     for d in cat.hom(xc, yc):
         if cat.compose_table[(r_y, d)] == bottom:
@@ -203,7 +201,7 @@ def compute_WR(p):
 def left_localization_object(p, x):
     """Fibrant replacement of the cofibrant replacement."""
     xc, _ = cofibrant_replacement(p, x)
-    xcf, _ = fibrant_replacement(p, xc)
+    xcf, _ = _fibrant_replacement(p, xc)
     return xcf
 
 
@@ -251,10 +249,10 @@ def _quillen(p, wl, wr):
     for x in cat.objects:
         found = False
         for _, r1 in factorizations(
-            cat, p.cofibrations, p.anodyne_fibrations, arrow_from_initial(p, x)
+            cat, p.cofibrations, p.anodyne_fibrations, cat.from_initial[x]
         ):
             for l2, _ in factorizations(
-                cat, p.anodyne_cofibrations, p.fibrations, arrow_to_terminal(p, x)
+                cat, p.anodyne_cofibrations, p.fibrations, cat.to_terminal[x]
             ):
                 if is_equivalence(p, cat.compose_table[(l2, r1)]):
                     found = True
@@ -263,29 +261,22 @@ def _quillen(p, wl, wr):
 
     cond6 = True
     for x in cat.objects:
-        _, r_x = cofibrant_replacement(p, x)
-        _, j_x = fibrant_replacement(p, x)
+        _, r_x = _cofibrant_replacement(p, x)
+        _, j_x = _fibrant_replacement(p, x)
         if not is_equivalence(p, cat.compose_table[(j_x, r_x)]):
             cond6 = False
 
-    square_ok = True
-    for v in cat.morphisms:
-        x, y = cat.source[v], cat.target[v]
-        found = False
-        for wx in cat.arrows_from(x):
-            if wx not in wl or cat.target[wx] not in p.fibrant:
-                continue
-            for wy in cat.arrows_from(y):
-                if wy not in wl or cat.target[wy] not in p.fibrant:
-                    continue
-                rhs = cat.compose_table[(wy, v)]
-                if any(
-                    cat.compose_table[(r, wx)] == rhs
-                    for r in cat.hom(cat.target[wx], cat.target[wy])
-                ):
-                    found = True
-        if not found:
-            square_ok = False
+    # v passes when some wy∘v, with wy in WL into a fibrant object, factors
+    # through such a wx: its ``left_factors`` mask meets theirs
+    mask = sum(1 << cat.morphism_index(w) for w in wl if cat.target[w] in p.fibrant)
+    square_ok = all(
+        any(
+            cat.left_factors[cat.compose_table[(wy, v)]] & mask
+            for wy in cat.arrows_from(cat.target[v])
+            if mask >> cat.morphism_index(wy) & 1
+        )
+        for v in cat.morphisms
+    )
     vacuous = all(x in p.fibrant for x in cat.objects)
 
     verdicts = (cond1, cond3, cond5, cond6)

@@ -20,7 +20,10 @@ Conventions
   the codiagonal), its factorization index, its lifting rows and the
   complements decoded from them.
 * The factorization index ``factor_pairs`` lists each arrow's factorizations
-  in scan order, and every factorization search walks it.
+  in scan order, and every factorization search walks it; its bitmask form
+  ``left_factors`` prunes the cylinder search.
+* Its per-WFS table ``_systems`` keeps what one (left, right) pair decides,
+  shared by every structure on that pair (see ``lifting._system``).
 * The arrows leaving each object are indexed once, in enumeration order;
   validation, functor checks and the lifting-row and cylinder searches walk
   composable arrows through this index instead of scanning every pair.
@@ -99,6 +102,7 @@ class FiniteCategory:
         self._colimits = {}  # (shape kind, legs) -> Cone or None, filled by ``colimit``
         self._folds = {}  # arrow -> (pushout of it along itself, codiagonal) or None, by ``fold``
         self._classes = {}  # bitmask -> frozenset of ids, filled by the lifting complements
+        self._systems = {}  # (left, right) -> their facts, see ``lifting._system``
         self._opposite = self._base = None  # kept by ``op``, see ``involution``
 
     # -- basic queries ----------------------------------------------------
@@ -198,6 +202,16 @@ class FiniteCategory:
                 for r in self.arrows_from(z):
                     pairs[self.compose_table[(r, l)]].append((l, r))
         return pairs
+
+    @cached_property
+    def left_factors(self):
+        """``{h: mask}``: the bit of c, at its morphism index, is set when h = e∘c
+        for some e, that is, when c is the first half of a pair in ``factor_pairs[h]``."""
+        masks = dict.fromkeys(self.morphisms, 0)
+        for h, pairs in self.factor_pairs.items():
+            for l, _ in pairs:
+                masks[h] |= 1 << self._morphism_index[l]
+        return masks
 
     @cached_property
     def lifting_rows(self):

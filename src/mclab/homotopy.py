@@ -26,13 +26,13 @@ from dataclasses import dataclass, replace
 from .errors import ConstructionError, InputError, VerificationError
 from .fincat import FiniteCategory, Verdict, fold, validate_category
 from .premodel import (
+    _cofibrant_replacement,
+    _fibrant_replacement,
     acyclic_cofibrations,
     arrow_from_initial,
     arrow_to_terminal,
     dualize,
     factor_cof_afib,
-    fibrant_replacement,
-    cofibrant_replacement,
     verify_premodel,
 )
 from .lifting import has_lift
@@ -53,14 +53,19 @@ class CylinderWitness:
     strong: bool
 
 
+_BASES = "a cylinder needs a cofibration, a path a fibration"
+
+
 def fold_cone(p, i):
     """The pushout B ⊔_A B of a cofibration along itself, plus ∇.
 
     Returns (Cone, codiagonal), found once per category.  Raises
-    ConstructionError when the pushout is absent — no cylinder can exist then.
+    ConstructionError when the pushout is absent — no cylinder can exist then;
+    a wrong base's text holds also for a path search, run on the dual.
     """
     if i not in p.cofibrations:
-        raise InputError("%s is not a cofibration of %s" % (i, p.name or p.cat.name))
+        name = p.name or p.cat.name
+        raise InputError("%s does not fit this search in %s: %s" % (i, name, _BASES))
     folded = fold(p.cat, i)
     if folded is None:
         raise ConstructionError("pushout of %s along itself is absent" % i, witness=i)
@@ -69,50 +74,53 @@ def fold_cone(p, i):
 
 def iter_cylinder_witnesses(p, i, mode="weak"):
     """All witnesses for i, searching candidates in enumeration order."""
-    if mode not in ("weak", "strong"):
-        raise InputError("cylinder mode must be 'weak' or 'strong', got %r" % mode)
     cat = p.cat
-    cone, codiag = fold_cone(p, i)
-    q = cone.apex
-    q0, q1 = cone.legs
-    b = cat.target[i]
-    ident_b = cat.identity(b)
-    acyclic = acyclic_cofibrations(p)
-
-    for c in cat.arrows_from(q):
-        if c not in p.cofibrations:
-            continue
-        if cat.compose_table[(c, q0)] not in acyclic:
-            continue
-        z = cat.target[c]
-        if mode == "strong":
-            for e in cat.hom(z, b):
-                if cat.compose_table[(e, c)] == codiag:
-                    yield CylinderWitness(
-                        base=i, fold_apex=q, coproj0=q0, coproj1=q1, codiagonal=codiag,
-                        cylinder_obj=z, cylinder_cof=c, weak_target=b,
-                        anodyne_leg=ident_b, comparison=e, strong=True,
-                    )
-        else:
-            for l in cat.arrows_from(b):
-                if l not in acyclic:
-                    continue
-                d = cat.target[l]
-                rhs = cat.compose_table[(l, codiag)]
-                for e in cat.hom(z, d):
-                    if cat.compose_table[(e, c)] == rhs:
-                        yield CylinderWitness(
-                            base=i, fold_apex=q, coproj0=q0, coproj1=q1, codiagonal=codiag,
-                            cylinder_obj=z, cylinder_cof=c, weak_target=d,
-                            anodyne_leg=l, comparison=e, strong=(l == ident_b),
-                        )
+    for c, l, e in _cylinder_search(p, i, mode):
+        cone, codiag = fold(cat, i)
+        yield CylinderWitness(
+            base=i, fold_apex=cone.apex, coproj0=cone.legs[0], coproj1=cone.legs[1],
+            codiagonal=codiag, cylinder_obj=cat.target[c], cylinder_cof=c,
+            weak_target=cat.target[l], anodyne_leg=l, comparison=e,
+            strong=l == cat.identity(cat.target[i]),
+        )
 
 
 def find_cylinder(p, i, mode="weak"):
     """First witness in search order, or None."""
-    for w in iter_cylinder_witnesses(p, i, mode):
-        return w
-    return None
+    return next(iter_cylinder_witnesses(p, i, mode), None)
+
+
+def _cylinder_search(p, i, mode):
+    """The one search behind every witness: (c, l, e) in enumeration order; an
+    existence check runs it without building witnesses.
+
+    The strong search is the weak one with the identity as its only anodyne
+    leg l.  A candidate c with no witness, because no l∘∇ factors through it,
+    is skipped: its bit is clear in every ``cat.left_factors[l∘∇]``.
+    """
+    if mode not in ("weak", "strong"):
+        raise InputError("cylinder mode must be 'weak' or 'strong', got %r" % mode)
+    cat = p.cat
+    cone, codiag = fold_cone(p, i)
+    q0 = cone.legs[0]
+    b = cat.target[i]
+    acyclic = acyclic_cofibrations(p)
+    table, index = cat.compose_table, cat._morphism_index
+    if mode == "strong":
+        legs = [cat.identity(b)]
+    else:
+        legs = [l for l in cat.arrows_from(b) if l in acyclic]
+    reach = 0
+    for l in legs:
+        reach |= cat.left_factors[table[(l, codiag)]]
+
+    for c in cat.arrows_from(cone.apex):
+        if reach >> index[c] & 1 and c in p.cofibrations and table[(c, q0)] in acyclic:
+            for l in legs:
+                rhs = table[(l, codiag)]
+                for e in cat.hom(cat.target[c], cat.target[l]):
+                    if table[(e, c)] == rhs:
+                        yield c, l, e
 
 
 def check_cylinder_witness(p, w):
@@ -130,7 +138,7 @@ def check_cylinder_witness(p, w):
         return Verdict.from_violations(v)
 
     if w.base not in p.cofibrations:
-        v.append("base %s is not a cofibration" % w.base)
+        v.append("base %s does not fit this search: %s" % (w.base, _BASES))
         return Verdict.from_violations(v)
     cone, codiag = fold_cone(p, w.base)
     if (w.fold_apex, w.coproj0, w.coproj1, w.codiagonal) != (cone.apex, cone.legs[0], cone.legs[1], codiag):
@@ -236,7 +244,7 @@ def _cylinder_axiom(p):
     for i in p.cat.sort_morphisms(p.cofibrations):
         if p.cat.source[i] not in p.cofibrant or p.cat.target[i] not in p.fibrant:
             continue
-        if find_cylinder(p, i, "strong") is None:
+        if not any(_cylinder_search(p, i, "strong")):
             failures.append("no strong cylinder for %s" % i)
     return not failures, tuple(failures)
 
@@ -252,7 +260,7 @@ def _alt_criterion(p):
     failures = []
     core = [f for f in cat.sort_morphisms(p.cofibrations) if cat.source[f] in p.cofibrant]
     for i in core:
-        if find_cylinder(p, i, "weak") is None:
+        if not any(_cylinder_search(p, i, "weak")):
             failures.append("no weak cylinder for %s" % i)
     acyclic = acyclic_cofibrations(p)
     in_core = set(core)
@@ -424,8 +432,8 @@ def core_cofibration_representative(p, s):
     cat = p.cat
     if not cat.has_morphism(s):
         raise InputError("unknown morphism %r" % s)
-    _, r = cofibrant_replacement(p, cat.source[s])
-    _, j = fibrant_replacement(p, cat.target[s])
+    _, r = _cofibrant_replacement(p, cat.source[s])
+    _, j = _fibrant_replacement(p, cat.target[s])
     composite = cat.compose_table[(j, cat.compose_table[(s, r)])]
     l, _ = factor_cof_afib(p, composite)
     return l
@@ -438,15 +446,15 @@ def is_equivalence(p, f):
     independent of the replacement and factorization choices; the oracle in
     the test suite recomputes it over *all* choices.
     """
-    cat = p.cat
-    if not cat.has_morphism(f):
-        raise InputError("unknown morphism %r" % f)
-    for z in (cat.source[f], cat.target[f]):
-        if z not in p.cofibrant and z not in p.fibrant:
-            raise InputError(
-                "equivalence undefined: %s is neither cofibrant nor fibrant" % z
-            )
     if f not in p.equivalence_verdicts:
+        cat = p.cat
+        if not cat.has_morphism(f):
+            raise InputError("unknown morphism %r" % f)
+        for z in (cat.source[f], cat.target[f]):
+            if z not in p.cofibrant and z not in p.fibrant:
+                raise InputError(
+                    "equivalence undefined: %s is neither cofibrant nor fibrant" % z
+                )
         p.equivalence_verdicts[f] = core_cofibration_representative(p, f) in acyclic_cofibrations(p)
     return p.equivalence_verdicts[f]
 

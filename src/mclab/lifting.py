@@ -8,14 +8,20 @@ composable arrows, through the out-arrow index (``_lifting_rows`` states its
 criterion); the opposite category runs its own.  A lifting query is one bit
 test; a whole-class complement ANDs the rows (or columns) of the class,
 looking each id up only there, and decodes each resulting mask to a frozenset
-of morphism ids once per category; ``verify_wfs`` tests a whole row against
-the right class's mask.  Factorization searches walk the category's index
-``FiniteCategory.factor_pairs``.
+of morphism ids once per category.  Factorization searches walk the
+category's index ``FiniteCategory.factor_pairs``; ``left_factors`` is its
+bitmask form, read by the cylinder search.
+
+A weak factorization system's own facts live in its category's per-WFS
+table, ``_system``: the ``verify_wfs`` report, read off the two complements,
+and the cofibrant replacements a pair (C, AF) gives.  Every structure built
+on the pair shares them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import ConstructionError, InputError
 from .fincat import pushout
@@ -29,19 +35,6 @@ def _require_morphisms(cat, ms):
 
 def _unknown_morphism(cat, m):
     return InputError("unknown morphism %r in %s" % (m, cat.name))
-
-
-def squares_between(cat, f, g):
-    """All commuting squares with f on the left and g on the right.
-
-    Yields (u, v) with u: src f -> src g on top, v: tgt f -> tgt g at the
-    bottom, such that g∘u = v∘f.
-    """
-    for u in cat.hom(cat.source[f], cat.source[g]):
-        gu = cat.compose_table[(g, u)]
-        for v in cat.hom(cat.target[f], cat.target[g]):
-            if gu == cat.compose_table[(v, f)]:
-                yield u, v
 
 
 def has_lift(cat, f, g, u, v):
@@ -191,37 +184,6 @@ def cell_closure(cat, generators):
 
 
 @dataclass(frozen=True)
-class ArrowClass:
-    """A marked class of morphisms in a fixed category."""
-
-    cat: object
-    members: frozenset
-
-    def __post_init__(self):
-        _require_morphisms(self.cat, self.members)
-
-    def __contains__(self, m):
-        return m in self.members
-
-    def sorted(self):
-        return self.cat.sort_morphisms(self.members)
-
-    def contains_identities(self):
-        return all(self.cat.identity(x) in self.members for x in self.cat.objects)
-
-    def closed_under_composition(self):
-        for f in self.members:
-            for g in self.members:
-                if self.cat.target[f] == self.cat.source[g]:
-                    if self.cat.compose_table[(g, f)] not in self.members:
-                        return False
-        return True
-
-    def closed_under_retracts(self):
-        return retract_closure(self.cat, self.members) == self.members
-
-
-@dataclass(frozen=True)
 class WeakFactorizationSystem:
     cat: object
     left: frozenset
@@ -265,6 +227,13 @@ def require_factorizations(cat, left, right, message):
             raise ConstructionError(message % h, witness=h)
 
 
+def _system(cat, left, right):
+    """The facts the pair (left, right) of frozensets determines on ``cat``, kept
+    there: its ``verify_wfs`` report once found and, for a pair (C, AF), each
+    cofibrant replacement once asked for."""
+    return cat._systems.setdefault((left, right), SimpleNamespace(report=None, replacements={}))
+
+
 def verify_wfs(wfs):
     """Check the three defining conditions, with counterexamples.
 
@@ -272,39 +241,40 @@ def verify_wfs(wfs):
     2. left  = complement_llp(right);
     3. right = complement_rlp(left);
     plus: every morphism factors as right ∘ left.
+
+    The report depends on the two classes alone, so a category finds it once
+    per pair and every structure built on that pair shares it.
     """
-    cat = wfs.cat
-    _require_morphisms(cat, wfs.left)
-    _require_morphisms(cat, wfs.right)
+    cat, left, right = wfs.cat, frozenset(wfs.left), frozenset(wfs.right)
+    facts = _system(cat, left, right)
+    if facts.report is not None:
+        return facts.report
     failures = []
-
-    rows = cat.lifting_rows[0]
-    right_mask = sum(1 << cat.morphism_index(g) for g in wfs.right)
-    lifting_ok = True
-    for f in cat.sort_morphisms(wfs.left):
-        if rows[f] & right_mask != right_mask:
-            lifting_ok = False
-            failures.extend(
-                "no lift of %s against %s" % (f, g)
-                for g in cat.sort_morphisms(wfs.right)
-                if not llp(cat, f, g)
-            )
-
+    expected_right = complement_rlp(cat, wfs.left)
     expected_left = complement_llp(cat, wfs.right)
-    left_ok = expected_left == wfs.left
+
+    # a left member lifts against all of right exactly when it is in llp(right)
+    lifting_ok = left <= expected_left
+    for f in cat.sort_morphisms(left - expected_left):
+        failures.extend(
+            "no lift of %s against %s" % (f, g)
+            for g in cat.sort_morphisms(right)
+            if not llp(cat, f, g)
+        )
+
+    left_ok = expected_left == left
     if not left_ok:
-        extra = cat.sort_morphisms(wfs.left - expected_left)
-        missing = cat.sort_morphisms(expected_left - wfs.left)
+        extra = cat.sort_morphisms(left - expected_left)
+        missing = cat.sort_morphisms(expected_left - left)
         if extra:
             failures.append("left class has non-lifting members: %s" % ", ".join(extra))
         if missing:
             failures.append("left class misses lifting members: %s" % ", ".join(missing))
 
-    expected_right = complement_rlp(cat, wfs.left)
-    right_ok = expected_right == wfs.right
+    right_ok = expected_right == right
     if not right_ok:
-        extra = cat.sort_morphisms(wfs.right - expected_right)
-        missing = cat.sort_morphisms(expected_right - wfs.right)
+        extra = cat.sort_morphisms(right - expected_right)
+        missing = cat.sort_morphisms(expected_right - right)
         if extra:
             failures.append("right class has non-lifting members: %s" % ", ".join(extra))
         if missing:
@@ -312,12 +282,13 @@ def verify_wfs(wfs):
 
     factorization_ok = True
     for h in cat.morphisms:
-        if factor(cat, wfs.left, wfs.right, h) is None:
+        if factor(cat, left, right, h) is None:
             factorization_ok = False
             failures.append("no factorization of %s" % h)
 
     ok = lifting_ok and left_ok and right_ok and factorization_ok
-    return WfsReport(ok, lifting_ok, left_ok, right_ok, factorization_ok, tuple(failures))
+    facts.report = WfsReport(ok, lifting_ok, left_ok, right_ok, factorization_ok, tuple(failures))
+    return facts.report
 
 
 def generate_wfs(cat, generators):

@@ -24,6 +24,7 @@ from .errors import ConstructionError, InputError
 from .fincat import FiniteCategory, check_adjunction, involution, validate_category
 from .lifting import (
     WeakFactorizationSystem,
+    _system,
     complement_llp,
     complement_rlp,
     factor,
@@ -37,7 +38,10 @@ _CLASSES = ("cofibrations", "anodyne_fibrations", "anodyne_cofibrations", "fibra
 class PremodelStructure:
     """Four marked classes on one category; immutable, so each derived fact
     (the dual, the cofibrant and fibrant objects, the acyclic classes, each
-    replacement and each equivalence verdict) is computed once on first use."""
+    replacement and each equivalence verdict) is computed once on first use.
+    The replacements and the two systems' ``verify_wfs`` reports live in the
+    category's per-WFS table, ``lifting._system``, shared by every structure
+    on that system; the cylinder search reads ``cat.left_factors``."""
 
     cat: FiniteCategory
     cofibrations: frozenset
@@ -88,9 +92,9 @@ class PremodelStructure:
 
     @cached_property
     def replacements(self):
-        """``{x: (x', arrow)}``: each cofibrant replacement, kept once found; the
-        fibrant ones are the dual's."""
-        return {}
+        """``{x: (x', arrow)}``: each cofibrant replacement, kept once found by any
+        structure with this (C, AF) on this category; the fibrant ones are the dual's."""
+        return _system(self.cat, self.cofibrations, self.anodyne_fibrations).replacements
 
     @cached_property
     def equivalence_verdicts(self):
@@ -311,10 +315,23 @@ def cofibrant_replacement(p, x):
     When x is already cofibrant this is the identity; otherwise factor the
     arrow from the initial object.
     """
-    if is_cofibrant(p, x):
+    _require_object(p, x)
+    return _cofibrant_replacement(p, x)
+
+
+def fibrant_replacement(p, x):
+    """(x', j) with x' fibrant and j: x -> x' an anodyne cofibration: the
+    cofibrant replacement of x in the dual, kept there."""
+    _require_object(p, x)
+    return _fibrant_replacement(p, x)
+
+
+def _cofibrant_replacement(p, x):
+    """The two replacements of an object read off the tables, unchecked."""
+    if x in p.cofibrant:
         return x, p.cat.identity(x)
     if x not in p.replacements:
-        h = arrow_from_initial(p, x)
+        h = p.cat.from_initial[x]
         hit = factor(p.cat, p.cofibrations, p.anodyne_fibrations, h)
         if hit is None:
             raise ConstructionError(
@@ -325,12 +342,8 @@ def cofibrant_replacement(p, x):
     return p.replacements[x]
 
 
-def fibrant_replacement(p, x):
-    """(x', j) with x' fibrant and j: x -> x' an anodyne cofibration: the
-    cofibrant replacement of x in the dual, kept there."""
-    if is_fibrant(p, x):
-        return x, p.cat.identity(x)
-    return cofibrant_replacement(p.dual, x)
+def _fibrant_replacement(p, x):
+    return (x, p.cat.identity(x)) if x in p.fibrant else _cofibrant_replacement(p.dual, x)
 
 
 @dataclass(frozen=True)

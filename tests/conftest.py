@@ -1,10 +1,14 @@
 import contextlib
+import itertools
 import re
 
 import pytest
 
+import bruteforce as bf
 from mclab import fixtures
-from mclab.fincat import AdjunctionData, FiniteCategory, FunctorData
+from mclab.fincat import AdjunctionData, FiniteCategory, FunctorData, poset_category
+from mclab.premodel import PremodelStructure, verify_premodel
+from monoids import bounded_monoids
 
 _ACCEPTANCE = {}
 _PATTERN = re.compile(r"test_criterion_(\d+)")
@@ -18,6 +22,34 @@ def premodel_corpus():
 @pytest.fixture
 def category_corpus():
     return fixtures.category_fixtures()
+
+
+def oracle_premodels(cat):
+    """Every verified premodel on ``cat``, from the oracle's weak factorization
+    systems (llp rlp S, rlp S) over all sets S of arrows."""
+    systems = []
+    for k in range(len(cat.morphisms) + 1):
+        for s in itertools.combinations(cat.morphisms, k):
+            right = bf.rlp_class(cat, s)
+            wfs = (bf.llp_class(cat, right), right)
+            if wfs not in systems and all(bf.factorizations(cat, *wfs, h) for h in cat.morphisms):
+                systems.append(wfs)
+    found = []
+    for (c, af), (ac, f) in itertools.product(systems, repeat=2):
+        p = PremodelStructure(cat, c, af, ac, f, name=cat.name)
+        if ac <= c and verify_premodel(p).ok:
+            found.append(p)
+    return found
+
+
+@pytest.fixture(scope="session")
+def census():
+    """``{category name: its verified premodels}`` on chain3, barton, chain4
+    and the bounded monoids; each category is one instance shared by its
+    structures."""
+    chain4 = poset_category("chain4", "abcd", [("b", "a"), ("c", "b"), ("d", "c")])
+    cats = [fixtures.chain3(), fixtures.barton(), chain4, *bounded_monoids()]
+    return {cat.name: oracle_premodels(cat) for cat in cats}
 
 
 def collapse_adjunction(pt, bart):

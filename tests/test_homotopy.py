@@ -1,8 +1,9 @@
 import pytest
 
+import bruteforce as bf
 from mclab import fixtures
 from mclab.errors import ConstructionError, InputError
-from mclab.fincat import validate_category
+from mclab.fincat import fold, validate_category
 from mclab.homotopy import (
     check_cylinder_witness,
     check_path_witness,
@@ -55,6 +56,56 @@ def test_folds_are_found_once_per_category():
     for _ in range(2):
         with pytest.raises(ConstructionError, match="pushout of z along itself is absent"):
             fold_cone(z2, "z")
+
+
+def test_a_wrong_base_is_named_truly_on_both_sides(p1):
+    # a path search is a cylinder search on the dual, so the text must hold
+    # on either side: ab is no cofibration of P1, bd (a cofibration) no fibration
+    bases = "a cylinder needs a cofibration, a path a fibration"
+    for search, g in ((find_cylinder, "ab"), (find_path, "bd")):
+        with pytest.raises(InputError) as err:
+            search(p1, g)
+        assert str(err.value) == "%s does not fit this search in P1: %s" % (g, bases)
+    w = find_path(p1, "cd")
+    bad = type(w)(**{**w.__dict__, "base": "bd"})
+    assert check_path_witness(p1, bad).violations == (
+        "base bd does not fit this search: %s" % bases,
+    )
+
+
+def _cylinder_corpus(census):
+    """(structure, base) for every cofibration with a fold in the fixture
+    premodels and the census, and in their duals."""
+    structures = fixtures.premodel_fixtures() + [p for ps in census.values() for p in ps]
+    for p in structures:
+        for q in (p, p.dual):
+            for i in q.cat.sort_morphisms(q.cofibrations):
+                if fold(q.cat, i) is not None:
+                    yield q, i
+
+
+def test_pruned_search_is_complete_and_in_order(census):
+    # every witness the oracle finds on the engine's fold cone, and no other,
+    # in (c, l, e) morphism order; the first is find_cylinder's answer
+    pairs = seen = 0
+    for p, i in _cylinder_corpus(census):
+        pairs += 1
+        cat = p.cat
+        order = lambda t: [cat.morphism_index(m) for m in t]
+        cone, codiag = fold(cat, i)
+        oracle = [
+            w for w in bf.cylinder_witnesses(p, i, bf.acyclic_cofibrations(p))
+            if w[1:5] == (cone.apex, *cone.legs, codiag)
+        ]
+        for mode in ("weak", "strong"):
+            want = {(c, l, e) for strong, *_, c, l, e in oracle if strong or mode == "weak"}
+            got = [(w.cylinder_cof, w.anodyne_leg, w.comparison) for w in iter_cylinder_witnesses(p, i, mode)]
+            assert got == sorted(want, key=order), (p.name, i, mode)
+            first = find_cylinder(p, i, mode)
+            least = min(want, key=order, default=None)
+            assert least == (first and (first.cylinder_cof, first.anodyne_leg, first.comparison))
+            seen += len(got)
+    assert (pairs, seen) == (2567, 8328)
 
 
 def test_find_cylinder_on_identity_like_data(p1):

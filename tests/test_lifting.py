@@ -5,7 +5,6 @@ from mclab import fixtures
 from mclab.errors import InputError
 from mclab.fincat import validate_category
 from mclab.lifting import (
-    ArrowClass,
     WeakFactorizationSystem,
     cell_closure,
     complement_llp,
@@ -15,7 +14,6 @@ from mclab.lifting import (
     has_lift,
     llp,
     retract_closure,
-    squares_between,
     verify_wfs,
 )
 from monoids import bounded_monoids
@@ -27,9 +25,9 @@ def barton():
 
 
 def test_squares_between(barton):
-    squares = list(squares_between(barton, "ab", "cd"))
+    squares = list(bf.squares(barton, "ab", "cd"))
     assert squares == [("ac", "bd")]
-    assert list(squares_between(barton, "cd", "ab")) == []
+    assert list(bf.squares(barton, "cd", "ab")) == []
 
 
 def test_has_lift_basics(barton):
@@ -149,6 +147,24 @@ def test_verify_wfs_reports_each_failure_kind(barton):
     assert not report.lifting_ok
 
 
+def test_kept_reports_equal_fresh_ones():
+    # each pair's report is kept once per category; a key that mixed two
+    # pairs would hand one pair's report, failures included, to the other
+    cat = fixtures.barton()
+    everything = frozenset(cat.morphisms)
+    ids = frozenset(cat.identities.values())
+    pairs = [
+        (everything, ids), (ids, everything), (ids, ids),
+        (ids | {"ab"}, ids | {"cd"}), (everything, everything),
+    ]
+    kept = [verify_wfs(WeakFactorizationSystem(cat, *pair)) for pair in pairs]
+    assert [r.ok for r in kept] == [True, True, False, False, False]
+    for pair, report in zip(pairs, kept):
+        assert verify_wfs(WeakFactorizationSystem(cat, *pair)) is report
+        fresh = verify_wfs(WeakFactorizationSystem(fixtures.barton(), *pair))
+        assert fresh is not report and fresh == report
+
+
 def test_generate_wfs_round_trips(barton):
     wfs = generate_wfs(barton, frozenset({"ab"}))
     assert verify_wfs(wfs).ok
@@ -158,15 +174,3 @@ def test_generate_wfs_round_trips(barton):
     again = generate_wfs(barton, wfs.left)
     assert again == wfs
 
-
-def test_arrow_class_helpers(barton):
-    cls = ArrowClass(barton, frozenset({"ab", "bd"}))
-    assert "ab" in cls
-    assert not cls.contains_identities()
-    assert not cls.closed_under_composition()  # bd ∘ ab = ad missing
-    full = ArrowClass(barton, frozenset(barton.morphisms))
-    assert full.contains_identities()
-    assert full.closed_under_composition()
-    assert full.closed_under_retracts()
-    with pytest.raises(InputError):
-        ArrowClass(barton, frozenset({"nope"}))

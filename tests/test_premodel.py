@@ -13,7 +13,7 @@ from mclab.classify import classify_full
 from mclab.errors import ConstructionError, InputError
 from mclab.fincat import identity_adjunction, opposite, terminal_object
 from mclab.homotopy import equivalences, fold_cone, verify_weak_model
-from mclab.lifting import factor, factorizations, llp
+from mclab.lifting import factor, factorizations, llp, verify_wfs
 from mclab.premodel import (
     acyclic_cofibrations,
     acyclic_fibrations,
@@ -125,6 +125,30 @@ def test_replacements(p1):
     assert fibrant_replacement(p1, "a") == ("c", "ac")
     assert fibrant_replacement(p1, "b") == ("d", "bd")
     assert fibrant_replacement(p1, "d") == ("d", "id_d")
+
+
+def test_structures_on_one_system_share_its_facts():
+    cat = fixtures.barton()
+    everything = frozenset(cat.morphisms)
+    p0, p1 = fixtures.barton_p0(cat), fixtures.barton_p1(cat)
+    # P0 and P1 have the same (C, AF) and different (AC, F)
+    assert p0.replacements is p1.replacements == {}
+    assert cofibrant_replacement(p1, "b") == ("a", "ab")
+    assert p0.replacements == {"b": ("a", "ab")}
+    assert verify_wfs(p0.cof_system) is verify_wfs(p1.cof_system)
+    assert verify_wfs(p0.fib_system) is not verify_wfs(p1.fib_system)
+    # the same C with another AF is another pair: a key on C alone would mix them
+    bare = p1.with_classes(anodyne_fibrations=IDS)
+    assert bare.replacements is not p1.replacements and bare.replacements == {}
+    with pytest.raises(ConstructionError, match="no factorization of ab gives a replacement of b"):
+        cofibrant_replacement(bare, "b")
+    assert verify_wfs(p1.cof_system).ok and not verify_wfs(bare.cof_system).ok
+    # a fibrant replacement is kept by the dual, on the pair (F, AC) of cat.op
+    q = p1.with_classes(cofibrations=everything, anodyne_fibrations=IDS)
+    assert verify_premodel(q).ok
+    assert q.dual.replacements is p1.dual.replacements is not p0.dual.replacements
+    assert fibrant_replacement(p1, "b") == ("d", "bd")
+    assert q.dual.replacements == {"b": ("d", "bd")} and p0.dual.replacements == {}
 
 
 def test_dualize_is_involutive_and_swaps_classes(premodel_corpus):
