@@ -29,6 +29,7 @@ from .premodel import (
     cofibrant_replacement,
     dualize,
     fibrant_objects,
+    fibrant_replacement,
     saturation_flags,
     verify_premodel,
 )
@@ -191,6 +192,7 @@ def compute_WL(p):
 
 def compute_WR(p):
     """Arrows whose fibrant-replacement comparison (WL's, on the dual) is an equivalence."""
+    p.fibrant  # read on p first, so a missing terminal object is named as such
     return frozenset(
         f
         for f in p.cat.morphisms
@@ -207,7 +209,9 @@ def left_localization_object(p, x):
 
 def right_localization_object(p, x):
     """Cofibrant replacement of the fibrant replacement."""
-    return left_localization_object(p.dual, x)
+    xf, _ = fibrant_replacement(p, x)
+    xfc, _ = _cofibrant_replacement(p, xf)
+    return xfc
 
 
 @dataclass(frozen=True)
@@ -245,26 +249,22 @@ def _quillen(p, wl, wr):
     cond1 = wl == wr
     cond3 = p.anodyne_cofibrations <= wl
 
-    cond5 = True
-    for x in cat.objects:
-        found = False
-        for _, r1 in factorizations(
-            cat, p.cofibrations, p.anodyne_fibrations, cat.from_initial[x]
-        ):
-            for l2, _ in factorizations(
-                cat, p.anodyne_cofibrations, p.fibrations, cat.to_terminal[x]
-            ):
-                if is_equivalence(p, cat.compose_table[(l2, r1)]):
-                    found = True
-        if not found:
-            cond5 = False
-
-    cond6 = True
-    for x in cat.objects:
-        _, r_x = _cofibrant_replacement(p, x)
-        _, j_x = _fibrant_replacement(p, x)
-        if not is_equivalence(p, cat.compose_table[(j_x, r_x)]):
-            cond6 = False
+    # some (C, AF) then (AC, F) factorization choice gives an equivalence ...
+    cond5 = all(
+        any(
+            is_equivalence(p, cat.compose_table[(l2, r1)])
+            for _, r1 in factorizations(cat, p.cofibrations, p.anodyne_fibrations, cat.from_initial[x])
+            for l2, _ in factorizations(cat, p.anodyne_cofibrations, p.fibrations, cat.to_terminal[x])
+        )
+        for x in cat.objects
+    )
+    # ... and so do the canonical replacements, fibrant after cofibrant
+    cond6 = all(
+        is_equivalence(
+            p, cat.compose_table[(_fibrant_replacement(p, x)[1], _cofibrant_replacement(p, x)[1])]
+        )
+        for x in cat.objects
+    )
 
     # v passes when some wy∘v, with wy in WL into a fibrant object, factors
     # through such a wx: its ``left_factors`` mask meets theirs

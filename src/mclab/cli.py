@@ -1,8 +1,9 @@
 """Command-line interface: thin subcommand wrappers over ``run``.
 
-Every subcommand loads a document, builds the one directive it stands for,
-and executes it through the same path the ``run { ... }`` blocks use, so the
-CLI cannot drift from the language.  Reports go to stdout — human-readable
+Every subcommand loads a document, builds the one directive it stands for
+from its arguments, which are named after the directive's keys, and executes
+it through the same path the ``run { ... }`` blocks use, so the CLI cannot
+drift from the language.  Reports go to stdout — human-readable
 by default, machine format under ``--json``.  Exit codes: 0 all verdicts
 hold, 1 a checked property is false, 2 input/usage error, 3 a required
 construction does not exist, 4 an internal cross-check failed.
@@ -54,19 +55,17 @@ def _emit(outcome, as_json):
     return outcome.code
 
 
-def _single(args, kind, extra):
-    env = _load(args.file)
-    directive = Directive(kind, extra, 0, 0)
-    return _emit(run_directives(env, [directive]), args.json)
-
-
 def _split_list(text):
     return [x for x in (piece.strip() for piece in text.split(",")) if x]
 
 
 @functools.cache
 def _parser():
-    """The argument parser, built on first use and shared by every call."""
+    """The argument parser, built on first use and shared by every call.
+
+    Each argument's dest is the directive key it fills in; ``metavar`` keeps
+    the name the help text shows.
+    """
     ap = argparse.ArgumentParser(
         prog="mclab",
         description="Exhaustive checks for marked finite categories: "
@@ -74,54 +73,49 @@ def _parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def cmd(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def cmd(name, help, target=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("file", help="document to load")
+        if target:
+            p.add_argument("target", metavar="name")
         p.add_argument("--json", action="store_true", help="machine report format")
         return p
 
-    p = cmd("validate", help="validate a category, premodel, adjunction, or cylinder")
-    p.add_argument("name", nargs="?", help="defaults to every category in the document")
+    p = cmd("validate", "validate a category, premodel, adjunction, or cylinder", target=False)
+    p.add_argument(
+        "target", metavar="name", nargs="?", help="defaults to every category in the document"
+    )
 
     p = sub.add_parser("check", help="check wfs / premodel / weakmodel on a premodel")
     p.add_argument("what", choices=["wfs", "premodel", "weakmodel"])
     p.add_argument("file", help="document to load")
-    p.add_argument("name")
+    p.add_argument("target", metavar="name")
     p.add_argument("--json", action="store_true", help="machine report format")
 
-    p = cmd("saturate", help="saturate a premodel")
-    p.add_argument("name")
-    p.add_argument("--mode", choices=["L", "Lc", "R", "Rc"], required=True)
+    cmd("saturate", "saturate a premodel").add_argument(
+        "--mode", choices=["L", "Lc", "R", "Rc"], required=True
+    )
 
     p = sub.add_parser("localize", help="Bousfield localization")
     p.add_argument("side", choices=["left", "right"])
     p.add_argument("file", help="document to load")
-    p.add_argument("name")
-    p.add_argument("--at", help="comma-separated arrows (left)")
-    p.add_argument("--by", help="adjunction name (right)")
+    p.add_argument("target", metavar="name")
+    p.add_argument("--at", dest="arrows", metavar="AT", help="comma-separated arrows (left)")
+    p.add_argument("--by", dest="adjunction", metavar="BY", help="adjunction name (right)")
     p.add_argument("--into", help="target premodel (right)")
     p.add_argument("--mode", choices=["L", "Lc", "R", "Rc"], required=True)
     p.add_argument("--json", action="store_true", help="machine report format")
 
-    p = cmd("hocat", help="homotopy category of a premodel")
-    p.add_argument("name")
+    cmd("hocat", "homotopy category of a premodel")
+    cmd("equiv", "is an arrow a weak equivalence?").add_argument("arrow")
+    cmd("classify", "full recognition ladder")
+    cmd("dualize", "opposite premodel with swapped classes")
 
-    p = cmd("equiv", help="is an arrow a weak equivalence?")
-    p.add_argument("name")
-    p.add_argument("arrow")
-
-    p = cmd("classify", help="full recognition ladder")
-    p.add_argument("name")
-
-    p = cmd("dualize", help="opposite premodel with swapped classes")
-    p.add_argument("name")
-
-    p = cmd("olschok", help="generate a model structure from a cylinder")
-    p.add_argument("name")
+    p = cmd("olschok", "generate a model structure from a cylinder")
     p.add_argument("--cylinder", required=True)
     p.add_argument("--seeds", help="comma-separated localizer arrows")
 
-    cmd("run", help="execute the document's run block")
+    cmd("run", "execute the document's run block", target=False)
     return ap
 
 
@@ -133,53 +127,33 @@ def main(argv=None):
         return stop.code
 
 
+_NOT_KEYS = ("command", "file", "json")
+_LISTS = ("arrows", "seeds")   # comma-separated on the command line
+
+
 def _dispatch(args):
+    if args.command == "localize" and args.side == "left" and not args.arrows:
+        print("localize left needs --at", file=sys.stderr)
+        return BAD_INPUT
+    if args.command == "localize" and args.side == "right" and not (args.adjunction and args.into):
+        print("localize right needs --by and --into", file=sys.stderr)
+        return BAD_INPUT
+    env = _load(args.file)
     if args.command == "run":
-        env = _load(args.file)
-        return _emit(run_directives(env, env.directives), args.json)
-    if args.command == "validate":
-        env = _load(args.file)
-        if args.name:
-            names = [args.name]
-        else:
-            names = list(env.categories)
-            if not names:
-                print("document has no categories to validate", file=sys.stderr)
-                return BAD_INPUT
-        directives = [Directive("validate", {"target": n}, 0, 0) for n in names]
-        return _emit(run_directives(env, directives), args.json)
-    if args.command == "check":
-        return _single(args, "check", {"what": args.what, "target": args.name})
-    if args.command == "saturate":
-        return _single(args, "saturate", {"target": args.name, "mode": args.mode})
-    if args.command == "localize":
-        extra = {"side": args.side, "target": args.name, "mode": args.mode}
-        if args.side == "left":
-            if not args.at:
-                print("localize left needs --at", file=sys.stderr)
-                return BAD_INPUT
-            extra["arrows"] = _split_list(args.at)
-        else:
-            if not args.by or not args.into:
-                print("localize right needs --by and --into", file=sys.stderr)
-                return BAD_INPUT
-            extra["adjunction"] = args.by
-            extra["into"] = args.into
-        return _single(args, "localize", extra)
-    if args.command == "hocat":
-        return _single(args, "hocat", {"target": args.name})
-    if args.command == "equiv":
-        return _single(args, "equiv", {"target": args.name, "arrow": args.arrow})
-    if args.command == "classify":
-        return _single(args, "classify", {"target": args.name})
-    if args.command == "dualize":
-        return _single(args, "dualize", {"target": args.name})
-    if args.command == "olschok":
-        extra = {"target": args.name, "cylinder": args.cylinder}
-        if args.seeds:
-            extra["seeds"] = _split_list(args.seeds)
-        return _single(args, "olschok", extra)
-    raise AssertionError("unhandled command %r" % args.command)
+        directives = env.directives
+    elif args.command == "validate" and not args.target:
+        if not env.categories:
+            print("document has no categories to validate", file=sys.stderr)
+            return BAD_INPUT
+        directives = [Directive("validate", {"target": n}, 0, 0) for n in env.categories]
+    else:
+        keys = {
+            k: _split_list(v) if k in _LISTS else v
+            for k, v in vars(args).items()
+            if k not in _NOT_KEYS and v is not None
+        }
+        directives = [Directive(args.command, keys, 0, 0)]
+    return _emit(run_directives(env, directives), args.json)
 
 
 if __name__ == "__main__":

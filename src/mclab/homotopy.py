@@ -54,6 +54,7 @@ class CylinderWitness:
 
 
 _BASES = "a cylinder needs a cofibration, a path a fibration"
+_LEGS = "a cylinder needs an acyclic cofibration, a path an acyclic fibration"
 
 
 def fold_cone(p, i):
@@ -148,14 +149,14 @@ def check_cylinder_witness(p, w):
     b = cat.target[w.base]
     acyclic = acyclic_cofibrations(p)
     if w.cylinder_cof not in p.cofibrations:
-        v.append("cylinder inclusion %s is not a cofibration" % w.cylinder_cof)
+        v.append("cylinder inclusion %s does not fit this search: %s" % (w.cylinder_cof, _BASES))
     if cat.source.get(w.cylinder_cof) != w.fold_apex or cat.target.get(w.cylinder_cof) != w.cylinder_obj:
         v.append("cylinder inclusion endpoints are wrong")
     first_leg = cat.compose_table.get((w.cylinder_cof, w.coproj0))
     if first_leg not in acyclic:
-        v.append("first leg %s is not an acyclic cofibration" % first_leg)
+        v.append("first leg %s does not fit this search: %s" % (first_leg, _LEGS))
     if w.anodyne_leg not in acyclic:
-        v.append("anodyne leg %s is not an acyclic cofibration" % w.anodyne_leg)
+        v.append("anodyne leg %s does not fit this search: %s" % (w.anodyne_leg, _LEGS))
     if cat.source.get(w.anodyne_leg) != b or cat.target.get(w.anodyne_leg) != w.weak_target:
         v.append("anodyne leg endpoints are wrong")
     if cat.source.get(w.comparison) != w.cylinder_obj or cat.target.get(w.comparison) != w.weak_target:

@@ -412,10 +412,11 @@ class OlschokReport:
     left_semi_asserted: bool
 
 
-def olschok_model(structured, cyl, seeds=(), generators=None):
+def olschok_model(structured, cyl, seeds=()):
     """Generate a premodel structure from a cylinder and a localizer.
 
-    The anodyne side is generated by Λ: anodyne cofibrations llp(rlp(Λ)),
+    The anodyne side is generated by Λ, which starts from the seeds and the
+    corners of the marked cofibrations: anodyne cofibrations llp(rlp(Λ)),
     fibrations rlp(Λ), on top of the marked (C, AF).  The result is
     saturated (core-left) and classified.  When every object is cofibrant
     the classification must come out Quillen; otherwise, when the cylinder
@@ -431,11 +432,9 @@ def olschok_model(structured, cyl, seeds=(), generators=None):
     pre = check_pre_cylinder(cyl, structured)
     if not pre.ok:
         raise InputError("olschok needs a verified cylinder: %s" % "; ".join(pre.violations))
-    if generators is None:
-        generators = structured.cofibrations
-
-    lam = olschok_lambda(structured, cyl, seeds, generators, include_second=True)
-    lam_first_only = olschok_lambda(structured, cyl, seeds, generators, include_second=False)
+    cof = structured.cofibrations
+    lam = olschok_lambda(structured, cyl, seeds, cof, include_second=True)
+    lam_first_only = olschok_lambda(structured, cyl, seeds, cof, include_second=False)
 
     new_fib = complement_rlp(cat, lam)
     new_ac = complement_llp(cat, new_fib)

@@ -31,18 +31,23 @@ all be listed under `relations`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
-from .errors import InputError, ParseError
+from .errors import ConstructionError, InputError, ParseError
 from .fincat import FiniteCategory, FunctorData, AdjunctionData, poset_category
 from .lifting import complement_llp, complement_rlp
 from .olschok import identity_cylinder
 from .premodel import PremodelStructure
 
-_PUNCT2 = ("->", "<=")
-_PUNCT1 = "{};:,.=()"
-
-KEYWORD_MODES = ("L", "Lc", "R", "Rc")
+# Blanks, line ends and whole comment lines, then one token: a punctuation
+# mark, a name, the end of input or a stray character, which is an error.  A
+# comment that ends the input is not skipped: the end of input is where it
+# starts.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]|#[^\n]*\n)*"
+    r"(?:(?P<punct>->|<=|[{};:,.=()])|(?P<name>\w+)|(?P<comment>#[^\n]*)?\Z|(?P<stray>.))"
+)
 
 
 @dataclass(frozen=True)
@@ -55,44 +60,22 @@ class Token:
 
 def _tokenize(text):
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            tokens.append(Token("punct", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT1:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind) if kind else m.end()
+        breaks = text.count("\n", m.start(), start)
+        if breaks:
+            line += breaks
+            line_start = text.rfind("\n", 0, start) + 1
+        col = start - line_start + 1
+        if kind == "punct" or kind == "name":
+            tokens.append(Token(kind, m.group(kind), line, col))
+        elif kind == "stray":
+            raise ParseError("unexpected character %r" % m.group(kind), line, col)
+        else:
+            tokens.append(Token("eof", "", line, col))
+            break
     return tokens
 
 
@@ -170,6 +153,11 @@ class Document:
     directives: list = field(default_factory=list)
 
 
+# the directives whose first argument is their target; ``check`` and
+# ``localize`` name what to check or the side first
+_TARGET_FIRST = ("validate", "saturate", "hocat", "equiv", "classify", "dualize", "olschok")
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -212,6 +200,11 @@ class _Parser:
             self.pos += 1
             return True
         return False
+
+    def expect_keyword(self, phrase):
+        """The keyword that starts ``phrase``; fails naming the whole phrase."""
+        if not self.accept_name(phrase.split()[0]):
+            self.fail("expected %r" % phrase)
 
     # ---- document ----------------------------------------------------
 
@@ -311,8 +304,7 @@ class _Parser:
     def parse_premodel(self):
         head = self.next()
         name = self.expect_name("a premodel name")
-        if not self.accept_name("on"):
-            self.fail("expected 'on CATEGORY'")
+        self.expect_keyword("on CATEGORY")
         cat_name = self.expect_name("a category name")
         self.expect_punct("{")
         classes = {}
@@ -417,57 +409,37 @@ class _Parser:
         head = self.expect_name("a directive")
         kind = head.value
         args = {}
-        if kind == "validate":
-            args["target"] = self.expect_name().value
-        elif kind == "check":
+        if kind == "check":
             what = self.expect_name("wfs, premodel, or weakmodel").value
             if what not in ("wfs", "premodel", "weakmodel"):
                 self.fail("check knows wfs, premodel, weakmodel; got %r" % what)
             args["what"] = what
-            args["target"] = self.expect_name().value
-        elif kind == "saturate":
-            args["target"] = self.expect_name().value
-            if not self.accept_name("mode"):
-                self.fail("expected 'mode'")
-            args["mode"] = self.expect_name("a saturation mode").value
         elif kind == "localize":
             side = self.expect_name("left or right").value
             if side not in ("left", "right"):
                 self.fail("localize knows left and right; got %r" % side)
             args["side"] = side
-            args["target"] = self.expect_name().value
-            if side == "left":
-                if not self.accept_name("at"):
-                    self.fail("expected 'at {arrows}'")
-                args["arrows"] = self.brace_list()
-            else:
-                if not self.accept_name("by"):
-                    self.fail("expected 'by ADJUNCTION'")
-                args["adjunction"] = self.expect_name().value
-                if not self.accept_name("into"):
-                    self.fail("expected 'into TARGET'")
-                args["into"] = self.expect_name().value
-            if not self.accept_name("mode"):
-                self.fail("expected 'mode'")
-            args["mode"] = self.expect_name("a saturation mode").value
-        elif kind == "hocat":
-            args["target"] = self.expect_name().value
+        elif kind not in _TARGET_FIRST:
+            self.fail("unknown directive %r" % kind, head)
+        args["target"] = self.expect_name().value
+        if kind == "localize" and args["side"] == "left":
+            self.expect_keyword("at {arrows}")
+            args["arrows"] = self.brace_list()
+        elif kind == "localize":
+            self.expect_keyword("by ADJUNCTION")
+            args["adjunction"] = self.expect_name().value
+            self.expect_keyword("into TARGET")
+            args["into"] = self.expect_name().value
         elif kind == "equiv":
-            args["target"] = self.expect_name().value
             args["arrow"] = self.expect_name("an arrow").value
-        elif kind == "classify":
-            args["target"] = self.expect_name().value
-        elif kind == "dualize":
-            args["target"] = self.expect_name().value
         elif kind == "olschok":
-            args["target"] = self.expect_name().value
-            if not self.accept_name("cylinder"):
-                self.fail("expected 'cylinder NAME'")
+            self.expect_keyword("cylinder NAME")
             args["cylinder"] = self.expect_name().value
             if self.accept_name("seeds"):
                 args["seeds"] = self.brace_list()
-        else:
-            self.fail("unknown directive %r" % kind, head)
+        if kind in ("saturate", "localize"):
+            self.expect_keyword("mode")
+            args["mode"] = self.expect_name("a saturation mode").value
         self.expect_punct(";")
         return Directive(kind, args, head.line, head.col)
 
@@ -602,6 +574,17 @@ def _resolve_class(cat, expr, field_name, decl):
     return base
 
 
+# Each class a premodel block may leave out, in the order it is derived, with
+# the partner it is derived from and the lifting complement that derives it.
+# The first class of each system is named first when both are missing.
+_PARTNERS = (
+    ("cofibrations", "anodyne_fibrations", complement_llp),
+    ("anodyne_fibrations", "cofibrations", complement_rlp),
+    ("anodyne_cofibrations", "fibrations", complement_llp),
+    ("fibrations", "anodyne_cofibrations", complement_rlp),
+)
+
+
 def _build_premodel(decl, categories):
     pos = (decl.line, decl.col)
     cat = categories.get(decl.cat_name)
@@ -613,35 +596,16 @@ def _build_premodel(decl, categories):
         f: _resolve_class(cat, e, f, decl) for f, e in decl.classes.items()
     }
     derived = []
-    if "cofibrations" not in resolved and "anodyne_fibrations" not in resolved:
-        raise ParseError(
-            "premodel %s gives neither cofibrations nor anodyne_fibrations" % decl.name, *pos
-        )
-    if "anodyne_cofibrations" not in resolved and "fibrations" not in resolved:
-        raise ParseError(
-            "premodel %s gives neither anodyne_cofibrations nor fibrations" % decl.name, *pos
-        )
-    if "cofibrations" not in resolved:
-        resolved["cofibrations"] = complement_llp(cat, resolved["anodyne_fibrations"])
-        derived.append("cofibrations")
-    if "anodyne_fibrations" not in resolved:
-        resolved["anodyne_fibrations"] = complement_rlp(cat, resolved["cofibrations"])
-        derived.append("anodyne_fibrations")
-    if "fibrations" not in resolved:
-        resolved["fibrations"] = complement_rlp(cat, resolved["anodyne_cofibrations"])
-        derived.append("fibrations")
-    if "anodyne_cofibrations" not in resolved:
-        resolved["anodyne_cofibrations"] = complement_llp(cat, resolved["fibrations"])
-        derived.append("anodyne_cofibrations")
-    p = PremodelStructure(
-        cat=cat,
-        cofibrations=resolved["cofibrations"],
-        anodyne_fibrations=resolved["anodyne_fibrations"],
-        anodyne_cofibrations=resolved["anodyne_cofibrations"],
-        fibrations=resolved["fibrations"],
-        name=decl.name,
-    )
-    return p, derived
+    for cls, partner, complement in _PARTNERS:
+        if cls in resolved:
+            continue
+        if partner not in resolved:
+            raise ParseError(
+                "premodel %s gives neither %s nor %s" % (decl.name, cls, partner), *pos
+            )
+        resolved[cls] = complement(cat, resolved[partner])
+        derived.append(cls)
+    return PremodelStructure(cat, name=decl.name, **resolved), derived
 
 
 def _build_functor(name, decl, categories, owner):
@@ -671,7 +635,14 @@ def _build_cylinder(decl, categories):
             decl.line,
             decl.col,
         )
-    return identity_cylinder(cat), cat
+    try:
+        return identity_cylinder(cat), cat
+    except ConstructionError as exc:   # some X ⊔ X is absent
+        raise ParseError(
+            "cylinder %s cannot be built on %s: %s" % (decl.name, cat.name, exc),
+            decl.line,
+            decl.col,
+        ) from None
 
 
 @dataclass

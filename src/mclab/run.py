@@ -46,40 +46,25 @@ class Session:
 
     def __init__(self, env):
         self.env = env
+        self.tables = {
+            "premodel": env.premodels,
+            "category": env.categories,
+            "adjunction": env.adjunctions,
+            "cylinder": env.cylinders,
+        }
         self.result_premodel = None
         self.result_category = None
 
-    def premodel(self, name):
-        if name == "result":
-            if self.result_premodel is None:
-                raise InputError("'result' does not hold a premodel yet")
-            return self.result_premodel
-        p = self.env.premodels.get(name)
-        if p is None:
-            raise InputError("unknown premodel %r" % name)
-        return p
-
-    def category(self, name):
-        if name == "result":
-            if self.result_category is None:
-                raise InputError("'result' does not hold a category yet")
-            return self.result_category
-        c = self.env.categories.get(name)
-        if c is None:
-            raise InputError("unknown category %r" % name)
-        return c
-
-    def adjunction(self, name):
-        a = self.env.adjunctions.get(name)
-        if a is None:
-            raise InputError("unknown adjunction %r" % name)
-        return a
-
-    def cylinder(self, name):
-        c = self.env.cylinders.get(name)
-        if c is None:
-            raise InputError("unknown cylinder %r" % name)
-        return c
+    def lookup(self, kind, name):
+        """The premodel, category, adjunction or cylinder called ``name``; for
+        a premodel or a category, ``result`` is the latest one produced."""
+        rolling = name == "result" and kind in ("premodel", "category")
+        found = getattr(self, "result_" + kind) if rolling else self.tables[kind].get(name)
+        if found is None:
+            if rolling:
+                raise InputError("'result' does not hold a %s yet" % kind)
+            raise InputError("unknown %s %r" % (kind, name))
+        return found
 
     def arrows_of(self, p, names):
         for n in names:
@@ -182,7 +167,7 @@ def execute(session, directive):
     if kind == "check":
         return _do_check(session, args["what"], args["target"], tree)
     if kind == "saturate":
-        p = session.premodel(args["target"])
+        p = session.lookup("premodel", args["target"])
         out = saturate(p, args["mode"])
         session.result_premodel = out
         tree.update(
@@ -213,10 +198,10 @@ def execute(session, directive):
         tree["equivalence"] = verdict
         return tree, verdict
     if kind == "classify":
-        p = session.premodel(args["target"])
+        p = session.lookup("premodel", args["target"])
         return _do_classify(session, p, args["target"], tree)
     if kind == "dualize":
-        p = session.premodel(args["target"])
+        p = session.lookup("premodel", args["target"])
         out = dualize(p)
         session.result_premodel = out
         tree["classes"] = _classes_tree(out)
@@ -229,7 +214,7 @@ def execute(session, directive):
 
 def _verified_premodel(session, name):
     """The premodel ``name``; InputError naming its first failed check if it is not one."""
-    p = session.premodel(name)
+    p = session.lookup("premodel", name)
     rep = verify_premodel(p)
     if not rep.ok:
         raise InputError("%s is not a premodel: %s" % (name, rep.failures[0]))
@@ -240,36 +225,25 @@ def _do_validate(session, name, tree):
     tree["target"] = name
     env = session.env
     if name in env.categories or (name == "result" and session.result_category):
-        cat = session.category(name)
-        verdict = validate_category(cat)
-        tree["kind"] = "category"
-        tree["ok"] = verdict.ok
-        tree["violations"] = list(verdict.violations)
-        return tree, verdict.ok
-    if name in env.premodels or (name == "result" and session.result_premodel):
-        rep = verify_premodel(session.premodel(name))
-        tree["kind"] = "premodel"
-        tree["ok"] = rep.ok
-        tree["violations"] = list(rep.failures)
-        return tree, rep.ok
-    if name in env.adjunctions:
+        verdict = validate_category(session.lookup("category", name))
+        kind, ok, violations = "category", verdict.ok, verdict.violations
+    elif name in env.premodels or (name == "result" and session.result_premodel):
+        rep = verify_premodel(session.lookup("premodel", name))
+        kind, ok, violations = "premodel", rep.ok, rep.failures
+    elif name in env.adjunctions:
         verdict = check_adjunction(env.adjunctions[name])
-        tree["kind"] = "adjunction"
-        tree["ok"] = verdict.ok
-        tree["violations"] = list(verdict.violations)
-        return tree, verdict.ok
-    if name in env.cylinders:
-        cyl, cat = env.cylinders[name]
-        violations = _structural_cylinder_check(cyl, cat)
-        tree["kind"] = "cylinder"
-        tree["ok"] = not violations
-        tree["violations"] = list(violations)
-        return tree, not violations
-    raise InputError("unknown name %r" % name)
+        kind, ok, violations = "adjunction", verdict.ok, verdict.violations
+    elif name in env.cylinders:
+        violations = _structural_cylinder_check(*env.cylinders[name])
+        kind, ok = "cylinder", not violations
+    else:
+        raise InputError("unknown name %r" % name)
+    tree.update(kind=kind, ok=ok, violations=list(violations))
+    return tree, ok
 
 
 def _do_check(session, what, name, tree):
-    p = session.premodel(name)
+    p = session.lookup("premodel", name)
     tree["target"] = name
     if what == "wfs":
         cof = verify_wfs(p.cof_system)
@@ -295,7 +269,7 @@ def _do_check(session, what, name, tree):
 
 
 def _do_localize(session, args, tree):
-    p = session.premodel(args["target"])
+    p = session.lookup("premodel", args["target"])
     if args["side"] == "left":
         arrows = session.arrows_of(p, args["arrows"])
         loc = left_bousfield(p, arrows, mode=args["mode"])
@@ -305,8 +279,8 @@ def _do_localize(session, args, tree):
         }
         tree["anodyne_closure"] = p.cat.sort_morphisms(loc.nabla_closure)
     else:
-        adj = session.adjunction(args["adjunction"])
-        target_p = session.premodel(args["into"])
+        adj = session.lookup("adjunction", args["adjunction"])
+        target_p = session.lookup("premodel", args["into"])
         loc = right_bousfield(p, adj, target_p, mode=args["mode"])
         session.result_premodel = loc.structure
         tree["localizer"] = p.cat.sort_morphisms(loc.localizer)
@@ -340,8 +314,8 @@ def _do_classify(session, p, name, tree):
 
 
 def _do_olschok(session, args, tree):
-    p = session.premodel(args["target"])
-    cyl, cyl_cat = session.cylinder(args["cylinder"])
+    p = session.lookup("premodel", args["target"])
+    cyl, cyl_cat = session.lookup("cylinder", args["cylinder"])
     if cyl_cat != p.cat:
         raise InputError(
             "cylinder %r lives on %s, not on %s"

@@ -3,13 +3,15 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mclab.parser
 from mclab import fixtures
 from mclab.cli import main
 from mclab.errors import ParseError
 from mclab.fincat import same_presentation
-from mclab.parser import load, parse
+from mclab.parser import Environment, load, parse
 from mclab.premodel import same_classes
 from mclab.report import check_tree, from_machine, to_machine, to_text
 from mclab.run import (
@@ -275,6 +277,21 @@ def test_hocat_and_equiv_need_a_premodel(tmp_path, capsys):
     assert "not a premodel" in capsys.readouterr().out
 
 
+def test_a_cylinder_without_coproducts_is_bad_input(tmp_path, capsys):
+    # x ⊔ x does not exist in the one-object category with an idempotent
+    doc = tmp_path / "idempotent.mcl"
+    doc.write_text(
+        "category M { objects: x; arrows: e: x -> x; relations: e . e = e; }\n"
+        "cylinder C { on: M; kind: identity; }\n"
+        "run { validate M; }\n"
+    )
+    assert main(["run", str(doc)]) == BAD_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "%s: line 2, column 1: cylinder C cannot be built on M: " \
+        "coproduct of 'x' with itself is absent\n" % doc
+
+
 def test_cli_error_paths(tmp_path, capsys):
     missing = tmp_path / "missing.mcl"
     assert main(["validate", str(missing)]) == BAD_INPUT
@@ -300,3 +317,144 @@ def test_cli_single_commands(capsys):
     assert main(["validate", path]) == OK
     out = capsys.readouterr().out
     assert "yes" in out
+
+
+# ---- the front end's bytes ---------------------------------------------------
+
+CAT_M = "category M thin { objects: x, y; arrows: f: x -> y; }\n"
+PRE_P = CAT_M + "premodel P on M { cofibrations: all; anodyne_cofibrations: {ids}; }\n"
+
+# (document, message, line, column) of each ParseError, as ``load`` raises it
+PARSE_ERRORS = [
+    ("category M { objects: x $ y; }", "unexpected character '$'", 1, 25),
+    # carriage returns and tabs count as one column each
+    ("category M thin {\r\n\tobjects: x;\r\n  arrows: f: x => y; }",
+     "unexpected character '>'", 3, 17),
+    # a comment does not advance the column: the end of input is where it starts
+    ("category M thin { objects: x;   # no brace", "expected a field label (found 'end of input')", 1, 33),
+    ("run {\n  classify P;  # end", "expected a directive (found 'end of input')", 2, 16),
+    ("category M thin { objects: x;\n  # no brace\n", "expected a field label (found 'end of input')", 3, 1),
+    ("category M thin {\n  objects: ;\n}", "expected a name (found ';')", 2, 12),
+    ("poset V { t <= x; t <= }", "expected an object name (found '}')", 1, 24),
+    ("premodel P in M { }", "expected 'on CATEGORY' (found 'in')", 1, 12),
+    (PRE_P + "run { saturate P L; }", "expected 'mode' (found 'L')", 3, 18),
+    (PRE_P + "run { localize left P {f} mode L; }", "expected 'at {arrows}' (found '{')", 3, 23),
+    (PRE_P + "run { localize left P at {f} L; }", "expected 'mode' (found 'L')", 3, 30),
+    (PRE_P + "run { localize right P A into P mode L; }", "expected 'by ADJUNCTION' (found 'A')", 3, 24),
+    (PRE_P + "run { localize right P by A P mode L; }", "expected 'into TARGET' (found 'P')", 3, 29),
+    (PRE_P + "run { olschok P C; }", "expected 'cylinder NAME' (found 'C')", 3, 17),
+    (CAT_M + "premodel P on M { fibrations: all; }",
+     "premodel P gives neither cofibrations nor anodyne_fibrations", 2, 1),
+    (CAT_M + "premodel P on M { cofibrations: all; }",
+     "premodel P gives neither anodyne_cofibrations nor fibrations", 2, 1),
+    ("block M { }", "unknown block 'block' (found 'block')", 1, 1),
+    (CAT_M + "run { frobnicate M; }", "unknown directive 'frobnicate' (found 'frobnicate')", 2, 7),
+    (CAT_M + "run { classify; }", "expected a name (found ';')", 2, 15),
+]
+
+
+def test_parse_errors_are_pinned():
+    for text, message, line, column in PARSE_ERRORS:
+        with pytest.raises(ParseError) as err:
+            load(text)
+        got = (str(err.value), err.value.line, err.value.column)
+        assert got == ("line %d, column %d: %s" % (line, column, message), line, column), text
+
+
+# The words of the language, a few names, the punctuation, a comment sign,
+# a line break and a stray character.
+VOCABULARY = (
+    "category poset premodel adjunction cylinder run thin on objects arrows "
+    "relations cofibrations anodyne_cofibrations fibrations anodyne_fibrations "
+    "all all_except generated ids left right unit counit kind identity validate "
+    "check wfs premodel weakmodel saturate mode localize at by into hocat equiv "
+    "classify dualize olschok seeds L Lc R Rc x y f id_x id_y M P C result "
+    "{ } ; : , . = ( ) -> <= # $"
+).split() + ["\n"]
+
+
+@given(st.lists(st.sampled_from(VOCABULARY), max_size=40))
+@settings(max_examples=1000, deadline=None)
+def test_token_soup_loads_or_raises_a_parse_error(words):
+    try:
+        env = load(" ".join(words))
+    except ParseError:
+        return
+    assert isinstance(env, Environment)
+
+
+def _cli(argv, capsys):
+    """(exit code, stdout, stderr) of ``mclab argv``, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# sha256 of ``mclab [COMMAND] --help`` at 80 columns
+HELP_DIGESTS = {
+    "": "aa3474ef40c3b26d525ba020c95c0f19b697db74f5eed1805799b5b7e2e7b9a9",
+    "validate": "be6bb10d82a39610e6a63fbcb5ae5d3f7df787788c215090bbb4ce67fde2322c",
+    "check": "8c9c905fb1ec6c8bbfa8b94f180765ab8ffcdefa1ec576e3c0bd0c2f6b173d86",
+    "saturate": "710388019a244a05e9cf1afbc921c4ee41119f90ee2a0c3616c09327e7b95252",
+    "localize": "becf065344449937549f588174e8755a5a7a237d17abca5480f29353ad198554",
+    "hocat": "8d9819886d9a99fd08c9aa56fa4e3c9e8f619ed99c8eb906f2d41e6ee702ce72",
+    "equiv": "fde842abc36564687be7f142518f1d1995e77d73d26b2eb443536ca140d82e1c",
+    "classify": "ef3cf549590f5c293d8906e40cc289fda4ff710eefc8cca06cf56c6e7535ec60",
+    "dualize": "b531ad502c34bb6ebd977be79f6f7023e29137c67a7028c76923875872888c43",
+    "olschok": "b421cd8d12068eff35a67e298af08e71b93c93521b5024bf9883fe49e462851a",
+    "run": "d9bf14fb91ee233b392a5611723d700ed6a5a008757173490d367236605711d3",
+}
+
+# stderr of ``mclab [COMMAND]`` with no further argument, at 80 columns
+USAGE_ERRORS = {
+    "": "usage: mclab [-h]\n"
+    "             {validate,check,saturate,localize,hocat,equiv,classify,dualize,olschok,run}\n"
+    "             ...\n"
+    "mclab: error: the following arguments are required: command\n",
+    "validate": "usage: mclab validate [-h] [--json] file [name]\n"
+    "mclab validate: error: the following arguments are required: file\n",
+    "check": "usage: mclab check [-h] [--json] {wfs,premodel,weakmodel} file name\n"
+    "mclab check: error: the following arguments are required: what, file, name\n",
+    "saturate": "usage: mclab saturate [-h] [--json] --mode {L,Lc,R,Rc} file name\n"
+    "mclab saturate: error: the following arguments are required: file, name, --mode\n",
+    "localize": "usage: mclab localize [-h] [--at AT] [--by BY] [--into INTO] --mode\n"
+    "                      {L,Lc,R,Rc} [--json]\n"
+    "                      {left,right} file name\n"
+    "mclab localize: error: the following arguments are required: side, file, name, --mode\n",
+    "hocat": "usage: mclab hocat [-h] [--json] file name\n"
+    "mclab hocat: error: the following arguments are required: file, name\n",
+    "equiv": "usage: mclab equiv [-h] [--json] file name arrow\n"
+    "mclab equiv: error: the following arguments are required: file, name, arrow\n",
+    "classify": "usage: mclab classify [-h] [--json] file name\n"
+    "mclab classify: error: the following arguments are required: file, name\n",
+    "dualize": "usage: mclab dualize [-h] [--json] file name\n"
+    "mclab dualize: error: the following arguments are required: file, name\n",
+    "olschok": "usage: mclab olschok [-h] [--json] --cylinder CYLINDER [--seeds SEEDS]\n"
+    "                     file name\n"
+    "mclab olschok: error: the following arguments are required: file, name, --cylinder\n",
+    "run": "usage: mclab run [-h] [--json] file\n"
+    "mclab run: error: the following arguments are required: file\n",
+}
+
+
+def test_cli_help_and_usage_errors_are_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert HELP_DIGESTS.keys() == USAGE_ERRORS.keys()
+    for command in HELP_DIGESTS:
+        code, out, err = _cli(command.split() + ["--help"], capsys)
+        assert (code, _sha256(out), err) == (0, HELP_DIGESTS[command], ""), command
+        assert _cli(command.split(), capsys) == (2, "", USAGE_ERRORS[command]), command
+
+
+def test_localize_options_are_checked_before_the_file_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.mcl")
+    assert _cli(["localize", "left", missing, "P", "--mode", "L"], capsys) == (
+        BAD_INPUT, "", "localize left needs --at\n",
+    )
+    for extra in ([], ["--by", "A"], ["--into", "Q"]):
+        assert _cli(["localize", "right", missing, "P", "--mode", "R"] + extra, capsys) == (
+            BAD_INPUT, "", "localize right needs --by and --into\n",
+        )

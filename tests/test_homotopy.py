@@ -73,6 +73,33 @@ def test_a_wrong_base_is_named_truly_on_both_sides(p1):
     )
 
 
+def test_path_witness_violations_hold_on_both_sides(p1):
+    # a path witness is checked as a cylinder witness on the dual: bd and ac
+    # are cofibrations of P1, ac an acyclic one, and neither is a fibration
+    bases = "a cylinder needs a cofibration, a path a fibration"
+    legs = "a cylinder needs an acyclic cofibration, a path an acyclic fibration"
+    w = find_path(p1, "cd")
+
+    def violations(**changes):
+        return check_path_witness(p1, type(w)(**{**w.__dict__, **changes})).violations
+
+    assert violations(cylinder_cof="bd") == (
+        "cylinder inclusion bd does not fit this search: %s" % bases,
+        "cylinder inclusion endpoints are wrong",
+        "first leg None does not fit this search: %s" % legs,
+    )
+    assert violations(cylinder_cof="ac") == (
+        "cylinder inclusion ac does not fit this search: %s" % bases,
+        "cylinder inclusion endpoints are wrong",
+        "first leg ac does not fit this search: %s" % legs,
+    )
+    assert violations(anodyne_leg="ac") == (
+        "anodyne leg ac does not fit this search: %s" % legs,
+        "anodyne leg endpoints are wrong",
+        "strong witness must have an identity anodyne leg",
+    )
+
+
 def _cylinder_corpus(census):
     """(structure, base) for every cofibration with a fold in the fixture
     premodels and the census, and in their duals."""
