@@ -132,7 +132,7 @@ _LISTS = ("arrows", "seeds")   # comma-separated on the command line
 
 
 def _dispatch(args):
-    if args.command == "localize" and args.side == "left" and not args.arrows:
+    if args.command == "localize" and args.side == "left" and not _split_list(args.arrows or ""):
         print("localize left needs --at", file=sys.stderr)
         return BAD_INPUT
     if args.command == "localize" and args.side == "right" and not (args.adjunction and args.into):

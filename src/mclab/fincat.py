@@ -17,8 +17,9 @@ Conventions
 * A category computes each derived fact once and keeps it: its opposite, its
   endpoints and the arrows to and from them, its validation verdict, every
   (co)limit asked of it, the fold of each arrow (its pushout along itself, with
-  the codiagonal), its factorization index, its lifting rows and the
-  complements decoded from them.
+  the codiagonal), its factorization index, its lifting rows, the
+  complements decoded from them and, in ``_complements``, the complement of
+  each frozenset class asked for, per side.
 * The factorization index ``factor_pairs`` lists each arrow's factorizations
   in scan order, and every factorization search walks it; its bitmask form
   ``left_factors`` prunes the cylinder search.
@@ -102,6 +103,7 @@ class FiniteCategory:
         self._colimits = {}  # (shape kind, legs) -> Cone or None, filled by ``colimit``
         self._folds = {}  # arrow -> (pushout of it along itself, codiagonal) or None, by ``fold``
         self._classes = {}  # bitmask -> frozenset of ids, filled by the lifting complements
+        self._complements = ({}, {})  # per ``lifting_rows`` side: frozenset -> its complement
         self._systems = {}  # (left, right) -> their facts, see ``lifting._system``
         self._opposite = self._base = None  # kept by ``op``, see ``involution``
 

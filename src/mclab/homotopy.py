@@ -153,7 +153,7 @@ def check_cylinder_witness(p, w):
     if cat.source.get(w.cylinder_cof) != w.fold_apex or cat.target.get(w.cylinder_cof) != w.cylinder_obj:
         v.append("cylinder inclusion endpoints are wrong")
     first_leg = cat.compose_table.get((w.cylinder_cof, w.coproj0))
-    if first_leg not in acyclic:
+    if first_leg is not None and first_leg not in acyclic:
         v.append("first leg %s does not fit this search: %s" % (first_leg, _LEGS))
     if w.anodyne_leg not in acyclic:
         v.append("anodyne leg %s does not fit this search: %s" % (w.anodyne_leg, _LEGS))

@@ -8,7 +8,10 @@ composable arrows, through the out-arrow index (``_lifting_rows`` states its
 criterion); the opposite category runs its own.  A lifting query is one bit
 test; a whole-class complement ANDs the rows (or columns) of the class,
 looking each id up only there, and decodes each resulting mask to a frozenset
-of morphism ids once per category.  Factorization searches walk the
+of morphism ids once per category.  A frozenset class is answered once per
+category and side: its complement table, ``FiniteCategory._complements``, keeps
+the answer, so llp(rlp S) costs one AND loop and one table hit.  Any other
+iterable runs the AND loop.  Factorization searches walk the
 category's index ``FiniteCategory.factor_pairs``; ``left_factors`` is its
 bitmask form, read by the cylinder search.
 
@@ -90,9 +93,16 @@ def llp(cat, f, g):
         raise _unknown_morphism(cat, err.args[0]) from None
 
 
-def _meet(cat, masks, ms):
-    """The morphisms whose bit is set in the mask of every member of ``ms``;
-    an unknown id fails the mask lookup, and each result is decoded once."""
+def _meet(cat, side, ms):
+    """The morphisms whose bit is set in side ``side`` of ``lifting_rows`` for
+    every member of ``ms``; an unknown id fails the mask lookup, each result is
+    decoded once, and a frozenset ``ms`` is answered once, from ``_complements``."""
+    frozen = isinstance(ms, frozenset)
+    if frozen:
+        members = cat._complements[side].get(ms)
+        if members is not None:
+            return members
+    masks = cat.lifting_rows[side]
     meet = (1 << len(cat.morphisms)) - 1
     try:
         for m in ms:
@@ -103,17 +113,19 @@ def _meet(cat, masks, ms):
     if members is None:
         members = frozenset(m for i, m in enumerate(cat.morphisms) if meet >> i & 1)
         cat._classes[meet] = members
+    if frozen:
+        cat._complements[side][ms] = members
     return members
 
 
 def complement_llp(cat, right):
     """Everything with the left lifting property against all of ``right``."""
-    return _meet(cat, cat.lifting_rows[1], right)
+    return _meet(cat, 1, right)
 
 
 def complement_rlp(cat, left):
     """Everything with the right lifting property against all of ``left``."""
-    return _meet(cat, cat.lifting_rows[0], left)
+    return _meet(cat, 0, left)
 
 
 def retract_closure(cat, members):

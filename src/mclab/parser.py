@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, ParseError
 from .fincat import FiniteCategory, FunctorData, AdjunctionData, poset_category
@@ -50,8 +51,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # "name", "punct", "eof"
     value: str
     line: int

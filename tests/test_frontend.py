@@ -451,9 +451,10 @@ def test_cli_help_and_usage_errors_are_pinned(monkeypatch, capsys):
 
 def test_localize_options_are_checked_before_the_file_is_read(tmp_path, capsys):
     missing = str(tmp_path / "missing.mcl")
-    assert _cli(["localize", "left", missing, "P", "--mode", "L"], capsys) == (
-        BAD_INPUT, "", "localize left needs --at\n",
-    )
+    for at in ([], ["--at", ""], ["--at", " , "], ["--at", ","]):
+        assert _cli(["localize", "left", missing, "P", "--mode", "L"] + at, capsys) == (
+            BAD_INPUT, "", "localize left needs --at\n",
+        )
     for extra in ([], ["--by", "A"], ["--into", "Q"]):
         assert _cli(["localize", "right", missing, "P", "--mode", "R"] + extra, capsys) == (
             BAD_INPUT, "", "localize right needs --by and --into\n",

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 import bruteforce as bf
 from mclab import fixtures
 from mclab.errors import InputError
-from mclab.fincat import validate_category
+from mclab.fincat import poset_category, validate_category
 from mclab.lifting import (
     WeakFactorizationSystem,
     cell_closure,
@@ -77,6 +79,68 @@ def test_complements_are_decoded_once(barton):
     assert complement_rlp(barton, ["ab"]) is right
     assert complement_rlp(barton, iter(["ab"])) is right
     assert complement_llp(barton, right) is complement_llp(barton, sorted(right))
+
+
+def _table_categories():
+    """Fresh chain2-chain5, barton and B2, so every complement table starts empty."""
+    chains = [
+        poset_category("chain%d" % n, "abcde"[:n], list(zip("bcde"[: n - 1], "abcd")))
+        for n in range(2, 6)
+    ]
+    b2 = poset_category(
+        "B2", ["00", "10", "01", "11"], [("00", "10"), ("00", "01"), ("10", "11"), ("01", "11")]
+    )
+    return chains + [fixtures.barton(), b2]
+
+
+def _generator_sample(cat, rng, size=12):
+    return [[m for m in cat.morphisms if rng.random() < 0.3] for _ in range(size)]
+
+
+@pytest.mark.parametrize("opposite", [False, True], ids=["cat", "op"])
+def test_frozenset_complements_are_answered_from_the_table(opposite):
+    rng = random.Random(13)
+    for base in _table_categories():
+        cat = base.op if opposite else base
+        for gens in _generator_sample(cat, rng):
+            for complement, oracle in (
+                (complement_llp, bf.llp_class), (complement_rlp, bf.rlp_class),
+            ):
+                first = complement(cat, frozenset(gens))
+                assert first == oracle(cat, gens), (cat.name, gens)
+                # the list runs the AND loop and meets the same decoded class
+                assert complement(cat, gens) is first
+                assert complement(cat, frozenset(gens)) is first
+
+
+@pytest.mark.parametrize("opposite", [False, True], ids=["cat", "op"])
+def test_unknown_ids_never_enter_the_complement_table(opposite):
+    rng = random.Random(17)
+    for base in _table_categories():
+        cat = base.op if opposite else base
+        for gens in _generator_sample(cat, rng, size=4):
+            for complement in (complement_llp, complement_rlp):
+                before = tuple(dict(side) for side in cat._complements)
+                bad = frozenset(gens) | {"nope"}
+                for _ in range(2):
+                    with pytest.raises(InputError, match="'nope'"):
+                        complement(cat, bad)
+                assert cat._complements == before
+                complement(cat, frozenset(gens))
+
+
+def test_the_opposite_keeps_its_own_complement_table():
+    rng = random.Random(19)
+    for cat in _table_categories():
+        op = cat.op
+        for gens in _generator_sample(cat, rng):
+            right = complement_rlp(cat, frozenset(gens))
+            complement_llp(cat, right)
+        assert op._complements == ({}, {})
+        # asked afterwards, the opposite answers from its own lifting relation
+        for right, left in cat._complements[1].items():
+            assert complement_rlp(op, right) == left
+        assert op._complements[0] and op._complements[1] == {}
 
 
 def test_complements_are_galois(barton):
