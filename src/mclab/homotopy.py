@@ -35,7 +35,7 @@ from .premodel import (
     factor_cof_afib,
     verify_premodel,
 )
-from .lifting import has_lift
+from .lifting import _require_morphisms, _unknown_morphism, has_lift
 
 
 @dataclass(frozen=True)
@@ -315,9 +315,7 @@ def homotopic(p, f, g):
     this by exhausting witnesses).
     """
     cat = p.cat
-    for m in (f, g):
-        if not cat.has_morphism(m):
-            raise InputError("unknown morphism %r" % m)
+    _require_morphisms(cat, (f, g))
     x, y = cat.source[f], cat.target[f]
     if (cat.source[g], cat.target[g]) != (x, y):
         raise InputError("%s and %s are not parallel" % (f, g))
@@ -432,7 +430,7 @@ def core_cofibration_representative(p, s):
     """
     cat = p.cat
     if not cat.has_morphism(s):
-        raise InputError("unknown morphism %r" % s)
+        raise _unknown_morphism(cat, s)
     _, r = _cofibrant_replacement(p, cat.source[s])
     _, j = _fibrant_replacement(p, cat.target[s])
     composite = cat.compose_table[(j, cat.compose_table[(s, r)])]
@@ -450,7 +448,7 @@ def is_equivalence(p, f):
     if f not in p.equivalence_verdicts:
         cat = p.cat
         if not cat.has_morphism(f):
-            raise InputError("unknown morphism %r" % f)
+            raise _unknown_morphism(cat, f)
         for z in (cat.source[f], cat.target[f]):
             if z not in p.cofibrant and z not in p.fibrant:
                 raise InputError(

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from .errors import ConstructionError, InputError, VerificationError
 from .classify import classify_full
 from .fincat import (
-    FiniteCategory,
     FunctorData,
     Verdict,
     check_functor,
@@ -37,7 +36,8 @@ from .fincat import (
 )
 from .homotopy import CylinderWitness, check_cylinder_witness, fold_cone, verify_weak_model
 from .lifting import (
-    WeakFactorizationSystem,
+    _require_morphisms,
+    _unknown_morphism,
     complement_llp,
     complement_rlp,
     require_factorizations,
@@ -144,7 +144,7 @@ def corner_product(lam, v):
     cat = F.source
     dst = F.target
     if not cat.has_morphism(v):
-        raise InputError("unknown morphism %r in %s" % (v, cat.name))
+        raise _unknown_morphism(cat, v)
     x, y = cat.source[v], cat.target[v]
     cone = pushout(dst, F.on_morphism(v), lam.components[x])
     if cone is None:
@@ -154,25 +154,28 @@ def corner_product(lam, v):
     return mediating_out(dst, cone, (lam.components[y], G.on_morphism(v)))
 
 
+def _corners_outside(lam, cat, members, into, text):
+    """``text`` for each member whose corner with ``lam`` is not in ``into``."""
+    return [text % i for i in cat.sort_morphisms(members) if corner_product(lam, i) not in into]
+
+
 def nt_is_cofibration(lam, p_src, p_tgt):
     """Corners with cofibrations are cofibrations, with anodyne anodyne."""
-    failures = []
-    for i in p_src.cat.sort_morphisms(p_src.cofibrations):
-        if corner_product(lam, i) not in p_tgt.cofibrations:
-            failures.append("corner with cofibration %s is not a cofibration" % i)
-    for j in p_src.cat.sort_morphisms(p_src.anodyne_cofibrations):
-        if corner_product(lam, j) not in p_tgt.anodyne_cofibrations:
-            failures.append("corner with anodyne %s is not anodyne" % j)
-    return Verdict.from_violations(failures)
+    cat, cof, ac = p_src.cat, p_src.cofibrations, p_src.anodyne_cofibrations
+    not_cof = "corner with cofibration %s is not a cofibration"
+    not_anodyne = "corner with anodyne %s is not anodyne"
+    return Verdict.from_violations(
+        _corners_outside(lam, cat, cof, p_tgt.cofibrations, not_cof)
+        + _corners_outside(lam, cat, ac, p_tgt.anodyne_cofibrations, not_anodyne)
+    )
 
 
 def nt_is_anodyne(lam, p_src, p_tgt):
     """Corners with all cofibrations are anodyne cofibrations."""
-    failures = []
-    for i in p_src.cat.sort_morphisms(p_src.cofibrations):
-        if corner_product(lam, i) not in p_tgt.anodyne_cofibrations:
-            failures.append("corner with cofibration %s is not anodyne" % i)
-    return Verdict.from_violations(failures)
+    text = "corner with cofibration %s is not anodyne"
+    return Verdict.from_violations(
+        _corners_outside(lam, p_src.cat, p_src.cofibrations, p_tgt.anodyne_cofibrations, text)
+    )
 
 
 @dataclass
@@ -218,6 +221,8 @@ class CylinderReport:
 
 
 def _structural_cylinder_check(cyl, cat):
+    if cyl.pair.source != cat:
+        return ["cylinder lives on %s, not on %s" % (cyl.pair.source.name, cat.name)]
     v = []
     for fun in (cyl.pair, cyl.cylinder, cyl.weak_target):
         verdict = check_functor(fun)
@@ -236,10 +241,10 @@ def _structural_cylinder_check(cyl, cat):
 
 
 def _cylinder_is_strong(cyl, cat):
-    ident = identity_functor(cat)
+    d = cyl.weak_target
     return (
-        cyl.weak_target.object_map == ident.object_map
-        and cyl.weak_target.morphism_map == ident.morphism_map
+        d.object_map == {x: x for x in cat.objects}
+        and d.morphism_map == {m: m for m in cat.morphisms}
         and all(cat.is_identity(cyl.leg.at(x)) for x in cat.objects)
     )
 
@@ -261,14 +266,6 @@ def verify_quillen_cylinder(cyl, p):
     return CylinderReport(ok, ok and _cylinder_is_strong(cyl, cat), tuple(failures))
 
 
-@dataclass(frozen=True)
-class HarnessReport:
-    ok: bool
-    witnesses: dict           # core cofibration -> CylinderWitness
-    weak_model_ok: bool
-    failures: tuple[str, ...]
-
-
 def weak_cylinder_theorem_harness(p, cyl):
     """Materialize a relative weak cylinder for every core cofibration.
 
@@ -277,6 +274,7 @@ def weak_cylinder_theorem_harness(p, cyl):
     Each witness is rechecked from scratch, and the premodel must then pass
     the weak model axioms — a failure of either raises, since this is the
     package's executable form of the cylinder-to-weak-model implication.
+    Returns ``{core cofibration: CylinderWitness}``.
     """
     if not verify_premodel(p).ok:
         raise InputError("harness needs a verified premodel")
@@ -286,7 +284,6 @@ def weak_cylinder_theorem_harness(p, cyl):
             "harness needs a verified Quillen cylinder: %s" % "; ".join(cyl_report.failures)
         )
     cat = p.cat
-    ident_of = cat.identity
     witnesses = {}
     failures = []
     for f in cat.sort_morphisms(p.cofibrations):
@@ -321,68 +318,46 @@ def weak_cylinder_theorem_harness(p, cyl):
             weak_target=d_b,
             anodyne_leg=cyl.leg.at(b),
             comparison=r,
-            strong=(d_b == b and cyl.leg.at(b) == ident_of(b)),
+            strong=(d_b == b and cyl.leg.at(b) == cat.identity(b)),
         )
         verdict = check_cylinder_witness(p, witness)
         if not verdict.ok:
             failures.append("witness for %s: %s" % (f, "; ".join(verdict.violations)))
         witnesses[f] = witness
 
-    weak_ok = verify_weak_model(p).ok
-    ok = not failures and weak_ok
-    if not ok:
+    if failures or not verify_weak_model(p).ok:
         raise VerificationError(
             "cylinder-to-weak-model implication failed on %s: %s"
             % (p.name or cat.name, failures or "weak model axioms fail")
         )
-    return HarnessReport(ok, witnesses, weak_ok, tuple(failures))
+    return witnesses
 
 
-@dataclass
-class StructuredCategory:
-    """A category with one marked weak factorization system (C, AF)."""
-
-    cat: FiniteCategory
-    cofibrations: frozenset
-    anodyne_fibrations: frozenset
-    name: str = ""
-
-    def system(self):
-        return WeakFactorizationSystem(self.cat, self.cofibrations, self.anodyne_fibrations)
-
-
-def structured_from_premodel(p, name=""):
-    return StructuredCategory(
-        p.cat, p.cofibrations, p.anodyne_fibrations, name or (p.name or p.cat.name)
+def check_pre_cylinder(cyl, p):
+    """The single-system cylinder condition on p's (C, AF): corners of the
+    inclusion with cofibrations are cofibrations (plus all structural checks)."""
+    text = "corner of inclusion with %s leaves the cofibrations"
+    return Verdict.from_violations(
+        _structural_cylinder_check(cyl, p.cat)
+        or _corners_outside(cyl.inclusion, p.cat, p.cofibrations, p.cofibrations, text)
     )
 
 
-def check_pre_cylinder(cyl, structured):
-    """The single-system cylinder condition: corners of the inclusion with
-    cofibrations are cofibrations (plus all structural checks)."""
-    failures = _structural_cylinder_check(cyl, structured.cat)
-    if not failures:
-        for i in structured.cat.sort_morphisms(structured.cofibrations):
-            if corner_product(cyl.inclusion, i) not in structured.cofibrations:
-                failures.append("corner of inclusion with %s leaves the cofibrations" % i)
-    return Verdict.from_violations(failures)
-
-
-def olschok_lambda(structured, cyl, seeds, generators, include_second=True):
+def olschok_lambda(p, cyl, seeds, include_second=True):
     """Λ: close the localizer under the cylinder's corner operators.
 
     Λ contains the seeds and the corners σ0 ⌢ i (optionally also σ1 ⌢ i)
-    for every generator i, and is closed under j ↦ σ ⌢ j.  Every member
-    must be a cofibration; a stray member raises, because the closure is
-    only meaningful below the marked system.
+    for every cofibration i of p, and is closed under j ↦ σ ⌢ j.  Every
+    member must be a cofibration; a stray member raises, because the
+    closure is only meaningful below the marked system.
     """
-    cat = structured.cat
+    cat = p.cat
     sigma = cyl.inclusion
     sigma0 = compose_nt(cyl.inclusion, cyl.inl)
     sigma1 = compose_nt(cyl.inclusion, cyl.inr)
 
     members = set(seeds)
-    for i in generators:
+    for i in p.cofibrations:
         members.add(corner_product(sigma0, i))
         if include_second:
             members.add(corner_product(sigma1, i))
@@ -393,7 +368,7 @@ def olschok_lambda(structured, cyl, seeds, generators, include_second=True):
         if nxt not in members:
             members.add(nxt)
             frontier.append(nxt)
-    stray = cat.sort_morphisms(members - structured.cofibrations)
+    stray = cat.sort_morphisms(members - p.cofibrations)
     if stray:
         raise VerificationError("Λ contains non-cofibrations: %s" % ", ".join(stray))
     return frozenset(members)
@@ -412,69 +387,68 @@ class OlschokReport:
     left_semi_asserted: bool
 
 
-def olschok_model(structured, cyl, seeds=()):
+def olschok_model(p, cyl, seeds=()):
     """Generate a premodel structure from a cylinder and a localizer.
 
-    The anodyne side is generated by Λ, which starts from the seeds and the
-    corners of the marked cofibrations: anodyne cofibrations llp(rlp(Λ)),
-    fibrations rlp(Λ), on top of the marked (C, AF).  The result is
-    saturated (core-left) and classified.  When every object is cofibrant
-    the classification must come out Quillen; otherwise, when the cylinder
-    still verifies on the saturated structure, the left semi-model verdict
-    must hold.  Both implications are enforced, not assumed.
+    The result keeps p's (C, AF); its anodyne side is generated by Λ, which
+    starts from the seeds and the corners of p's cofibrations: anodyne
+    cofibrations llp(rlp(Λ)), fibrations rlp(Λ).  A category without an
+    initial or terminal object, a (C, AF) that is not a weak factorization
+    system, a cylinder that fails ``check_pre_cylinder``, or a seed that is
+    not a cofibration raises InputError.  The result is saturated
+    (core-left) and classified.  When every object is cofibrant the
+    classification must come out Quillen; otherwise, when the cylinder still
+    verifies on the saturated structure, the left semi-model verdict must
+    hold.  Both implications are enforced, not assumed.
     """
-    cat = structured.cat
-    system_report = verify_wfs(structured.system())
+    cat = p.cat
+    missing = " and no ".join(end for end in ("initial", "terminal") if getattr(cat, end) is None)
+    if missing:
+        text = "olschok needs initial and terminal objects: %s has no %s object"
+        raise InputError(text % (cat.name, missing))
+    system_report = verify_wfs(p.cof_system)
     if not system_report.ok:
         raise InputError(
             "olschok needs a verified marked system: %s" % "; ".join(system_report.failures)
         )
-    pre = check_pre_cylinder(cyl, structured)
+    pre = check_pre_cylinder(cyl, p)
     if not pre.ok:
         raise InputError("olschok needs a verified cylinder: %s" % "; ".join(pre.violations))
-    cof = structured.cofibrations
-    lam = olschok_lambda(structured, cyl, seeds, cof, include_second=True)
-    lam_first_only = olschok_lambda(structured, cyl, seeds, cof, include_second=False)
+    _require_morphisms(cat, seeds)
+    stray = cat.sort_morphisms(set(seeds) - p.cofibrations)
+    if stray:
+        raise InputError("olschok seeds must be cofibrations: %s" % ", ".join(stray))
+    lam = olschok_lambda(p, cyl, seeds, include_second=True)
+    lam_first_only = olschok_lambda(p, cyl, seeds, include_second=False)
 
     new_fib = complement_rlp(cat, lam)
     new_ac = complement_llp(cat, new_fib)
     require_factorizations(cat, new_ac, new_fib, "generated system loses factorization of %s")
-    p = PremodelStructure(
-        cat=cat,
-        cofibrations=structured.cofibrations,
-        anodyne_fibrations=structured.anodyne_fibrations,
+    generated = p.with_classes(
         anodyne_cofibrations=new_ac,
         fibrations=new_fib,
-        name="%s_olschok" % (structured.name or cat.name),
+        name="%s_olschok" % (p.name or cat.name),
     )
-    premodel_report = verify_premodel(p)
+    premodel_report = verify_premodel(generated)
     if not premodel_report.ok:
         raise VerificationError(
             "generated structure is not a premodel: %s" % "; ".join(premodel_report.failures)
         )
-    saturated = saturate(p, "Lc")
+    saturated = saturate(generated, "Lc")
     classification = classify_full(saturated)
     all_cofibrant = len(cofibrant_objects(saturated)) == len(cat.objects)
 
-    quillen_asserted = False
-    left_semi_asserted = False
-    if all_cofibrant:
-        if classification.quillen is None or not classification.quillen.ok:
-            raise VerificationError(
-                "all objects cofibrant but the generated structure is not Quillen"
-            )
-        quillen_asserted = True
-    elif verify_quillen_cylinder(cyl, saturated).ok:
-        if not classification.left_semi.fresse:
-            raise VerificationError(
-                "cylinder verifies but the generated structure is not left semi"
-            )
-        left_semi_asserted = True
+    quillen_asserted = all_cofibrant
+    left_semi_asserted = not all_cofibrant and verify_quillen_cylinder(cyl, saturated).ok
+    if quillen_asserted and (classification.quillen is None or not classification.quillen.ok):
+        raise VerificationError("all objects cofibrant but the generated structure is not Quillen")
+    if left_semi_asserted and not classification.left_semi.fresse:
+        raise VerificationError("cylinder verifies but the generated structure is not left semi")
     return OlschokReport(
         lambda_set=lam,
         lambda_without_second=lam_first_only,
         second_corner_matters=lam != lam_first_only,
-        premodel=p,
+        premodel=generated,
         saturated=saturated,
         classification=classification,
         all_cofibrant=all_cofibrant,

@@ -636,7 +636,7 @@ def _build_cylinder(decl, categories):
             decl.col,
         )
     try:
-        return identity_cylinder(cat), cat
+        return identity_cylinder(cat)
     except ConstructionError as exc:   # some X ⊔ X is absent
         raise ParseError(
             "cylinder %s cannot be built on %s: %s" % (decl.name, cat.name, exc),
@@ -652,7 +652,7 @@ class Environment:
     categories: dict
     premodels: dict
     adjunctions: dict
-    cylinders: dict       # name -> (QuillenCylinderData, category)
+    cylinders: dict       # name -> QuillenCylinderData
     derived_classes: dict  # premodel name -> list of derived class fields
     directives: list
 

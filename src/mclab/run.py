@@ -25,8 +25,7 @@ from .fincat import check_adjunction, validate_category
 from .homotopy import homotopy_category, is_equivalence, verify_weak_model
 from .lifting import verify_wfs
 from .localize import left_bousfield, right_bousfield
-from .olschok import _structural_cylinder_check, olschok_model
-from .olschok import structured_from_premodel, verify_quillen_cylinder
+from .olschok import _structural_cylinder_check, olschok_model, verify_quillen_cylinder
 from .premodel import dualize, same_classes, saturation_flags, verify_premodel
 from .saturate import saturate
 from .classify import classify_full
@@ -234,7 +233,8 @@ def _do_validate(session, name, tree):
         verdict = check_adjunction(env.adjunctions[name])
         kind, ok, violations = "adjunction", verdict.ok, verdict.violations
     elif name in env.cylinders:
-        violations = _structural_cylinder_check(*env.cylinders[name])
+        cyl = env.cylinders[name]
+        violations = _structural_cylinder_check(cyl, cyl.pair.source)
         kind, ok = "cylinder", not violations
     else:
         raise InputError("unknown name %r" % name)
@@ -315,15 +315,9 @@ def _do_classify(session, p, name, tree):
 
 def _do_olschok(session, args, tree):
     p = session.lookup("premodel", args["target"])
-    cyl, cyl_cat = session.lookup("cylinder", args["cylinder"])
-    if cyl_cat != p.cat:
-        raise InputError(
-            "cylinder %r lives on %s, not on %s"
-            % (args["cylinder"], cyl_cat.name, p.cat.name)
-        )
+    cyl = session.lookup("cylinder", args["cylinder"])
     seeds = session.arrows_of(p, args.get("seeds", []))
-    structured = structured_from_premodel(p)
-    rep = olschok_model(structured, cyl, seeds=seeds)
+    rep = olschok_model(p, cyl, seeds=seeds)
     session.result_premodel = rep.saturated
     cat = p.cat
     tree["lambda"] = cat.sort_morphisms(rep.lambda_set)

@@ -34,7 +34,6 @@ from mclab.localize import left_bousfield, nabla
 from mclab.olschok import (
     identity_cylinder,
     olschok_model,
-    structured_from_premodel,
     verify_quillen_cylinder,
 )
 from mclab.premodel import (
@@ -302,7 +301,7 @@ def test_criterion_09_verdicts_survive_enumeration_reversal():
 
 def test_criterion_10_cylinder_generation():
     triv = fixtures.trivial_premodel(fixtures.chain3())
-    report = olschok_model(structured_from_premodel(triv), identity_cylinder(triv.cat))
+    report = olschok_model(triv, identity_cylinder(triv.cat))
     assert report.all_cofibrant
     assert report.quillen_asserted
     assert report.classification.quillen.ok

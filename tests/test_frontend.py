@@ -292,6 +292,59 @@ def test_a_cylinder_without_coproducts_is_bad_input(tmp_path, capsys):
         "coproduct of 'x' with itself is absent\n" % doc
 
 
+OLSCHOK_ON_TWO = """
+category two thin { objects: u, v; }
+premodel T on two { cofibrations: all; anodyne_cofibrations: {ids}; }
+cylinder C { on: two; kind: identity; }
+"""
+
+
+def test_a_failed_olschok_precondition_is_bad_input(tmp_path, capsys):
+    doc = tmp_path / "two.mcl"
+    doc.write_text(OLSCHOK_ON_TWO + "run { olschok T cylinder C; }\n")
+    text = "olschok needs initial and terminal objects: two has no initial and no terminal object"
+    assert _cli(["olschok", str(doc), "T", "--cylinder", "C"], capsys) == (
+        BAD_INPUT,
+        "directive: olschok T cylinder C\nerror:\n  kind: input\n  message: %s\n" % text,
+        "",
+    )
+    assert main(["run", str(doc), "--json"]) == BAD_INPUT
+    assert json.loads(capsys.readouterr().out)["error"] == {"kind": "input", "message": text}
+
+    doc = tmp_path / "barton.mcl"
+    doc.write_text(BARTON_POSET + PREMODEL + "cylinder C { on: barton; kind: identity; }\n")
+    assert _cli(["olschok", str(doc), "P0", "--cylinder", "C", "--seeds", "ab"], capsys) == (
+        BAD_INPUT,
+        "directive: olschok P0 cylinder C seeds {ab}\nerror:\n  kind: input\n"
+        "  message: olschok seeds must be cofibrations: ab\n",
+        "",
+    )
+
+
+def test_a_foreign_cylinder_is_bad_input(tmp_path, capsys):
+    doc = tmp_path / "foreign.mcl"
+    doc.write_text(
+        BARTON_POSET + PREMODEL + OLSCHOK_ON_TWO + "run { validate C; olschok P0 cylinder C; }\n"
+    )
+    assert main(["run", str(doc), "--json"]) == BAD_INPUT
+    validate, olschok = json.loads(capsys.readouterr().out)
+    assert validate["ok"] is True
+    assert olschok == {
+        "directive": "olschok P0 cylinder C",
+        "error": {
+            "kind": "input",
+            "message": "olschok needs a verified cylinder: cylinder lives on two, not on barton",
+        },
+    }
+
+
+def test_an_unknown_arrow_names_its_category(capsys):
+    path = str(DATA / "barton.mcl")
+    code, out, err = _cli(["equiv", path, "P0", "zz", "--json"], capsys)
+    assert code == BAD_INPUT and err == ""
+    assert json.loads(out)["error"]["message"] == "unknown morphism 'zz' in barton"
+
+
 def test_cli_error_paths(tmp_path, capsys):
     missing = tmp_path / "missing.mcl"
     assert main(["validate", str(missing)]) == BAD_INPUT

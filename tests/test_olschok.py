@@ -1,10 +1,12 @@
 import pytest
 
 from mclab import fixtures
-from mclab.errors import InputError, VerificationError
+from mclab.errors import ConstructionError, InputError, VerificationError
 from mclab.fincat import identity_functor
 from mclab.olschok import (
+    CylinderReport,
     NatTrans,
+    _structural_cylinder_check,
     check_nat_trans,
     check_pre_cylinder,
     compose_nt,
@@ -16,7 +18,6 @@ from mclab.olschok import (
     olschok_lambda,
     olschok_model,
     pair_functor,
-    structured_from_premodel,
     verify_quillen_cylinder,
     weak_cylinder_theorem_harness,
 )
@@ -88,11 +89,9 @@ def test_identity_cylinder_verifies_everywhere(premodel_corpus):
 def test_weak_cylinder_theorem_harness(p0, p1):
     for p in (p0, p1):
         cyl = identity_cylinder(p.cat)
-        report = weak_cylinder_theorem_harness(p, cyl)
-        assert report.ok
-        assert report.weak_model_ok
-        assert set(report.witnesses) == {"ac", "ad", "cd", "id_a", "id_c", "id_d"}
-        for w in report.witnesses.values():
+        witnesses = weak_cylinder_theorem_harness(p, cyl)
+        assert set(witnesses) == {"ac", "ad", "cd", "id_a", "id_c", "id_d"}
+        for w in witnesses.values():
             assert w.strong
 
 
@@ -104,8 +103,7 @@ def test_harness_rejects_unverified_input(p0):
 
 def test_olschok_on_fully_cofibrant_chain():
     triv = fixtures.trivial_premodel(fixtures.chain3())
-    structured = structured_from_premodel(triv)
-    report = olschok_model(structured, identity_cylinder(triv.cat))
+    report = olschok_model(triv, identity_cylinder(triv.cat))
     assert report.lambda_set == frozenset({"id_a", "id_c", "id_d"})
     assert report.lambda_set == report.lambda_without_second
     assert not report.second_corner_matters
@@ -117,8 +115,7 @@ def test_olschok_on_fully_cofibrant_chain():
 
 
 def test_olschok_regenerates_the_marked_structure(p0):
-    structured = structured_from_premodel(p0)
-    report = olschok_model(structured, identity_cylinder(p0.cat))
+    report = olschok_model(p0, identity_cylinder(p0.cat))
     assert same_classes(report.saturated, p0)
     assert not report.all_cofibrant  # b never becomes cofibrant
     assert not report.quillen_asserted
@@ -127,8 +124,7 @@ def test_olschok_regenerates_the_marked_structure(p0):
 
 
 def test_olschok_with_seed_localizes(p0, p1):
-    structured = structured_from_premodel(p0)
-    report = olschok_model(structured, identity_cylinder(p0.cat), seeds=("ac",))
+    report = olschok_model(p0, identity_cylinder(p0.cat), seeds=("ac",))
     assert report.lambda_set == IDS | {"ac"}
     assert same_classes(report.premodel, p1)
     assert same_classes(report.saturated, p1)
@@ -137,12 +133,75 @@ def test_olschok_with_seed_localizes(p0, p1):
 
 
 def test_olschok_lambda_rejects_non_cofibration_seed(p0):
-    structured = structured_from_premodel(p0)
     cyl = identity_cylinder(p0.cat)
     with pytest.raises(VerificationError, match="non-cofibration"):
-        olschok_lambda(structured, cyl, seeds=("ab",), generators=())
+        olschok_lambda(p0, cyl, seeds=("ab",))
 
 
 def test_pre_cylinder_check(p0):
-    structured = structured_from_premodel(p0)
-    assert check_pre_cylinder(identity_cylinder(p0.cat), structured).ok
+    assert check_pre_cylinder(identity_cylinder(p0.cat), p0).ok
+
+
+CISINSKI_OLSCHOK_COUNTS = {
+    # category: (runs, Quillen-asserted, left-semi-asserted)
+    "chain3": (77, 35, 42),
+    "barton": (365, 100, 265),
+    "chain4": (593, 154, 439),
+}
+
+
+def test_cisinski_olschok_census(census):
+    """The identity cylinder generates from every census premodel, with no
+    seed and with each single cofibration; each run asserts exactly one of
+    the two implications."""
+    for name, want in CISINSKI_OLSCHOK_COUNTS.items():
+        runs = quillen = left_semi = 0
+        for p in census[name]:
+            cyl = identity_cylinder(p.cat)
+            for seeds in [(), *((i,) for i in p.cat.sort_morphisms(p.cofibrations))]:
+                report = olschok_model(p, cyl, seeds)
+                assert report.quillen_asserted != report.left_semi_asserted, (name, seeds)
+                runs += 1
+                quillen += report.quillen_asserted
+                left_semi += report.left_semi_asserted
+        assert (runs, quillen, left_semi) == want, name
+
+
+def test_bounded_monoids_have_no_identity_cylinder(census):
+    for name in ("Z2", "Z3", "idempotent", "left_zero"):
+        cat = census[name][0].cat
+        with pytest.raises(ConstructionError, match="coproduct of 'x' with itself"):
+            identity_cylinder(cat)
+
+
+def test_olschok_needs_initial_and_terminal_objects():
+    two = fixtures.discrete2()
+    triv = fixtures.trivial_premodel(two)
+    with pytest.raises(InputError) as err:
+        olschok_model(triv, identity_cylinder(two))
+    assert str(err.value) == (
+        "olschok needs initial and terminal objects: discrete2 has no initial and no terminal object"
+    )
+
+
+def test_olschok_seeds_must_be_known_cofibrations(p0):
+    cyl = identity_cylinder(p0.cat)
+    for seeds, text in (
+        (("ab", "bd"), "olschok seeds must be cofibrations: ab"),
+        (("zz",), "unknown morphism 'zz' in barton"),
+    ):
+        with pytest.raises(InputError) as err:
+            olschok_model(p0, cyl, seeds)
+        assert str(err.value) == text
+
+
+def test_a_foreign_cylinder_is_bad_input(p0):
+    cyl = identity_cylinder(fixtures.chain3())
+    text = "cylinder lives on chain3, not on barton"
+    assert _structural_cylinder_check(cyl, p0.cat) == [text]
+    assert verify_quillen_cylinder(cyl, p0) == CylinderReport(False, False, (text,))
+    assert check_pre_cylinder(cyl, p0).violations == (text,)
+    with pytest.raises(InputError, match="^olschok needs a verified cylinder: %s$" % text):
+        olschok_model(p0, cyl)
+    with pytest.raises(InputError, match="^harness needs a verified Quillen cylinder: %s$" % text):
+        weak_cylinder_theorem_harness(p0, cyl)
