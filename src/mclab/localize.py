@@ -5,7 +5,9 @@ between well-behaved objects, close the replacements under the cylinder
 inclusion operator ∇, enlarge the anodyne cofibrations by the closure, and
 saturate.  Cofibrations never move; fibrant objects shrink to the local
 ones.  Right localization is the mirror image, driven by a right Quillen
-functor into another verified structure instead of a set of arrows.
+functor into another verified structure instead of a set of arrows.  Every
+rebuilt system comes from ``premodel._rebuild_fibrations``; the right-hand
+rebuilds run it on the dual.
 
 The operator ∇ sends a cofibration i to the cylinder inclusion
 B ⊔_A B -> Z of its first weak cylinder witness; iterating it is what makes
@@ -25,15 +27,16 @@ from .homotopy import (
     iter_cylinder_witnesses,
     verify_weak_model,
 )
-from .lifting import complement_llp, complement_rlp, require_factorizations
+from .lifting import complement_llp, complement_rlp
 from .saturate import saturate
 from .premodel import (
     PremodelStructure,
+    _assert_premodel,
+    _rebuild_fibrations,
     acyclic_fibrations,
     check_quillen_adjunction,
     core_fibrations,
     saturation_flags,
-    verify_premodel,
 )
 
 
@@ -98,12 +101,6 @@ def _require_weak_model(p, what):
         raise InputError("%s requires a verified weak model structure" % what)
 
 
-def _assert_premodel(q, context):
-    report = verify_premodel(q)
-    if not report.ok:
-        raise VerificationError("%s is not a premodel: %s" % (context, "; ".join(report.failures)))
-
-
 def _between(cat, arrows, objects):
     """The members of ``arrows`` with both endpoints in ``objects``."""
     return {f for f in arrows if cat.source[f] in objects and cat.target[f] in objects}
@@ -134,11 +131,8 @@ def left_bousfield(p, arrows, mode="Lc"):
     closure = _nabla_closure(p, reps.values())
 
     new_fib = complement_rlp(cat, p.anodyne_cofibrations | closure)
-    new_ac = complement_llp(cat, new_fib)
-    require_factorizations(cat, new_ac, new_fib, "left localization loses factorization of %s")
-    intermediate = p.with_classes(
-        anodyne_cofibrations=new_ac, fibrations=new_fib, name="%s_loc" % (p.name or cat.name)
-    )
+    name = "%s_loc" % (p.name or cat.name)
+    intermediate = _rebuild_fibrations(p, new_fib, "left localization", name)
     _assert_premodel(intermediate, "left localization intermediate")
 
     result = saturate(intermediate, mode)
@@ -192,11 +186,8 @@ def right_bousfield(p, adj, target, mode="Rc"):
         q for q in core_fibrations(p) if adj.right.on_morphism(q) in target_acyclic
     )
     new_cof = p.cofibrations & complement_llp(cat, localizer)
-    new_af = complement_rlp(cat, new_cof)
-    require_factorizations(cat, new_cof, new_af, "right localization loses factorization of %s")
-    intermediate = p.with_classes(
-        cofibrations=new_cof, anodyne_fibrations=new_af, name="%s_rloc" % (p.name or cat.name)
-    )
+    name = "%s_rloc" % (p.name or cat.name)
+    intermediate = _rebuild_fibrations(p.dual, new_cof, "right localization", name).dual
     _assert_premodel(intermediate, "right localization intermediate")
 
     result = saturate(intermediate, mode)
@@ -235,8 +226,7 @@ def pre_right_localization(p, arrows):
         if i not in p.cofibrations:
             raise InputError("generator %s is not a cofibration" % i)
 
-    new_af = complement_rlp(cat, frozenset(arrows) | p.anodyne_cofibrations)
-    new_cof = complement_llp(cat, new_af)
+    new_cof = complement_llp(cat, complement_rlp(cat, frozenset(arrows) | p.anodyne_cofibrations))
 
     witnesses = {}
     for i in arrows:
@@ -252,14 +242,8 @@ def pre_right_localization(p, arrows):
             )
         witnesses[i] = found
 
-    require_factorizations(
-        cat, new_cof, new_af, "pre-right localization loses factorization of %s"
-    )
-    structure = p.with_classes(
-        cofibrations=new_cof,
-        anodyne_fibrations=new_af,
-        name="%s_pre_rloc" % (p.name or cat.name),
-    )
+    name = "%s_pre_rloc" % (p.name or cat.name)
+    structure = _rebuild_fibrations(p.dual, new_cof, "pre-right localization", name).dual
     _assert_premodel(structure, "pre-right localization")
     if not verify_weak_model(structure).ok:
         raise VerificationError("pre-right localization does not verify the weak model axioms")

@@ -35,15 +35,14 @@ from .fincat import (
     pushout,
 )
 from .homotopy import CylinderWitness, check_cylinder_witness, fold_cone, verify_weak_model
-from .lifting import (
-    _require_morphisms,
-    _unknown_morphism,
-    complement_llp,
-    complement_rlp,
-    require_factorizations,
-    verify_wfs,
+from .lifting import _require_morphisms, _unknown_morphism, complement_rlp, verify_wfs
+from .premodel import (
+    PremodelStructure,
+    _assert_premodel,
+    _rebuild_fibrations,
+    cofibrant_objects,
+    verify_premodel,
 )
-from .premodel import PremodelStructure, cofibrant_objects, verify_premodel
 from .saturate import saturate
 
 
@@ -421,19 +420,9 @@ def olschok_model(p, cyl, seeds=()):
     lam = olschok_lambda(p, cyl, seeds, include_second=True)
     lam_first_only = olschok_lambda(p, cyl, seeds, include_second=False)
 
-    new_fib = complement_rlp(cat, lam)
-    new_ac = complement_llp(cat, new_fib)
-    require_factorizations(cat, new_ac, new_fib, "generated system loses factorization of %s")
-    generated = p.with_classes(
-        anodyne_cofibrations=new_ac,
-        fibrations=new_fib,
-        name="%s_olschok" % (p.name or cat.name),
-    )
-    premodel_report = verify_premodel(generated)
-    if not premodel_report.ok:
-        raise VerificationError(
-            "generated structure is not a premodel: %s" % "; ".join(premodel_report.failures)
-        )
+    name = "%s_olschok" % (p.name or cat.name)
+    generated = _rebuild_fibrations(p, complement_rlp(cat, lam), "generated system", name)
+    _assert_premodel(generated, "generated structure")
     saturated = saturate(generated, "Lc")
     classification = classify_full(saturated)
     all_cofibrant = len(cofibrant_objects(saturated)) == len(cat.objects)

@@ -12,7 +12,10 @@ all cofibrations.  "Acyclic" is reserved for the derived classes computed
 against the bifibrant core, see ``acyclic_cofibrations``.
 
 A right-hand construction is its left twin on ``dualize(p)``: the fibrant
-replacement of x is its cofibrant replacement in the dual, kept there.
+replacement of x is its cofibrant replacement in the dual, kept there.  So is
+a rebuild: every construction (saturation, localization, Olschok generation)
+replaces one system by the system a new fibration class F' determines,
+``_rebuild_fibrations``, and rebuilds (C, AF) as that step on the dual.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError, InputError, VerificationError
 from .fincat import FiniteCategory, check_adjunction, involution, validate_category
 from .lifting import (
     WeakFactorizationSystem,
@@ -28,6 +31,7 @@ from .lifting import (
     complement_llp,
     complement_rlp,
     factor,
+    require_factorizations,
     verify_wfs,
 )
 
@@ -289,6 +293,23 @@ def verify_premodel(p):
     return PremodelReport(
         ok, cat_verdict.ok, cof_report.ok, fib_report.ok, nesting_ok, endpoints_ok, tuple(failures)
     )
+
+
+def _assert_premodel(q, context):
+    report = verify_premodel(q)
+    if not report.ok:
+        raise VerificationError("%s is not a premodel: %s" % (context, "; ".join(report.failures)))
+
+
+def _rebuild_fibrations(p, fibrations, what, name=None):
+    """p with (AC, F) replaced by (llp F', F'), F' = ``fibrations``; a (C, AF)
+    rebuild is this step on ``p.dual``, then ``.dual``.  The first arrow h, in
+    morphism order, that the new pair does not factor raises ConstructionError
+    "<what> loses factorization of h", with witness h."""
+    anodyne = complement_llp(p.cat, fibrations)
+    require_factorizations(p.cat, anodyne, fibrations, what + " loses factorization of %s")
+    name = p.name if name is None else name
+    return p.with_classes(anodyne_cofibrations=anodyne, fibrations=fibrations, name=name)
 
 
 def dualize(p):

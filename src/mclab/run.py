@@ -51,14 +51,18 @@ class Session:
             "adjunction": env.adjunctions,
             "cylinder": env.cylinders,
         }
-        self.result_premodel = None
-        self.result_category = None
+        self.results = {}  # kind -> the latest premodel or category produced
+        self.latest = None  # the kind of the latest one
+
+    def keep(self, kind, found):
+        self.results[kind] = found
+        self.latest = kind
 
     def lookup(self, kind, name):
         """The premodel, category, adjunction or cylinder called ``name``; for
         a premodel or a category, ``result`` is the latest one produced."""
         rolling = name == "result" and kind in ("premodel", "category")
-        found = getattr(self, "result_" + kind) if rolling else self.tables[kind].get(name)
+        found = self.results.get(kind) if rolling else self.tables[kind].get(name)
         if found is None:
             if rolling:
                 raise InputError("'result' does not hold a %s yet" % kind)
@@ -168,7 +172,7 @@ def execute(session, directive):
     if kind == "saturate":
         p = session.lookup("premodel", args["target"])
         out = saturate(p, args["mode"])
-        session.result_premodel = out
+        session.keep("premodel", out)
         tree.update(
             mode=args["mode"],
             changed=not same_classes(p, out),
@@ -181,7 +185,7 @@ def execute(session, directive):
     if kind == "hocat":
         p = _verified_premodel(session, args["target"])
         h = homotopy_category(p)
-        session.result_category = h.category
+        session.keep("category", h.category)
         tree["homotopy_category"] = _category_tree(h.category)
         tree["classes"] = {
             rep: list(members)
@@ -202,7 +206,7 @@ def execute(session, directive):
     if kind == "dualize":
         p = session.lookup("premodel", args["target"])
         out = dualize(p)
-        session.result_premodel = out
+        session.keep("premodel", out)
         tree["classes"] = _classes_tree(out)
         tree["saturation"] = _flags_tree(out)
         return tree, True
@@ -223,10 +227,11 @@ def _verified_premodel(session, name):
 def _do_validate(session, name, tree):
     tree["target"] = name
     env = session.env
-    if name in env.categories or (name == "result" and session.result_category):
+    latest = session.latest if name == "result" else None
+    if name in env.categories or latest == "category":
         verdict = validate_category(session.lookup("category", name))
         kind, ok, violations = "category", verdict.ok, verdict.violations
-    elif name in env.premodels or (name == "result" and session.result_premodel):
+    elif name in env.premodels or latest == "premodel":
         rep = verify_premodel(session.lookup("premodel", name))
         kind, ok, violations = "premodel", rep.ok, rep.failures
     elif name in env.adjunctions:
@@ -273,7 +278,7 @@ def _do_localize(session, args, tree):
     if args["side"] == "left":
         arrows = session.arrows_of(p, args["arrows"])
         loc = left_bousfield(p, arrows, mode=args["mode"])
-        session.result_premodel = loc.structure
+        session.keep("premodel", loc.structure)
         tree["representatives"] = {
             s: loc.representatives[s] for s in p.cat.sort_morphisms(loc.representatives)
         }
@@ -282,7 +287,7 @@ def _do_localize(session, args, tree):
         adj = session.lookup("adjunction", args["adjunction"])
         target_p = session.lookup("premodel", args["into"])
         loc = right_bousfield(p, adj, target_p, mode=args["mode"])
-        session.result_premodel = loc.structure
+        session.keep("premodel", loc.structure)
         tree["localizer"] = p.cat.sort_morphisms(loc.localizer)
     tree["mode"] = args["mode"]
     tree["changed"] = not same_classes(p, loc.structure)
@@ -318,7 +323,7 @@ def _do_olschok(session, args, tree):
     cyl = session.lookup("cylinder", args["cylinder"])
     seeds = session.arrows_of(p, args.get("seeds", []))
     rep = olschok_model(p, cyl, seeds=seeds)
-    session.result_premodel = rep.saturated
+    session.keep("premodel", rep.saturated)
     cat = p.cat
     tree["lambda"] = cat.sort_morphisms(rep.lambda_set)
     tree["lambda_without_second"] = cat.sort_morphisms(rep.lambda_without_second)

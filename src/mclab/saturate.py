@@ -5,7 +5,8 @@ Four modes, two per side:
 * ``L``  — new fibrations are those lifting against all acyclic
            cofibrations; new anodyne cofibrations are their llp complement.
 * ``Lc`` — same, but only acyclic cofibrations with cofibrant source vote.
-* ``R`` / ``Rc`` — the mirror images on the other system.
+* ``R`` / ``Rc`` — the mirror images on the other system: ``L`` / ``Lc``
+           on the dual structure, carried back.
 
 The cofibration system is untouched by L/Lc, the fibration system by R/Rc.
 Saturation never moves the bifibrant core: cofibrant and fibrant objects,
@@ -18,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, VerificationError
-from .lifting import complement_llp, complement_rlp, require_factorizations
+from .lifting import complement_rlp
 from .premodel import (
     PremodelStructure,
+    _rebuild_fibrations,
     acyclic_cofibrations,
-    acyclic_fibrations,
     core_acyclic_cofibrations,
     core_acyclic_fibrations,
     core_cofibrations,
@@ -57,37 +58,20 @@ def saturate(p, mode):
     """
     if mode not in MODES:
         raise InputError("saturation mode must be one of %s, got %r" % (", ".join(MODES), mode))
-    cat = p.cat
+    # read on p first, so a missing endpoint is named as p's and not the dual's
     before = _core_signature(p)
+    side = p.dual if mode in ("R", "Rc") else p
+    votes = acyclic_cofibrations(side) if mode in ("L", "R") else core_acyclic_cofibrations(side)
+    fibrations = side.fibrations & complement_rlp(side.cat, votes)
+    q = _rebuild_fibrations(side, fibrations, "saturation %s" % mode)
+    q = q if side is p else q.dual
 
-    if mode in ("L", "Lc"):
-        votes = acyclic_cofibrations(p) if mode == "L" else core_acyclic_cofibrations(p)
-        new_fib = p.fibrations & complement_rlp(cat, votes)
-        new_ac = complement_llp(cat, new_fib)
-        q = p.with_classes(anodyne_cofibrations=new_ac, fibrations=new_fib)
-        left, right = new_ac, new_fib
-    else:
-        votes = acyclic_fibrations(p) if mode == "R" else core_acyclic_fibrations(p)
-        new_cof = p.cofibrations & complement_llp(cat, votes)
-        new_af = complement_rlp(cat, new_cof)
-        q = p.with_classes(cofibrations=new_cof, anodyne_fibrations=new_af)
-        left, right = new_cof, new_af
-
-    require_factorizations(cat, left, right, "saturation %s loses factorization of %%s" % mode)
-
-    after = _core_signature(q)
-    if before != after:
+    if before != _core_signature(q):
         raise VerificationError(
-            "saturation %s moved the bifibrant core of %s" % (mode, p.name or cat.name)
+            "saturation %s moved the bifibrant core of %s" % (mode, p.name or p.cat.name)
         )
-    flags = saturation_flags(q)
-    expected_flag = {
-        "L": flags.left_saturated,
-        "Lc": flags.core_left_saturated,
-        "R": flags.right_saturated,
-        "Rc": flags.core_right_saturated,
-    }[mode]
-    if not expected_flag:
+    flag = {"L": "left", "Lc": "core_left", "R": "right", "Rc": "core_right"}[mode]
+    if not saturation_flags(q).as_dict()[flag + "_saturated"]:
         raise VerificationError("saturation %s failed to set its flag" % mode)
     return q
 

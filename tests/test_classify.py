@@ -23,6 +23,7 @@ from mclab.errors import ConstructionError, InputError, VerificationError
 from mclab.fincat import poset_category
 from mclab.homotopy import is_equivalence
 from mclab.premodel import PremodelStructure, dualize, fibrant_replacement
+from mclab.saturate import MODES, saturate
 
 from conftest import categories_built
 from monoids import bounded_monoids
@@ -87,15 +88,22 @@ def test_localization_objects(p1):
 
 def test_a_missing_terminal_object_is_named_as_such():
     # t above x and y: an initial object and no terminal one.  WR's comparison
-    # runs on the dual, whose missing initial object is V's terminal one.
+    # and saturation R/Rc run on the dual, whose missing initial object is V's
+    # terminal one.  W, t below x and y, is the mirror.
     v = poset_category("V", ["t", "x", "y"], [("x", "t"), ("y", "t")])
-    ids, every = frozenset(v.identities.values()), frozenset(v.morphisms)
-    for classes in itertools.product((ids, every), repeat=4):
-        p = PremodelStructure(v, *classes, name="V")
-        for right_hand in (lambda: compute_WR(p), lambda: right_localization_object(p, "x")):
-            with pytest.raises(ConstructionError) as err:
-                right_hand()
-            assert str(err.value) == "category V has no terminal object"
+    w = poset_category("W", ["t", "x", "y"], [("t", "x"), ("t", "y")])
+    saturations = [lambda p, mode=mode: saturate(p, mode) for mode in MODES]
+    for cat, missing, checks in (
+        (v, "terminal", [compute_WR, lambda p: right_localization_object(p, "x"), *saturations]),
+        (w, "initial", saturations),
+    ):
+        ids, every = frozenset(cat.identities.values()), frozenset(cat.morphisms)
+        for classes in itertools.product((ids, every), repeat=4):
+            p = PremodelStructure(cat, *classes, name=cat.name)
+            for check in checks:
+                with pytest.raises(ConstructionError) as err:
+                    check(p)
+                assert str(err.value) == "category %s has no %s object" % (cat.name, missing)
 
 
 @pytest.fixture(scope="module")

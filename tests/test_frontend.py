@@ -238,6 +238,18 @@ def test_exit_codes():
     assert outcome.code == CHECK_FAILED  # endpoints are missing, verdict false
 
 
+@pytest.mark.parametrize(
+    "steps, kind",
+    [("hocat P0; saturate P0 mode L;", "premodel"), ("saturate P0 mode L; hocat P0;", "category")],
+)
+def test_validate_result_is_the_latest_result(steps, kind):
+    env = load(BARTON_POSET + PREMODEL + "run { %s validate result; }" % steps)
+    outcome = run_directives(env, env.directives)
+    assert outcome.code == OK
+    assert outcome.trees[-1]["kind"] == kind
+    assert outcome.trees[-1]["target"] == "result"
+
+
 NOT_A_PREMODEL = BARTON_POSET + """
 premodel P on barton {
   cofibrations: {ids, ab};

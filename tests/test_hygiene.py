@@ -7,6 +7,11 @@ appears only in a comment or a docstring counts as unread.
 The engine imports at module level.  The one function-local import left is
 ``fincat``'s of ``lifting._lifting_rows``: ``lifting`` imports ``fincat``.
 
+A rebuilt weak factorization system is checked for factorization in one
+place: ``require_factorizations`` is called only by the rebuild step
+``premodel._rebuild_fibrations`` and by ``lifting.generate_wfs``, which
+builds a system from a generating set alone.
+
 No engine module reads or writes an instance's ``__dict__``: a derived fact
 is a ``cached_property`` or an attribute set in ``__init__``.
 
@@ -158,3 +163,27 @@ def test_oracle_check_finds_a_planted_leak(tmp_path):
 
 def test_oracle_reads_only_raw_tables():
     assert oracle_leaks(ORACLE) == []
+
+
+def callers(path, name):
+    """(module, function) for each call of ``name`` inside a function of ``path``."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [
+        (path.name, fn.name)
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == name
+    ]
+
+
+def test_caller_check_finds_a_planted_call(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f():\n    g(1)\n    m.g(2)\n\ndef h():\n    return g\n")
+    assert callers(probe, "g") == [("probe.py", "f"), ("probe.py", "f")]
+
+
+def test_factorization_is_required_in_one_rebuild_step():
+    found = sorted(hit for p in ENGINE for hit in callers(p, "require_factorizations"))
+    assert found == [("lifting.py", "generate_wfs"), ("premodel.py", "_rebuild_fibrations")]

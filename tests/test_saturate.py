@@ -1,8 +1,10 @@
 import pytest
 
+import bruteforce as bf
 from mclab import fixtures
-from mclab.errors import InputError
+from mclab.errors import ConstructionError, InputError
 from mclab.premodel import (
+    PremodelStructure,
     cofibrant_objects,
     core_acyclic_cofibrations,
     core_acyclic_fibrations,
@@ -12,6 +14,7 @@ from mclab.premodel import (
     verify_premodel,
 )
 from mclab.saturate import MODES, bi_saturate, saturate
+from monoids import bounded_monoids
 
 
 def test_mode_validation():
@@ -78,3 +81,48 @@ def test_saturate_moves_an_unsaturated_structure():
     assert q.fibrations == ids
     assert verify_premodel(q).ok
     assert saturation_flags(q).core_left_saturated
+
+
+def _oracle_saturation(p, mode):
+    """The four classes saturation in ``mode`` should give, from the oracle:
+    the votes are its acyclic class (with cofibrant source, or fibrant
+    target, for the core modes), then one complement and its partner."""
+    cat = p.cat
+    if mode in ("L", "Lc"):
+        votes = bf.acyclic_cofibrations(p)
+        if mode == "Lc":
+            votes = {f for f in votes if cat.source[f] in bf.cofibrant_set(p)}
+        fib = p.fibrations & bf.rlp_class(cat, votes)
+        return p.cofibrations, p.anodyne_fibrations, bf.llp_class(cat, fib), fib
+    votes = bf.acyclic_fibrations(p)
+    if mode == "Rc":
+        votes = {g for g in votes if cat.target[g] in bf.fibrant_set(p)}
+    cof = p.cofibrations & bf.llp_class(cat, votes)
+    return cof, bf.rlp_class(cat, cof), p.anodyne_cofibrations, p.fibrations
+
+
+@pytest.mark.parametrize("mode, moved", [("L", 20), ("Lc", 16), ("R", 20), ("Rc", 16)])
+def test_saturate_census_matches_the_oracle(census, mode, moved):
+    # the fixtures are all bi-saturated; the census is not
+    count = 0
+    for p in (p for name in ("chain3", "barton", "chain4") for p in census[name]):
+        q = saturate(p, mode)
+        expected = PremodelStructure(p.cat, *_oracle_saturation(p, mode))
+        assert same_classes(q, expected), (p.cat.name, p.classes(), mode)
+        assert q.name == p.name
+        count += not same_classes(q, p)
+    assert count == moved
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_saturate_loses_factorization_with_a_witness(mode):
+    # on the idempotent monoid, C = AC = {z} and AF = F = {t} (with the
+    # identities) leave e with no factorization, in every mode
+    cat = next(m for m in bounded_monoids() if m.name == "idempotent")
+    ids = frozenset(cat.identities.values())
+    cof, fib = ids | {"z"}, ids | {"t"}
+    p = PremodelStructure(cat, cof, fib, cof, fib, name="idempotent")
+    with pytest.raises(ConstructionError) as err:
+        saturate(p, mode)
+    assert str(err.value) == "saturation %s loses factorization of e" % mode
+    assert err.value.witness == "e"
