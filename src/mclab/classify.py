@@ -12,7 +12,7 @@ are their left twins on ``p.dual``; WR's verdicts are still asked of ``p``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, VerificationError
 from .homotopy import (
@@ -54,8 +54,7 @@ def strong_path_objects(p):
     return not failures, failures
 
 
-@dataclass(frozen=True)
-class LeftSemiReport:
+class LeftSemiReport(NamedTuple):
     weak_model: bool
     strong_cylinders: bool
     core_left_saturated: bool
@@ -71,8 +70,7 @@ class LeftSemiReport:
         return self.fresse and self.right_saturated
 
 
-@dataclass(frozen=True)
-class RightSemiReport:
+class RightSemiReport(NamedTuple):
     weak_model: bool
     strong_paths: bool
     core_right_saturated: bool
@@ -134,8 +132,7 @@ def _right_semi(p, weak, paths, flags):
     return report
 
 
-@dataclass(frozen=True)
-class TwoSidedReport:
+class TwoSidedReport(NamedTuple):
     weak_model: bool
     strong_cylinders: bool
     strong_paths: bool
@@ -214,8 +211,7 @@ def right_localization_object(p, x):
     return xfc
 
 
-@dataclass(frozen=True)
-class QuillenReport:
+class QuillenReport(NamedTuple):
     ok: bool
     wl_equals_wr: bool
     anodyne_in_wl: bool
@@ -289,8 +285,7 @@ def _quillen(p, wl, wr):
     return QuillenReport(cond1, cond1, cond3, cond5, cond6, square_ok, vacuous, wl, wr)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     name: str
     premodel: object
     flags: object

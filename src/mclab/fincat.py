@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, VerificationError
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a structural check: ok, or a list of violations."""
 
     ok: bool
@@ -372,8 +371,7 @@ def isomorphisms(cat):
 SHAPE_KINDS = ("span", "cospan", "pair", "empty")
 
 
-@dataclass(frozen=True)
-class DiagramShape:
+class DiagramShape(NamedTuple):
     """A tiny diagram named by its morphisms.
 
     kind ∈ {span, cospan, pair, empty}.  ``pair`` is the discrete two-object
@@ -384,8 +382,7 @@ class DiagramShape:
     legs: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """Apex plus structure morphisms, one per foot of the diagram.
 
     For a colimit the legs run foot -> apex, for a limit apex -> foot.
@@ -566,8 +563,7 @@ def terminal_object(cat):
 # -- functors and adjunctions ----------------------------------------------
 
 
-@dataclass
-class FunctorData:
+class FunctorData(NamedTuple):
     name: str
     source: FiniteCategory
     target: FiniteCategory
@@ -630,8 +626,7 @@ def check_functor(fun):
     return Verdict.from_violations(v)
 
 
-@dataclass
-class AdjunctionData:
+class AdjunctionData(NamedTuple):
     """Left adjoint, right adjoint, and unit/counit components by object."""
 
     name: str

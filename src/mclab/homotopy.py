@@ -22,6 +22,7 @@ premodel module.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, VerificationError
 from .fincat import FiniteCategory, Verdict, fold, validate_category
@@ -226,8 +227,7 @@ def check_path_witness(p, w):
     return check_cylinder_witness(dualize(p), w)
 
 
-@dataclass(frozen=True)
-class WeakModelReport:
+class WeakModelReport(NamedTuple):
     ok: bool
     cylinder_axiom: bool
     path_axiom: bool
@@ -341,8 +341,7 @@ def _homotopic_via(p, w, f, g):
     )
 
 
-@dataclass(frozen=True)
-class HomotopyCategory:
+class HomotopyCategory(NamedTuple):
     category: FiniteCategory
     class_of: dict      # morphism id (bifibrant endpoints) -> representative id
     classes: dict       # representative id -> tuple of members

@@ -23,8 +23,8 @@ on the pair shares them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import ConstructionError, InputError
 from .fincat import pushout
@@ -195,15 +195,13 @@ def cell_closure(cat, generators):
             return frozenset(members)
 
 
-@dataclass(frozen=True)
-class WeakFactorizationSystem:
+class WeakFactorizationSystem(NamedTuple):
     cat: object
     left: frozenset
     right: frozenset
 
 
-@dataclass(frozen=True)
-class WfsReport:
+class WfsReport(NamedTuple):
     ok: bool
     lifting_ok: bool
     left_is_complement: bool

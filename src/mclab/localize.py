@@ -17,7 +17,7 @@ honest fixpoint with cycle tracking available for inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, VerificationError
 from .homotopy import (
@@ -40,8 +40,7 @@ from .premodel import (
 )
 
 
-@dataclass(frozen=True)
-class NablaChain:
+class NablaChain(NamedTuple):
     """Iterates of ∇ starting from a cofibration.
 
     ``steps[k]`` is the k-th iterate; ``cycle_start`` is the index the last
@@ -106,8 +105,7 @@ def _between(cat, arrows, objects):
     return {f for f in arrows if cat.source[f] in objects and cat.target[f] in objects}
 
 
-@dataclass(frozen=True)
-class LeftLocalization:
+class LeftLocalization(NamedTuple):
     structure: PremodelStructure
     representatives: dict          # s -> core cofibration standing in for it
     nabla_closure: frozenset       # the ∇-closure J of the representatives
@@ -155,8 +153,7 @@ def left_bousfield(p, arrows, mode="Lc"):
     return LeftLocalization(result, reps, closure, intermediate)
 
 
-@dataclass(frozen=True)
-class RightLocalization:
+class RightLocalization(NamedTuple):
     structure: PremodelStructure
     localizer: frozenset           # the core fibrations made anodyne-worthy
     intermediate: PremodelStructure
@@ -204,8 +201,7 @@ def right_bousfield(p, adj, target, mode="Rc"):
     return RightLocalization(result, localizer, intermediate)
 
 
-@dataclass(frozen=True)
-class PreRightLocalization:
+class PreRightLocalization(NamedTuple):
     structure: PremodelStructure
     generators: frozenset
     witnesses: dict                # generator -> accepted cylinder witness

@@ -21,7 +21,7 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, VerificationError
 from .classify import classify_full
@@ -46,8 +46,7 @@ from .premodel import (
 from .saturate import saturate
 
 
-@dataclass
-class NatTrans:
+class NatTrans(NamedTuple):
     name: str
     source: FunctorData
     target: FunctorData
@@ -177,8 +176,7 @@ def nt_is_anodyne(lam, p_src, p_tgt):
     )
 
 
-@dataclass
-class QuillenCylinderData:
+class QuillenCylinderData(NamedTuple):
     name: str
     pair: FunctorData
     inl: NatTrans
@@ -212,8 +210,7 @@ def identity_cylinder(cat):
     )
 
 
-@dataclass(frozen=True)
-class CylinderReport:
+class CylinderReport(NamedTuple):
     ok: bool
     strong: bool
     failures: tuple[str, ...]
@@ -373,8 +370,7 @@ def olschok_lambda(p, cyl, seeds, include_second=True):
     return frozenset(members)
 
 
-@dataclass(frozen=True)
-class OlschokReport:
+class OlschokReport(NamedTuple):
     lambda_set: frozenset
     lambda_without_second: frozenset
     second_corner_matters: bool

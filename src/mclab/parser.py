@@ -32,7 +32,6 @@ all be listed under `relations`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, ParseError
@@ -79,8 +78,7 @@ def _tokenize(text):
     return tokens
 
 
-@dataclass
-class CategoryDecl:
+class CategoryDecl(NamedTuple):
     name: str
     thin: bool
     objects: list
@@ -90,16 +88,14 @@ class CategoryDecl:
     col: int
 
 
-@dataclass
-class PosetDecl:
+class PosetDecl(NamedTuple):
     name: str
     chains: list        # each a list of object names, ascending
     line: int
     col: int
 
 
-@dataclass
-class PremodelDecl:
+class PremodelDecl(NamedTuple):
     name: str
     cat_name: str
     classes: dict       # field -> ("all",) | ("all_except", names) | ("generated", names) | ("set", names)
@@ -107,16 +103,14 @@ class PremodelDecl:
     col: int
 
 
-@dataclass
-class FunctorDecl:
+class FunctorDecl(NamedTuple):
     src: str
     tgt: str
     objects: list       # (from, to)
     arrows: list        # (from, to)
 
 
-@dataclass
-class AdjunctionDecl:
+class AdjunctionDecl(NamedTuple):
     name: str
     left: FunctorDecl
     right: FunctorDecl
@@ -126,8 +120,7 @@ class AdjunctionDecl:
     col: int
 
 
-@dataclass
-class CylinderDecl:
+class CylinderDecl(NamedTuple):
     name: str
     cat_name: str
     kind: str
@@ -135,22 +128,20 @@ class CylinderDecl:
     col: int
 
 
-@dataclass
-class Directive:
+class Directive(NamedTuple):
     kind: str
     args: dict
     line: int
     col: int
 
 
-@dataclass
-class Document:
-    categories: list = field(default_factory=list)
-    posets: list = field(default_factory=list)
-    premodels: list = field(default_factory=list)
-    adjunctions: list = field(default_factory=list)
-    cylinders: list = field(default_factory=list)
-    directives: list = field(default_factory=list)
+class Document(NamedTuple):
+    categories: list
+    posets: list
+    premodels: list
+    adjunctions: list
+    cylinders: list
+    directives: list
 
 
 # the directives whose first argument is their target; ``check`` and
@@ -209,7 +200,7 @@ class _Parser:
     # ---- document ----------------------------------------------------
 
     def parse_document(self):
-        doc = Document()
+        doc = Document([], [], [], [], [], [])
         while True:
             t = self.peek()
             if t.kind == "eof":
@@ -645,8 +636,7 @@ def _build_cylinder(decl, categories):
         ) from None
 
 
-@dataclass
-class Environment:
+class Environment(NamedTuple):
     """Resolved document: named engine objects plus bookkeeping."""
 
     categories: dict

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, VerificationError
 from .fincat import FiniteCategory, check_adjunction, involution, validate_category
@@ -157,8 +158,7 @@ def is_fibrant(p, x):
     return x in p.fibrant
 
 
-@dataclass(frozen=True)
-class ObjectStatus:
+class ObjectStatus(NamedTuple):
     obj: str
     cofibrant: bool
     fibrant: bool
@@ -248,8 +248,7 @@ def saturation_flags(p):
     )
 
 
-@dataclass(frozen=True)
-class PremodelReport:
+class PremodelReport(NamedTuple):
     ok: bool
     category_ok: bool
     cof_system_ok: bool
@@ -367,8 +366,7 @@ def _fibrant_replacement(p, x):
     return (x, p.cat.identity(x)) if x in p.fibrant else _cofibrant_replacement(p.dual, x)
 
 
-@dataclass(frozen=True)
-class QuillenAdjunctionReport:
+class QuillenAdjunctionReport(NamedTuple):
     ok: bool
     left_preserves_cofibrations: bool
     right_preserves_fibrations: bool

@@ -16,17 +16,30 @@ _SCALARS = (str, bool, int, float, type(None))
 
 
 def check_tree(tree, path="report"):
-    """Trees must stay within the round-trippable vocabulary."""
+    """Trees must stay within the round-trippable vocabulary.  The path to a
+    bad node is spelled out only once one is found."""
+    if (bad := _misfit(tree)) is not None:
+        raise TypeError("%s%s: %s" % (path, "".join(reversed(bad[0])), bad[1]))
+
+
+def _misfit(tree):
+    """``(steps, text)`` for the first node outside the vocabulary, its path
+    steps leaf first; None when the whole tree fits."""
     if isinstance(tree, dict):
         for k, v in tree.items():
             if not isinstance(k, str):
-                raise TypeError("%s: non-string key %r" % (path, k))
-            check_tree(v, "%s.%s" % (path, k))
+                return [], "non-string key %r" % (k,)
+            if (bad := _misfit(v)) is not None:
+                bad[0].append("." + k)
+                return bad
     elif isinstance(tree, list):
         for i, v in enumerate(tree):
-            check_tree(v, "%s[%d]" % (path, i))
+            if (bad := _misfit(v)) is not None:
+                bad[0].append("[%d]" % i)
+                return bad
     elif not isinstance(tree, _SCALARS):
-        raise TypeError("%s: unserializable value %r" % (path, tree))
+        return [], "unserializable value %r" % (tree,)
+    return None
 
 
 def to_machine(tree):

@@ -18,7 +18,7 @@ an unchecked precondition, or the engine has a bug).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, VerificationError
 from .fincat import check_adjunction, validate_category
@@ -34,8 +34,7 @@ from .classify import classify_full
 OK, CHECK_FAILED, BAD_INPUT, NO_CONSTRUCTION, INTERNAL = 0, 1, 2, 3, 4
 
 
-@dataclass
-class Outcome:
+class Outcome(NamedTuple):
     trees: list
     code: int
 
@@ -102,8 +101,8 @@ def _weak_model_tree(r):
 
 
 def _fields(r, skip=()):
-    """A report's dataclass fields in declaration order, less ``skip``."""
-    return {f.name: getattr(r, f.name) for f in fields(r) if f.name not in skip}
+    """A report's fields in declaration order, less ``skip``."""
+    return {k: v for k, v in r._asdict().items() if k not in skip}
 
 
 def _semi_tree(r):

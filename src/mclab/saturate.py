@@ -16,7 +16,7 @@ not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, VerificationError
 from .lifting import complement_rlp
@@ -76,8 +76,7 @@ def saturate(p, mode):
     return q
 
 
-@dataclass(frozen=True)
-class BiSaturationReport:
+class BiSaturationReport(NamedTuple):
     structure: PremodelStructure     # saturate R after saturate L
     reversed_structure: PremodelStructure  # saturate L after saturate R
     orders_agree: bool

@@ -270,6 +270,31 @@ def weak_model(p):
     return cylinder_axiom(p) and path_axiom(p)
 
 
+# ---- model structures, by the Joyal–Tierney criterion -----------------------
+
+def is_model_structure(p):
+    """With W = {r∘l : l ∈ AC, r ∈ AF}, the premodel p is a model structure
+    exactly when W has 2-out-of-3, C ∩ W = AC and F ∩ W = AF."""
+    cat = p.cat
+    weak = {
+        comp(cat, r, l)
+        for l in p.anodyne_cofibrations
+        for r in p.anodyne_fibrations
+        if cat.target[l] == cat.source[r]
+    }
+    two_out_of_three = all(
+        (f in weak) + (g in weak) + (comp(cat, g, f) in weak) != 2
+        for f in cat.morphisms
+        for g in cat.morphisms
+        if cat.target[f] == cat.source[g]
+    )
+    return (
+        two_out_of_three
+        and p.cofibrations & weak == p.anodyne_cofibrations
+        and p.fibrations & weak == p.anodyne_fibrations
+    )
+
+
 # ---- homotopy and equivalences ----------------------------------------------
 
 def homotopies(p, f, g):

@@ -77,6 +77,19 @@ def test_document_counts():
     assert len(doc.directives) == 4
 
 
+def test_parses_share_no_block_lists():
+    # a record's default list would be one list shared by every parse
+    first = parse(BARTON_POSET + PREMODEL + "run {\n  classify P0;\n}\n")
+    second = parse(BARTON_EXPLICIT)
+    assert [decl.name for decl in second.categories] == ["barton2"]
+    assert second.posets == second.premodels == second.directives == []
+    assert [decl.name for decl in first.posets] == ["barton"]
+    assert [d.kind for d in first.directives] == ["classify"]
+    assert first.categories == []
+    for blocks in ("categories", "posets", "premodels", "adjunctions", "cylinders", "directives"):
+        assert getattr(first, blocks) is not getattr(second, blocks), blocks
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse("category broken thin {\n  objects: ;\n}")
@@ -142,6 +155,21 @@ def test_machine_report_round_trips():
     for tree in outcome.trees:
         check_tree(tree)
         assert from_machine(to_machine(tree)) == tree
+
+
+def test_check_tree_names_the_bad_node():
+    with pytest.raises(TypeError) as err:
+        check_tree({"a": {"b": True, 1: False}})
+    assert str(err.value) == "report.a: non-string key 1"
+    with pytest.raises(TypeError) as err:
+        check_tree({"a": ["x", (1, 2)]})
+    assert str(err.value) == "report.a[1]: unserializable value (1, 2)"
+    with pytest.raises(TypeError) as err:
+        check_tree({"ok": True, "a": [{"b": None}, {"c": [0, {"d": {"e"}}]}]})
+    assert str(err.value) == "report.a[1].c[1].d: unserializable value {'e'}"
+    with pytest.raises(TypeError) as err:
+        check_tree([None, {2.5: "x"}], path="tree")
+    assert str(err.value) == "tree[1]: non-string key 2.5"
 
 
 def test_text_rendering_spells_out_booleans():

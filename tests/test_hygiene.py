@@ -187,3 +187,51 @@ def test_caller_check_finds_a_planted_call(tmp_path):
 def test_factorization_is_required_in_one_rebuild_step():
     found = sorted(hit for p in ENGINE for hit in callers(p, "require_factorizations"))
     assert found == [("lifting.py", "generate_wfs"), ("premodel.py", "_rebuild_fibrations")]
+
+
+def dataclasses_in(path):
+    """Names of the classes in ``path`` decorated with ``dataclass``."""
+    tree = ast.parse(path.read_text(), str(path))
+    decorated = [
+        (node.name, getattr(d, "func", d))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for d in node.decorator_list
+    ]
+    return sorted(
+        name
+        for name, d in decorated
+        if (getattr(d, "id", None) or getattr(d, "attr", None)) == "dataclass"
+    )
+
+
+def test_dataclass_check_finds_planted_records(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n\n"
+        "@dataclass\nclass A:\n    x: int\n\n"
+        "@dataclasses.dataclass(frozen=True)\nclass B:\n    x: int\n\n"
+        "class C(NamedTuple):\n    x: int\n"
+    )
+    assert dataclasses_in(probe) == ["A", "B"]
+
+
+def test_records_are_named_tuples():
+    """A record type is a ``typing.NamedTuple``: each generated dataclass
+    costs about a millisecond of every import.  Three stay dataclasses:
+
+    * ``PremodelStructure`` keeps its ``cached_property`` facts in an instance
+      ``__dict__``, ``with_classes`` is ``dataclasses.replace``, and setting a
+      class raises ``FrozenInstanceError``;
+    * ``SaturationFlags`` is read with ``dataclasses.asdict`` by the
+      benchmark's ``classification_verdict``;
+    * ``CylinderWitness`` is rebuilt from its ``__dict__`` by the tests that
+      tamper with a witness.
+    """
+    found = {p.name: names for p in ENGINE if (names := dataclasses_in(p))}
+    assert found == {
+        "homotopy.py": ["CylinderWitness"],
+        "premodel.py": ["PremodelStructure", "SaturationFlags"],
+    }

@@ -6,11 +6,13 @@ two agree on every fixture.
 """
 
 import dataclasses
+import math
 
 import bruteforce as bf
 from monoids import bounded_monoids
 
 from mclab import fixtures
+from mclab.classify import classify_full
 from mclab.errors import InputError
 from mclab.fincat import initial_object, opposite, pushout, reverse_enumeration, terminal_object
 from mclab.homotopy import homotopic, is_equivalence, verify_weak_model
@@ -195,3 +197,19 @@ def test_equivalence_verdicts_agree(premodel_corpus):
             # inside it, every replacement/factorization choice must say
             # the same thing, and that thing is the engine verdict
             assert verdicts == {got}, (p.name, f)
+
+
+# model structures among all premodels of each category: on a chain of m
+# objects there are C(2m-1, m) of them
+QUILLEN_COUNTS = {"chain3": math.comb(5, 3), "chain4": math.comb(7, 4), "barton": 23}
+
+
+def test_quillen_verdicts_agree_on_the_census(census):
+    assert sum(len(census[name]) for name in QUILLEN_COUNTS) == 125
+    for name, count in QUILLEN_COUNTS.items():
+        found = 0
+        for p in census[name]:
+            model = bf.is_model_structure(p)
+            assert model == (classify_full(p).summary == "Quillen model structure"), p.classes()
+            found += model
+        assert found == count, name
