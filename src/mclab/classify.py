@@ -8,20 +8,21 @@ in the fixtures is exactly a two-sided weak model where they do not.
 
 The arrow between fibrant replacements and the right localization object
 are their left twins on ``p.dual``; WR's verdicts are still asked of ``p``.
+The arrows are grouped by their covering arrow once per (C, AF), in
+``lifting._system``, so WL and WR ask one ``is_equivalence`` per group.  The
+strong cylinder and path objects read the kept verdicts of ``homotopy``.
 """
-
-from __future__ import annotations
 
 from typing import NamedTuple
 
 from .errors import InputError, VerificationError
 from .homotopy import (
-    _cylinder_search,
+    _cylinder_verdict,
     equivalences,
     is_equivalence,
     verify_weak_model,
 )
-from .lifting import factorizations
+from .lifting import _members, factorizations
 from .premodel import (
     _cofibrant_replacement,
     _fibrant_replacement,
@@ -40,7 +41,7 @@ def strong_cylinder_objects(p):
     failures = tuple(
         "no strong cylinder object for %s" % x
         for x in cofibrant_objects(p)
-        if not any(_cylinder_search(p, p.cat.from_initial[x], "strong"))
+        if not _cylinder_verdict(p, p.cat.from_initial[x])[1]
     )
     return not failures, failures
 
@@ -49,7 +50,7 @@ def strong_path_objects(p):
     failures = tuple(
         "no strong path object for %s" % x
         for x in fibrant_objects(p)
-        if not any(_cylinder_search(p.dual, p.cat.to_terminal[x], "strong"))
+        if not _cylinder_verdict(p.dual, p.cat.to_terminal[x])[1]
     )
     return not failures, failures
 
@@ -155,23 +156,38 @@ def two_sided_check(p):
     return TwoSidedReport(weak.ok, cyl_ok, path_ok, saturation_flags(p).bi_saturated)
 
 
-def _induced_between_cofibrant_replacements(p, f):
-    """The arrow between cofibrant replacements covering f.
+def _induced_groups(q):
+    """``{d: mask}``: the arrows f, as a mask, that the arrow d between q's
+    cofibrant replacements covers, kept per (C, AF) in ``lifting._system``.
 
-    Found as a diagonal: the replacement of the target sits over it by an
-    anodyne fibration, which the source replacement's cofibrant cone lifts
-    through.  First diagonal in morphism order; the equivalence verdict does
-    not depend on the choice (the oracle suite recomputes over all of them).
+    d is the first diagonal, in morphism order, of the square the target's
+    replacement (an anodyne fibration) makes with the source's cofibrant
+    replacement.  The verdicts do not depend on the choice (the test suite's
+    ``bruteforce.wl`` and ``wr`` try all of them).
     """
-    cat = p.cat
-    x, y = cat.source[f], cat.target[f]
-    xc, r_x = _cofibrant_replacement(p, x)
-    yc, r_y = _cofibrant_replacement(p, y)
-    bottom = cat.compose_table[(f, r_x)]
-    for d in cat.hom(xc, yc):
-        if cat.compose_table[(r_y, d)] == bottom:
-            return d
-    raise VerificationError("no arrow between replacements covers %s" % f)
+    facts = q._cof_system
+    if facts.induced is None:
+        cat, table, groups = q.cat, q.cat.compose_table, {}
+        for bit, f in enumerate(cat.morphisms):
+            xc, r_x = _cofibrant_replacement(q, cat.source[f])
+            yc, r_y = _cofibrant_replacement(q, cat.target[f])
+            bottom = table[(f, r_x)]
+            d = next((d for d in cat.hom(xc, yc) if table[(r_y, d)] == bottom), None)
+            if d is None:
+                raise VerificationError("no arrow between replacements covers %s" % f)
+            groups[d] = groups.get(d, 0) | 1 << bit
+        facts.induced = groups
+    return facts.induced
+
+
+def _covered_equivalences(p, q):
+    """The arrows whose covering arrow between q's cofibrant replacements is an
+    equivalence of p: one ``is_equivalence`` per distinct covering arrow."""
+    mask = 0
+    for d, arrows in _induced_groups(q).items():
+        if is_equivalence(p, d):
+            mask |= arrows
+    return _members(p.cat, mask)
 
 
 def compute_WL(p):
@@ -180,21 +196,13 @@ def compute_WL(p):
     Defined for every arrow; callers are expected to have verified the weak
     model axioms first, since the notion is only stable there.
     """
-    return frozenset(
-        f
-        for f in p.cat.morphisms
-        if is_equivalence(p, _induced_between_cofibrant_replacements(p, f))
-    )
+    return _covered_equivalences(p, p)
 
 
 def compute_WR(p):
     """Arrows whose fibrant-replacement comparison (WL's, on the dual) is an equivalence."""
     p.fibrant  # read on p first, so a missing terminal object is named as such
-    return frozenset(
-        f
-        for f in p.cat.morphisms
-        if is_equivalence(p, _induced_between_cofibrant_replacements(p.dual, f))
-    )
+    return _covered_equivalences(p, p.dual)
 
 
 def left_localization_object(p, x):

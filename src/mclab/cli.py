@@ -9,8 +9,6 @@ hold, 1 a checked property is false, 2 input/usage error, 3 a required
 construction does not exist, 4 an internal cross-check failed.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import sys

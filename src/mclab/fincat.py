@@ -22,7 +22,8 @@ Conventions
   each frozenset class asked for, per side.
 * The factorization index ``factor_pairs`` lists each arrow's factorizations
   in scan order, and every factorization search walks it; its bitmask form
-  ``left_factors`` prunes the cylinder search.
+  ``left_factors`` decides cylinder existence, through the masks kept next
+  to each fold (``_fold_masks``, see ``homotopy._fold_masks``).
 * Its per-WFS table ``_systems`` keeps what one (left, right) pair decides,
   shared by every structure on that pair (see ``lifting._system``).
 * The arrows leaving each object are indexed once, in enumeration order;
@@ -30,11 +31,8 @@ Conventions
   composable arrows through this index instead of scanning every pair.
 """
 
-from __future__ import annotations
-
 import itertools
 import weakref
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, VerificationError
@@ -52,8 +50,27 @@ class Verdict(NamedTuple):
         return Verdict(not violations, violations)
 
 
+class _fact:
+    """``functools.cached_property`` without the lock it takes on each first
+    read: computed on first use and kept as an instance attribute, which later
+    reads find before this descriptor."""
+
+    def __init__(self, build):
+        self.build, self.__doc__ = build, build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 def involution(build):
-    """Like ``cached_property``, for an opposite kept in ``_opposite`` that refers
+    """Like ``_fact``, for an opposite kept in ``_opposite`` that refers
     back to its base weakly, in ``_base`` (so no reference cycle): its own opposite
     is that base while the base lives; an orphan builds a new opposite once."""
     def get(obj):
@@ -101,7 +118,9 @@ class FiniteCategory:
             self._out.setdefault(self.source[m], []).append(m)
         self._colimits = {}  # (shape kind, legs) -> Cone or None, filled by ``colimit``
         self._folds = {}  # arrow -> (pushout of it along itself, codiagonal) or None, by ``fold``
-        self._classes = {}  # bitmask -> frozenset of ids, filled by the lifting complements
+        self._fold_masks = {}  # arrow with a fold -> its cylinder masks, see ``homotopy._fold_masks``
+        self._classes = {}  # bitmask -> frozenset of ids, see ``lifting._members``
+        self._masks = {}  # frozenset of ids -> bitmask, see ``lifting._mask``
         self._complements = ({}, {})  # per ``lifting_rows`` side: frozenset -> its complement
         self._systems = {}  # (left, right) -> their facts, see ``lifting._system``
         self._opposite = self._base = None  # kept by ``op``, see ``involution``
@@ -153,7 +172,7 @@ class FiniteCategory:
         compose = {(f, g): h for (g, f), h in self.compose_table.items()}
         return FiniteCategory(self.name, self.objects, morphisms, self.identities, compose)
 
-    @cached_property
+    @_fact
     def initial(self):
         """The first object with exactly one arrow to every object, or None.
 
@@ -165,7 +184,7 @@ class FiniteCategory:
             None,
         )
 
-    @cached_property
+    @_fact
     def terminal(self):
         """The first object with exactly one arrow from every object, or None."""
         return next(
@@ -173,24 +192,24 @@ class FiniteCategory:
             None,
         )
 
-    @cached_property
+    @_fact
     def from_initial(self):
         """``{y: the arrow initial -> y}``, or None without an initial object."""
         x = self.initial
         return None if x is None else {y: self.hom(x, y)[0] for y in self.objects}
 
-    @cached_property
+    @_fact
     def to_terminal(self):
         """``{y: the arrow y -> terminal}``, or None without a terminal object."""
         x = self.terminal
         return None if x is None else {y: self.hom(y, x)[0] for y in self.objects}
 
-    @cached_property
+    @_fact
     def verdict(self):
         """What ``validate_category`` says about the tables."""
         return _validate_tables(self)
 
-    @cached_property
+    @_fact
     def factor_pairs(self):
         """``{h: [(l, r), ...]}``: every composable pair with r∘l = h, middle
         object in object order, then l and r in morphism order."""
@@ -204,7 +223,7 @@ class FiniteCategory:
                     pairs[self.compose_table[(r, l)]].append((l, r))
         return pairs
 
-    @cached_property
+    @_fact
     def left_factors(self):
         """``{h: mask}``: the bit of c, at its morphism index, is set when h = e∘c
         for some e, that is, when c is the first half of a pair in ``factor_pairs[h]``."""
@@ -214,7 +233,7 @@ class FiniteCategory:
                 masks[h] |= 1 << self._morphism_index[l]
         return masks
 
-    @cached_property
+    @_fact
     def lifting_rows(self):
         """``(rows, cols)``: bit j of ``rows[f]`` and bit i of ``cols[g]``, for f and g
         at morphism indices i and j, say each square from f to g has a diagonal."""

@@ -17,8 +17,6 @@ and P1, the left localization of P0 at {ac}.  P1 is the small example where
 the left and right equivalence yardsticks genuinely disagree.
 """
 
-from __future__ import annotations
-
 from .fincat import FiniteCategory, isomorphisms, poset_category
 from .premodel import PremodelStructure
 

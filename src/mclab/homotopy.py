@@ -17,9 +17,13 @@ opposite category, where the pushout is a pullback and ∇ a diagonal.
 "Acyclic" always means: lifts against every fibration between fibrant
 objects (or dually), computed fresh from the marked classes — see the
 premodel module.
-"""
 
-from __future__ import annotations
+Whether a witness exists is a mask test on data each category keeps next to
+its folds (``_cylinder_verdict``); each structure keeps the (weak, strong)
+answer per cofibration in ``cylinder_verdicts``, read by the axioms, the core
+criterion and the strong cylinder and path objects.  Only
+``iter_cylinder_witnesses`` runs the search, to build witnesses.
+"""
 
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -93,36 +97,76 @@ def find_cylinder(p, i, mode="weak"):
 
 
 def _cylinder_search(p, i, mode):
-    """The one search behind every witness: (c, l, e) in enumeration order; an
-    existence check runs it without building witnesses.
+    """The search that builds witnesses: (c, l, e) in enumeration order.
 
     The strong search is the weak one with the identity as its only anodyne
-    leg l.  A candidate c with no witness, because no l∘∇ factors through it,
-    is skipped: its bit is clear in every ``cat.left_factors[l∘∇]``.
+    leg l.  Only the candidates of ``_cylinder_masks`` that some l∘∇ factors
+    through are tried: their bit is set in that leg's ``left_factors[l∘∇]``.
     """
     if mode not in ("weak", "strong"):
         raise InputError("cylinder mode must be 'weak' or 'strong', got %r" % mode)
     cat = p.cat
-    cone, codiag = fold_cone(p, i)
-    q0 = cone.legs[0]
-    b = cat.target[i]
-    acyclic = acyclic_cofibrations(p)
-    table, index = cat.compose_table, cat._morphism_index
+    cand, legs, nabla = _cylinder_masks(p, i)
     if mode == "strong":
-        legs = [cat.identity(b)]
-    else:
-        legs = [l for l in cat.arrows_from(b) if l in acyclic]
+        legs = [(cat.identity(cat.target[i]), nabla)]
     reach = 0
-    for l in legs:
-        reach |= cat.left_factors[table[(l, codiag)]]
-
-    for c in cat.arrows_from(cone.apex):
-        if reach >> index[c] & 1 and c in p.cofibrations and table[(c, q0)] in acyclic:
-            for l in legs:
+    for _, mask in legs:
+        reach |= cand & mask
+    (apex, _), codiag = fold(cat, i)
+    table, index = cat.compose_table, cat._morphism_index
+    for c in cat.arrows_from(apex):
+        if reach >> index[c] & 1:
+            for l, _ in legs:
                 rhs = table[(l, codiag)]
                 for e in cat.hom(cat.target[c], cat.target[l]):
                     if table[(e, c)] == rhs:
                         yield c, l, e
+
+
+def _fold_masks(cat, i):
+    """What the cylinders on an arrow i with a fold are decided from, found once
+    per category next to the fold: (c, c∘q0, bit of c) for each c leaving Q,
+    ``left_factors[∇]``, and (l, ``left_factors[l∘∇]``) for each l leaving B."""
+    masks = cat._fold_masks.get(i)
+    if masks is None:
+        (apex, (q0, _)), codiag = fold(cat, i)
+        table, index, factors = cat.compose_table, cat._morphism_index, cat.left_factors
+        masks = cat._fold_masks[i] = (
+            tuple((c, table[(c, q0)], 1 << index[c]) for c in cat.arrows_from(apex)),
+            factors[codiag],
+            tuple((l, factors[table[(l, codiag)]]) for l in cat.arrows_from(cat.target[i])),
+        )
+    return masks
+
+
+def _cylinder_masks(p, i):
+    """(cand, legs, ``left_factors[∇]``) for the cofibration i: cand masks the
+    candidates, the cofibrations c leaving Q whose first leg c∘q0 is acyclic,
+    and legs pairs each acyclic l leaving B with ``left_factors[l∘∇]``.  A
+    witness with leg l and candidate c exists exactly when c's bit is set in
+    cand and in l's mask.  ``fold_cone`` raises first."""
+    fold_cone(p, i)
+    cands, nabla, legs = _fold_masks(p.cat, i)
+    acyclic = p.acyclic_cofibrations
+    cand = 0
+    for c, first, bit in cands:
+        if c in p.cofibrations and first in acyclic:
+            cand |= bit
+    return cand, [(l, mask) for l, mask in legs if l in acyclic], nabla
+
+
+def _cylinder_verdict(p, i):
+    """(weak, strong): has the cofibration i a weak witness, some acyclic leg
+    l with cand meeting ``left_factors[l∘∇]``, and a strong one, cand meeting
+    ``left_factors[∇]``?  Kept in ``p.cylinder_verdicts``."""
+    verdict = p.cylinder_verdicts.get(i)
+    if verdict is None:
+        cand, legs, nabla = _cylinder_masks(p, i)
+        reach = 0
+        for _, mask in legs:
+            reach |= mask
+        verdict = p.cylinder_verdicts[i] = (cand & reach != 0, cand & nabla != 0)
+    return verdict
 
 
 def check_cylinder_witness(p, w):
@@ -241,13 +285,14 @@ class WeakModelReport(NamedTuple):
 
 def _cylinder_axiom(p):
     """Strong cylinders for every cofibration from cofibrant to fibrant."""
-    failures = []
-    for i in p.cat.sort_morphisms(p.cofibrations):
-        if p.cat.source[i] not in p.cofibrant or p.cat.target[i] not in p.fibrant:
-            continue
-        if not any(_cylinder_search(p, i, "strong")):
-            failures.append("no strong cylinder for %s" % i)
-    return not failures, tuple(failures)
+    cat = p.cat
+    failures = tuple(
+        "no strong cylinder for %s" % i
+        for i in cat.morphisms
+        if i in p.cofibrations and cat.source[i] in p.cofibrant and cat.target[i] in p.fibrant
+        and not _cylinder_verdict(p, i)[1]
+    )
+    return not failures, failures
 
 
 def _alt_criterion(p):
@@ -258,11 +303,8 @@ def _alt_criterion(p):
     are acyclic then so is i.
     """
     cat = p.cat
-    failures = []
-    core = [f for f in cat.sort_morphisms(p.cofibrations) if cat.source[f] in p.cofibrant]
-    for i in core:
-        if not any(_cylinder_search(p, i, "weak")):
-            failures.append("no weak cylinder for %s" % i)
+    core = [f for f in cat.morphisms if f in p.cofibrations and cat.source[f] in p.cofibrant]
+    failures = ["no weak cylinder for %s" % i for i in core if not _cylinder_verdict(p, i)[0]]
     acyclic = acyclic_cofibrations(p)
     in_core = set(core)
     for j in core:

@@ -8,20 +8,22 @@ composable arrows, through the out-arrow index (``_lifting_rows`` states its
 criterion); the opposite category runs its own.  A lifting query is one bit
 test; a whole-class complement ANDs the rows (or columns) of the class,
 looking each id up only there, and decodes each resulting mask to a frozenset
-of morphism ids once per category.  A frozenset class is answered once per
-category and side: its complement table, ``FiniteCategory._complements``, keeps
-the answer, so llp(rlp S) costs one AND loop and one table hit.  Any other
-iterable runs the AND loop.  Factorization searches walk the
-category's index ``FiniteCategory.factor_pairs``; ``left_factors`` is its
-bitmask form, read by the cylinder search.
+of morphism ids once per category (``_members``); ``_mask`` encodes a
+frozenset class once per category, so class comparisons are int tests.  A
+frozenset class is answered once per category and side: its complement
+table, ``FiniteCategory._complements``, keeps the answer, so llp(rlp S) costs
+one AND loop and one table hit.  Any other iterable runs the AND loop.
+Factorization searches walk the category's index
+``FiniteCategory.factor_pairs``; ``left_factors`` is its bitmask form, read
+by the cylinder verdicts and the cylinder search.
 
 A weak factorization system's own facts live in its category's per-WFS
 table, ``_system``: the ``verify_wfs`` report, read off the two complements,
-and the cofibrant replacements a pair (C, AF) gives.  Every structure built
-on the pair shares them.
+for a pair (C, AF), its cofibrant replacements, first factorizations and
+the arrows grouped by the arrow between replacements covering them; and the
+lifting meets behind the acyclic classes.  Every structure built on the pair
+shares them.
 """
-
-from __future__ import annotations
 
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -109,13 +111,30 @@ def _meet(cat, side, ms):
             meet &= masks[m]
     except KeyError as err:
         raise _unknown_morphism(cat, err.args[0]) from None
-    members = cat._classes.get(meet)
-    if members is None:
-        members = frozenset(m for i, m in enumerate(cat.morphisms) if meet >> i & 1)
-        cat._classes[meet] = members
+    members = _members(cat, meet)
     if frozen:
         cat._complements[side][ms] = members
     return members
+
+
+def _members(cat, mask):
+    """The frozenset of the morphisms whose bits ``mask`` sets, decoded once per
+    category and mask; ``_mask`` of it is then a table hit."""
+    members = cat._classes.get(mask)
+    if members is None:
+        members = cat._classes[mask] = frozenset(m for i, m in enumerate(cat.morphisms) if mask >> i & 1)
+        cat._masks[members] = mask
+    return members
+
+
+def _mask(cat, members):
+    """The int mask of a frozenset class, bit i for the arrow at morphism index
+    i, found once per category and class."""
+    mask = cat._masks.get(members)
+    if mask is None:
+        index = cat._morphism_index
+        mask = cat._masks[members] = sum(1 << index[m] for m in members)
+    return mask
 
 
 def complement_llp(cat, right):
@@ -240,8 +259,16 @@ def require_factorizations(cat, left, right, message):
 def _system(cat, left, right):
     """The facts the pair (left, right) of frozensets determines on ``cat``, kept
     there: its ``verify_wfs`` report once found and, for a pair (C, AF), each
-    cofibrant replacement once asked for."""
-    return cat._systems.setdefault((left, right), SimpleNamespace(report=None, replacements={}))
+    cofibrant replacement once asked for, its first factorizations and the
+    arrows grouped by the arrow between replacements that covers them
+    (``classify._induced_groups``); ``gates`` keeps the meets behind
+    ``premodel``'s acyclic classes."""
+    facts = cat._systems.get((left, right))
+    if facts is None:
+        facts = cat._systems[left, right] = SimpleNamespace(
+            report=None, replacements={}, factors={}, induced=None, gates=[None, None]
+        )
+    return facts
 
 
 def verify_wfs(wfs):
@@ -268,33 +295,22 @@ def verify_wfs(wfs):
     for f in cat.sort_morphisms(left - expected_left):
         failures.extend(
             "no lift of %s against %s" % (f, g)
-            for g in cat.sort_morphisms(right)
-            if not llp(cat, f, g)
+            for g in cat.morphisms
+            if g in right and not llp(cat, f, g)
         )
 
-    left_ok = expected_left == left
-    if not left_ok:
-        extra = cat.sort_morphisms(left - expected_left)
-        missing = cat.sort_morphisms(expected_left - left)
+    left_ok, right_ok = expected_left == left, expected_right == right
+    for side, members, expected in (("left", left, expected_left), ("right", right, expected_right)):
+        extra = cat.sort_morphisms(members - expected)
+        missing = cat.sort_morphisms(expected - members)
         if extra:
-            failures.append("left class has non-lifting members: %s" % ", ".join(extra))
+            failures.append("%s class has non-lifting members: %s" % (side, ", ".join(extra)))
         if missing:
-            failures.append("left class misses lifting members: %s" % ", ".join(missing))
+            failures.append("%s class misses lifting members: %s" % (side, ", ".join(missing)))
 
-    right_ok = expected_right == right
-    if not right_ok:
-        extra = cat.sort_morphisms(right - expected_right)
-        missing = cat.sort_morphisms(expected_right - right)
-        if extra:
-            failures.append("right class has non-lifting members: %s" % ", ".join(extra))
-        if missing:
-            failures.append("right class misses lifting members: %s" % ", ".join(missing))
-
-    factorization_ok = True
-    for h in cat.morphisms:
-        if factor(cat, left, right, h) is None:
-            factorization_ok = False
-            failures.append("no factorization of %s" % h)
+    unfactored = [h for h in cat.morphisms if factor(cat, left, right, h) is None]
+    failures.extend("no factorization of %s" % h for h in unfactored)
+    factorization_ok = not unfactored
 
     ok = lifting_ok and left_ok and right_ok and factorization_ok
     facts.report = WfsReport(ok, lifting_ok, left_ok, right_ok, factorization_ok, tuple(failures))

@@ -15,8 +15,6 @@ the localized lifting problems solvable, so the closure is computed as an
 honest fixpoint with cycle tracking available for inspection.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, VerificationError

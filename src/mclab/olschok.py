@@ -19,8 +19,6 @@ a whole model structure can be generated from a localizer through the Λ
 construction.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, VerificationError
@@ -282,9 +280,9 @@ def weak_cylinder_theorem_harness(p, cyl):
     cat = p.cat
     witnesses = {}
     failures = []
-    for f in cat.sort_morphisms(p.cofibrations):
+    for f in cat.morphisms:
         a, b = cat.source[f], cat.target[f]
-        if a not in p.cofibrant:
+        if f not in p.cofibrations or a not in p.cofibrant:
             continue
         cone, codiag = fold_cone(p, f)
         i_f = cyl.cylinder.on_morphism(f)

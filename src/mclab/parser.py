@@ -29,8 +29,6 @@ recorded on the resulting entry.  Composites of a non-thin category must
 all be listed under `relations`.
 """
 
-from __future__ import annotations
-
 import re
 from typing import NamedTuple
 

@@ -18,19 +18,17 @@ replaces one system by the system a new fibration class F' determines,
 ``_rebuild_fibrations``, and rebuilds (C, AF) as that step on the dual.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, VerificationError
-from .fincat import FiniteCategory, check_adjunction, involution, validate_category
+from .fincat import FiniteCategory, _fact, check_adjunction, involution, validate_category
 from .lifting import (
     WeakFactorizationSystem,
+    _mask,
+    _members,
     _system,
     complement_llp,
-    complement_rlp,
     factor,
     require_factorizations,
     verify_wfs,
@@ -43,10 +41,12 @@ _CLASSES = ("cofibrations", "anodyne_fibrations", "anodyne_cofibrations", "fibra
 class PremodelStructure:
     """Four marked classes on one category; immutable, so each derived fact
     (the dual, the cofibrant and fibrant objects, the acyclic classes, each
-    replacement and each equivalence verdict) is computed once on first use.
-    The replacements and the two systems' ``verify_wfs`` reports live in the
+    replacement, each equivalence verdict and each cofibration's cylinder
+    verdict) is computed once on first use; the acyclic classes are ANDs of
+    lifting masks.  The replacements, first factorizations, WL grouping,
+    lifting meets and the two systems' ``verify_wfs`` reports live in the
     category's per-WFS table, ``lifting._system``, shared by every structure
-    on that system; the cylinder search reads ``cat.left_factors``."""
+    on that system; the cylinder verdicts read ``homotopy._fold_masks``."""
 
     cat: FiniteCategory
     cofibrations: frozenset
@@ -72,38 +72,46 @@ class PremodelStructure:
             name=self.name,
         )
 
-    @cached_property
+    @_fact
     def cofibrant(self):
         """Objects whose arrow from the initial object is a cofibration."""
         arrows = _endpoint_arrows(self.cat, self.cat.from_initial, "initial")
         return frozenset(x for x, i in arrows.items() if i in self.cofibrations)
 
-    @cached_property
+    @_fact
     def fibrant(self):
         """Objects whose arrow to the terminal object is a fibration."""
         arrows = _endpoint_arrows(self.cat, self.cat.to_terminal, "terminal")
         return frozenset(x for x, t in arrows.items() if t in self.fibrations)
 
-    @cached_property
+    @_fact
     def acyclic_cofibrations(self):
-        gates = [g for g in core_fibrations(self) if self.cat.source[g] in self.fibrant]
-        return self.cofibrations & complement_llp(self.cat, gates)
+        return _acyclic(self.cat, self.cofibrations, (self.anodyne_cofibrations, self.fibrations), self.fibrant, 1)
 
-    @cached_property
+    @_fact
     def acyclic_fibrations(self):
         # computed here, not through ``dual``, so the mirror stays independent
-        gates = [f for f in core_cofibrations(self) if self.cat.target[f] in self.cofibrant]
-        return self.fibrations & complement_rlp(self.cat, gates)
+        return _acyclic(self.cat, self.fibrations, (self.cofibrations, self.anodyne_fibrations), self.cofibrant, 0)
 
-    @cached_property
+    @_fact
+    def _cof_system(self):
+        return _system(self.cat, self.cofibrations, self.anodyne_fibrations)
+
+    @_fact
     def replacements(self):
         """``{x: (x', arrow)}``: each cofibrant replacement, kept once found by any
         structure with this (C, AF) on this category; the fibrant ones are the dual's."""
-        return _system(self.cat, self.cofibrations, self.anodyne_fibrations).replacements
+        return self._cof_system.replacements
 
-    @cached_property
+    @_fact
     def equivalence_verdicts(self):
         """``{f: bool}``: each ``homotopy.is_equivalence`` answer, kept once found."""
+        return {}
+
+    @_fact
+    def cylinder_verdicts(self):
+        """``{i: (weak, strong)}``: whether the cofibration i has a weak and a strong
+        cylinder witness, kept once decided by ``homotopy._cylinder_verdict``."""
         return {}
 
     @property
@@ -119,6 +127,21 @@ class PremodelStructure:
 
     def with_classes(self, **kw):
         return replace(self, **kw)
+
+
+def _acyclic(cat, members, pair, ends, side):
+    """The members that lift against each gate: each arrow of ``pair[side]``
+    between objects of ``ends``, those that class makes bifibrant.  Their
+    ``lifting_rows[side]`` masks are ANDed once per system ``pair`` and kept in
+    its ``gates``; the result is the members' mask ANDed with that meet."""
+    system = _system(cat, *pair)
+    if system.gates[side] is None:
+        masks, meet = cat.lifting_rows[side], (1 << len(cat.morphisms)) - 1
+        for g in pair[side]:
+            if cat.source[g] in ends and cat.target[g] in ends:
+                meet &= masks[g]
+        system.gates[side] = meet
+    return _members(cat, _mask(cat, members) & system.gates[side])
 
 
 def same_classes(p, q):
@@ -238,13 +261,14 @@ def saturation_flags(p):
     premodel, so equality and containment agree on the left flags; the core
     flags are genuine containments.
     """
-    ac = acyclic_cofibrations(p)
-    af = acyclic_fibrations(p)
+    cat = p.cat
+    acyclic_cof, acyclic_fib = _mask(cat, acyclic_cofibrations(p)), _mask(cat, acyclic_fibrations(p))
+    ac, af = _mask(cat, p.anodyne_cofibrations), _mask(cat, p.anodyne_fibrations)
     return SaturationFlags(
-        left_saturated=p.anodyne_cofibrations == ac,
-        core_left_saturated=core_acyclic_cofibrations(p) <= p.anodyne_cofibrations,
-        right_saturated=p.anodyne_fibrations == af,
-        core_right_saturated=core_acyclic_fibrations(p) <= p.anodyne_fibrations,
+        left_saturated=ac == acyclic_cof,
+        core_left_saturated=not any(cat.source[f] in p.cofibrant for f in _members(cat, acyclic_cof & ~ac)),
+        right_saturated=af == acyclic_fib,
+        core_right_saturated=not any(cat.target[g] in p.fibrant for g in _members(cat, acyclic_fib & ~af)),
     )
 
 
@@ -323,10 +347,13 @@ def dualize(p):
 
 def factor_cof_afib(p, h):
     """h = (anodyne fibration) ∘ (cofibration); first choice in order."""
-    hit = factor(p.cat, p.cofibrations, p.anodyne_fibrations, h)
-    if hit is None:
-        raise ConstructionError("no (cofibration, anodyne fibration) factorization of %s" % h, witness=h)
-    return hit
+    factors = p._cof_system.factors
+    if h not in factors:
+        hit = factor(p.cat, p.cofibrations, p.anodyne_fibrations, h)
+        if hit is None:
+            raise ConstructionError("no (cofibration, anodyne fibration) factorization of %s" % h, witness=h)
+        factors[h] = hit
+    return factors[h]
 
 
 def cofibrant_replacement(p, x):
@@ -391,13 +418,13 @@ def check_quillen_adjunction(adj, p_src, p_tgt):
         return QuillenAdjunctionReport(False, False, False, False, False, tuple(failures))
 
     left_cof = True
-    for f in p_src.cat.sort_morphisms(p_src.cofibrations):
-        if adj.left.on_morphism(f) not in p_tgt.cofibrations:
+    for f in p_src.cat.morphisms:
+        if f in p_src.cofibrations and adj.left.on_morphism(f) not in p_tgt.cofibrations:
             left_cof = False
             failures.append("left adjoint sends cofibration %s outside cofibrations" % f)
     right_fib = True
-    for g in p_tgt.cat.sort_morphisms(p_tgt.fibrations):
-        if adj.right.on_morphism(g) not in p_src.fibrations:
+    for g in p_tgt.cat.morphisms:
+        if g in p_tgt.fibrations and adj.right.on_morphism(g) not in p_src.fibrations:
             right_fib = False
             failures.append("right adjoint sends fibration %s outside fibrations" % g)
 

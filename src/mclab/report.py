@@ -8,8 +8,6 @@ the trees are part of the package's interface and are documented in the
 README — tests golden-file against them.
 """
 
-from __future__ import annotations
-
 import json
 
 _SCALARS = (str, bool, int, float, type(None))

@@ -16,8 +16,6 @@ fails ``check premodel``), 3 a required construction does not exist,
 an unchecked precondition, or the engine has a bug).
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, VerificationError

@@ -14,8 +14,6 @@ core (acyclic) cofibrations and fibrations all stay put — this is asserted,
 not assumed.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import InputError, VerificationError

@@ -344,3 +344,61 @@ def equivalence_verdicts(p, f):
         for l, _right in factorizations(cat, p.cofibrations, p.anodyne_fibrations, composite):
             verdicts.append(l in acyclic_cof)
     return verdicts
+
+
+# ---- WL and WR, over every replacement choice --------------------------------
+
+def _compared(p, replacements, covering):
+    """The arrows f whose comparison between replacements is an equivalence.
+
+    Every replacement of each endpoint of f and every arrow d between them
+    that covers f is judged by ``equivalence_verdicts``; all of these choices
+    must give one verdict.
+    """
+    cat = p.cat
+    judged = {}  # d -> the set of its equivalence verdicts
+    out = []
+    for f in cat.morphisms:
+        verdicts = set()
+        for rx in replacements(cat.source[f]):
+            for ry in replacements(cat.target[f]):
+                for d in covering(f, rx, ry):
+                    if d not in judged:
+                        judged[d] = set(equivalence_verdicts(p, d))
+                    verdicts |= judged[d]
+        assert len(verdicts) == 1, (f, verdicts)
+        if True in verdicts:
+            out.append(f)
+    return frozenset(out)
+
+
+def wl(p):
+    """WL over every cofibrant replacement r: x' -> x, the second half of a
+    (C, AF) factorization of 0 -> x, and every d: x' -> y' with r_y∘d = f∘r_x."""
+    cat = p.cat
+    zero = initial_objects(cat)[0]
+
+    def replacements(x):
+        return [r for _, r in factorizations(cat, p.cofibrations, p.anodyne_fibrations, hom(cat, zero, x)[0])]
+
+    def covering(f, rx, ry):
+        top = comp(cat, f, rx)
+        return [d for d in hom(cat, cat.source[rx], cat.source[ry]) if comp(cat, ry, d) == top]
+
+    return _compared(p, replacements, covering)
+
+
+def wr(p):
+    """WR over every fibrant replacement j: x -> x', the first half of an
+    (AC, F) factorization of x -> 1, and every d: x' -> y' with d∘j_x = j_y∘f."""
+    cat = p.cat
+    one = terminal_objects(cat)[0]
+
+    def replacements(x):
+        return [j for j, _ in factorizations(cat, p.anodyne_cofibrations, p.fibrations, hom(cat, x, one)[0])]
+
+    def covering(f, jx, jy):
+        bottom = comp(cat, jy, f)
+        return [d for d in hom(cat, cat.target[jx], cat.target[jy]) if comp(cat, d, jx) == bottom]
+
+    return _compared(p, replacements, covering)

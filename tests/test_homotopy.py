@@ -1,10 +1,14 @@
+import itertools
+from collections import Counter
+
 import pytest
 
 import bruteforce as bf
 from mclab import fixtures
 from mclab.errors import ConstructionError, InputError
-from mclab.fincat import fold, validate_category
+from mclab.fincat import FiniteCategory, fold, validate_category
 from mclab.homotopy import (
+    _cylinder_verdict,
     check_cylinder_witness,
     check_path_witness,
     equivalences,
@@ -112,7 +116,8 @@ def _cylinder_corpus(census):
 
 def test_pruned_search_is_complete_and_in_order(census):
     # every witness the oracle finds on the engine's fold cone, and no other,
-    # in (c, l, e) morphism order; the first is find_cylinder's answer
+    # in (c, l, e) morphism order; the first is find_cylinder's answer, and
+    # the kept (weak, strong) verdict, decided by masks, says whether one exists
     pairs = seen = 0
     for p, i in _cylinder_corpus(census):
         pairs += 1
@@ -125,6 +130,8 @@ def test_pruned_search_is_complete_and_in_order(census):
         ]
         for mode in ("weak", "strong"):
             want = {(c, l, e) for strong, *_, c, l, e in oracle if strong or mode == "weak"}
+            assert _cylinder_verdict(p, i) is p.cylinder_verdicts[i]
+            assert p.cylinder_verdicts[i][mode == "strong"] == bool(want), (p.name, i, mode)
             got = [(w.cylinder_cof, w.anodyne_leg, w.comparison) for w in iter_cylinder_witnesses(p, i, mode)]
             assert got == sorted(want, key=order), (p.name, i, mode)
             first = find_cylinder(p, i, mode)
@@ -132,6 +139,74 @@ def test_pruned_search_is_complete_and_in_order(census):
             assert least == (first and (first.cylinder_cof, first.anodyne_leg, first.comparison))
             seen += len(got)
     assert (pairs, seen) == (2567, 8328)
+
+
+def test_kept_cylinder_verdicts_say_no_where_the_oracle_does(census):
+    # on a premodel of a thin category every cofibration has the identities as
+    # a strong witness; dropping id_b from C leaves bases into b with a weak
+    # witness only, or none, so both bits of the kept verdict get tested
+    seen = Counter()
+    for name in ("chain3", "barton"):
+        for p in census[name]:
+            for b in p.cat.objects:
+                holed = p.with_classes(cofibrations=p.cofibrations - {p.cat.identity(b)})
+                for q in (holed, holed.dual):
+                    acyclic = bf.acyclic_cofibrations(q)
+                    for i in q.cat.morphisms:
+                        if i in q.cofibrations and fold(q.cat, i) is not None:
+                            strong = [w[0] for w in bf.cylinder_witnesses(q, i, acyclic)]
+                            verdict = _cylinder_verdict(q, i)
+                            assert verdict == (bool(strong), any(strong)), (q.classes(), i)
+                            seen[verdict] += 1
+    assert seen == {(True, True): 2567, (True, False): 25, (False, False): 145}
+
+
+def finite_sets(n):
+    """The sets {0, ..., k-1} for k ≤ n and every map between them; the map
+    a -> b sending x to v_x is named "a>b:v_0...v_{a-1}"."""
+    arrows = {
+        "%d>%d:%s" % (a, b, "".join(map(str, v))): (a, b, v)
+        for a in range(n + 1)
+        for b in range(n + 1)
+        for v in itertools.product(range(b), repeat=a)
+    }
+    named = {data: m for m, data in arrows.items()}
+    compose = {
+        (g, f): named[(a, c, tuple(w[x] for x in v))]
+        for f, (a, b, v) in arrows.items()
+        for g, (b2, c, w) in arrows.items()
+        if b2 == b
+    }
+    return FiniteCategory(
+        "FinSet%d" % n,
+        [str(a) for a in range(n + 1)],
+        [(m, str(a), str(b)) for m, (a, b, _) in arrows.items()],
+        {str(a): named[(a, a, tuple(range(a)))] for a in range(n + 1)},
+        compose,
+    )
+
+
+def test_kept_cylinder_verdicts_read_the_first_leg():
+    # among finite sets the fold of 0 -> 1 is 1 ⊔ 1 = 2, so a first leg c∘q0
+    # is not c itself.  With every map but 2 -> 1 a cofibration and only the
+    # bijections anodyne, each c leaving 2 has a first leg 1 -> 2, never
+    # acyclic, so 0 -> 1 has no witness although ∇ factors through c = id
+    cat = finite_sets(2)
+    assert validate_category(cat).ok and len(cat.morphisms) == 11
+    isos = frozenset({"0>0:", "1>1:0", "2>2:01", "2>2:10"})
+    every = frozenset(cat.morphisms)
+    p = PremodelStructure(cat, every - {"2>1:00"}, isos, isos, every, name="holed")
+    acyclic = bf.acyclic_cofibrations(p)
+    for i in cat.morphisms:
+        if i in p.cofibrations and fold(cat, i) is not None:
+            cone, codiag = fold(cat, i)
+            strong = [
+                w[0] for w in bf.cylinder_witnesses(p, i, acyclic)
+                if w[1:5] == (cone.apex, *cone.legs, codiag)
+            ]
+            assert _cylinder_verdict(p, i) == (bool(strong), any(strong)), i
+    assert fold(cat, "0>1:")[0].apex == "2"
+    assert _cylinder_verdict(p, "0>1:") == (False, False)
 
 
 def test_find_cylinder_on_identity_like_data(p1):

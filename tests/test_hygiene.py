@@ -10,10 +10,14 @@ The engine imports at module level.  The one function-local import left is
 A rebuilt weak factorization system is checked for factorization in one
 place: ``require_factorizations`` is called only by the rebuild step
 ``premodel._rebuild_fibrations`` and by ``lifting.generate_wfs``, which
-builds a system from a generating set alone.
+builds a system from a generating set alone.  Likewise the cylinder search
+runs only to build witnesses: ``_cylinder_search`` is called only by
+``homotopy.iter_cylinder_witnesses``, and whether a witness exists is a mask
+test on a kept verdict, ``homotopy._cylinder_verdict``.
 
 No engine module reads or writes an instance's ``__dict__``: a derived fact
-is a ``cached_property`` or an attribute set in ``__init__``.
+is a ``fincat._fact`` (a ``cached_property`` without its lock) or an attribute
+set in ``__init__``.
 
 The brute-force oracle ``tests/bruteforce.py`` stays independent of the
 engine: it imports nothing from ``mclab`` and reads only the raw tables of a
@@ -189,6 +193,11 @@ def test_factorization_is_required_in_one_rebuild_step():
     assert found == [("lifting.py", "generate_wfs"), ("premodel.py", "_rebuild_fibrations")]
 
 
+def test_only_witness_builders_run_the_cylinder_search():
+    found = sorted(hit for p in ENGINE for hit in callers(p, "_cylinder_search"))
+    assert found == [("homotopy.py", "iter_cylinder_witnesses")]
+
+
 def dataclasses_in(path):
     """Names of the classes in ``path`` decorated with ``dataclass``."""
     tree = ast.parse(path.read_text(), str(path))
@@ -222,7 +231,7 @@ def test_records_are_named_tuples():
     """A record type is a ``typing.NamedTuple``: each generated dataclass
     costs about a millisecond of every import.  Three stay dataclasses:
 
-    * ``PremodelStructure`` keeps its ``cached_property`` facts in an instance
+    * ``PremodelStructure`` keeps its ``fincat._fact`` facts in an instance
       ``__dict__``, ``with_classes`` is ``dataclasses.replace``, and setting a
       class raises ``FrozenInstanceError``;
     * ``SaturationFlags`` is read with ``dataclasses.asdict`` by the

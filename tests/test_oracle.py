@@ -12,7 +12,7 @@ import bruteforce as bf
 from monoids import bounded_monoids
 
 from mclab import fixtures
-from mclab.classify import classify_full
+from mclab.classify import classify_full, strong_cylinder_objects, strong_path_objects
 from mclab.errors import InputError
 from mclab.fincat import initial_object, opposite, pushout, reverse_enumeration, terminal_object
 from mclab.homotopy import homotopic, is_equivalence, verify_weak_model
@@ -213,3 +213,47 @@ def test_quillen_verdicts_agree_on_the_census(census):
             assert model == (classify_full(p).summary == "Quillen model structure"), p.classes()
             found += model
         assert found == count, name
+
+
+def test_wl_and_wr_agree_on_the_census(census):
+    # every census weak model; the oracle asserts that each choice of
+    # replacements and covering arrow gives the same verdict
+    compared = 0
+    for name in QUILLEN_COUNTS:
+        for p in census[name]:
+            report = classify_full(p)
+            if report.wl is None:
+                continue
+            assert report.wl == bf.wl(p), p.classes()
+            assert report.wr == bf.wr(p), p.classes()
+            compared += 1
+    assert compared == 125
+
+
+def test_strong_cylinder_and_path_objects_agree_on_the_census(census):
+    # the rung reads the kept strong verdicts of 0 -> x and, on the dual, of
+    # x -> 1.  On a thin category the fold of 0 -> x is x itself and the
+    # identities form a strong witness, so every census answer is yes; the
+    # corpus check in test_homotopy meets the no answers
+    compared = 0
+    for name in QUILLEN_COUNTS:
+        for p in census[name]:
+            cat, dual = p.cat, bf.opposite_premodel(p)
+            zero, one = bf.initial_objects(cat)[0], bf.terminal_objects(cat)[0]
+            acyclic, dual_acyclic = bf.acyclic_cofibrations(p), bf.acyclic_cofibrations(dual)
+            cylinders = tuple(
+                "no strong cylinder object for %s" % x
+                for x in cat.objects
+                if x in bf.cofibrant_set(p)
+                and not bf.has_strong_cylinder(p, bf.hom(cat, zero, x)[0], acyclic)
+            )
+            paths = tuple(
+                "no strong path object for %s" % x
+                for x in cat.objects
+                if x in bf.fibrant_set(p)
+                and not bf.has_strong_cylinder(dual, bf.hom(cat, x, one)[0], dual_acyclic)
+            )
+            assert strong_cylinder_objects(p) == (not cylinders, cylinders), p.classes()
+            assert strong_path_objects(p) == (not paths, paths), p.classes()
+            compared += 1
+    assert compared == 125
