@@ -26,10 +26,8 @@ from .lifting import _members, factorizations
 from .premodel import (
     _cofibrant_replacement,
     _fibrant_replacement,
-    cofibrant_objects,
     cofibrant_replacement,
     dualize,
-    fibrant_objects,
     fibrant_replacement,
     saturation_flags,
     verify_premodel,
@@ -40,8 +38,8 @@ def strong_cylinder_objects(p):
     """Strong cylinders on every cofibrant object (base 0 -> X)."""
     failures = tuple(
         "no strong cylinder object for %s" % x
-        for x in cofibrant_objects(p)
-        if not _cylinder_verdict(p, p.cat.from_initial[x])[1]
+        for x in p.cat.objects
+        if x in p.cofibrant and not _cylinder_verdict(p, p.cat.from_initial[x])[1]
     )
     return not failures, failures
 
@@ -49,8 +47,8 @@ def strong_cylinder_objects(p):
 def strong_path_objects(p):
     failures = tuple(
         "no strong path object for %s" % x
-        for x in fibrant_objects(p)
-        if not _cylinder_verdict(p.dual, p.cat.to_terminal[x])[1]
+        for x in p.cat.objects
+        if x in p.fibrant and not _cylinder_verdict(p.dual, p.cat.to_terminal[x])[1]
     )
     return not failures, failures
 

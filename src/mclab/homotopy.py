@@ -10,9 +10,11 @@ codiagonal ∇: Q -> B.  A witness consists of
 
 such that e∘c = l∘∇ and the first leg c∘q0: B -> Z is an acyclic
 cofibration.  The witness is *strong* when D = B and l is the identity, in
-which case e∘c = ∇ on the nose.  A path witness for a fibration is a
-cylinder witness of the dual structure: the same morphism ids, read in the
-opposite category, where the pushout is a pullback and ∇ a diagonal.
+which case e∘c = ∇ on the nose; that identity is an anodyne leg like any
+other, so it too must be an acyclic cofibration.  A path witness for a
+fibration is a cylinder witness of the dual structure: the same morphism
+ids, read in the opposite category, where the pushout is a pullback and ∇ a
+diagonal.
 
 "Acyclic" always means: lifts against every fibration between fibrant
 objects (or dually), computed fresh from the marked classes — see the
@@ -99,16 +101,17 @@ def find_cylinder(p, i, mode="weak"):
 def _cylinder_search(p, i, mode):
     """The search that builds witnesses: (c, l, e) in enumeration order.
 
-    The strong search is the weak one with the identity as its only anodyne
-    leg l.  Only the candidates of ``_cylinder_masks`` that some l∘∇ factors
-    through are tried: their bit is set in that leg's ``left_factors[l∘∇]``.
+    The strong search is the weak one with the identity of B as its only
+    anodyne leg l, so none when that identity is not acyclic.  Only the
+    candidates of ``_cylinder_masks`` that some l∘∇ factors through are
+    tried: their bit is set in that leg's ``left_factors[l∘∇]``.
     """
     if mode not in ("weak", "strong"):
         raise InputError("cylinder mode must be 'weak' or 'strong', got %r" % mode)
     cat = p.cat
-    cand, legs, nabla = _cylinder_masks(p, i)
+    cand, legs = _cylinder_masks(p, i)
     if mode == "strong":
-        legs = [(cat.identity(cat.target[i]), nabla)]
+        legs = [(l, mask) for l, mask in legs if l == cat.identity(cat.target[i])]
     reach = 0
     for _, mask in legs:
         reach |= cand & mask
@@ -126,46 +129,44 @@ def _cylinder_search(p, i, mode):
 def _fold_masks(cat, i):
     """What the cylinders on an arrow i with a fold are decided from, found once
     per category next to the fold: (c, c∘q0, bit of c) for each c leaving Q,
-    ``left_factors[∇]``, and (l, ``left_factors[l∘∇]``) for each l leaving B."""
+    and (l, ``left_factors[l∘∇]``) for each l leaving B.  The identity of B is
+    one such l, with ``left_factors[∇]``: the strong witnesses are its."""
     masks = cat._fold_masks.get(i)
     if masks is None:
         (apex, (q0, _)), codiag = fold(cat, i)
         table, index, factors = cat.compose_table, cat._morphism_index, cat.left_factors
         masks = cat._fold_masks[i] = (
             tuple((c, table[(c, q0)], 1 << index[c]) for c in cat.arrows_from(apex)),
-            factors[codiag],
             tuple((l, factors[table[(l, codiag)]]) for l in cat.arrows_from(cat.target[i])),
         )
     return masks
 
 
 def _cylinder_masks(p, i):
-    """(cand, legs, ``left_factors[∇]``) for the cofibration i: cand masks the
-    candidates, the cofibrations c leaving Q whose first leg c∘q0 is acyclic,
-    and legs pairs each acyclic l leaving B with ``left_factors[l∘∇]``.  A
-    witness with leg l and candidate c exists exactly when c's bit is set in
-    cand and in l's mask.  ``fold_cone`` raises first."""
+    """(cand, legs) for the cofibration i: cand masks the candidates, the
+    cofibrations c leaving Q whose first leg c∘q0 is acyclic, and legs pairs
+    each acyclic l leaving B with ``left_factors[l∘∇]``.  A witness with leg l
+    and candidate c exists exactly when c's bit is set in cand and in l's
+    mask.  ``fold_cone`` raises first."""
     fold_cone(p, i)
-    cands, nabla, legs = _fold_masks(p.cat, i)
+    cands, legs = _fold_masks(p.cat, i)
     acyclic = p.acyclic_cofibrations
     cand = 0
     for c, first, bit in cands:
         if c in p.cofibrations and first in acyclic:
             cand |= bit
-    return cand, [(l, mask) for l, mask in legs if l in acyclic], nabla
+    return cand, [(l, mask) for l, mask in legs if l in acyclic]
 
 
 def _cylinder_verdict(p, i):
     """(weak, strong): has the cofibration i a weak witness, some acyclic leg
-    l with cand meeting ``left_factors[l∘∇]``, and a strong one, cand meeting
-    ``left_factors[∇]``?  Kept in ``p.cylinder_verdicts``."""
+    l with cand meeting ``left_factors[l∘∇]``, and a strong one, that leg
+    being the identity of B?  Kept in ``p.cylinder_verdicts``."""
     verdict = p.cylinder_verdicts.get(i)
     if verdict is None:
-        cand, legs, nabla = _cylinder_masks(p, i)
-        reach = 0
-        for _, mask in legs:
-            reach |= mask
-        verdict = p.cylinder_verdicts[i] = (cand & reach != 0, cand & nabla != 0)
+        cand, legs = _cylinder_masks(p, i)
+        hits = [l for l, mask in legs if cand & mask]
+        verdict = p.cylinder_verdicts[i] = (bool(hits), p.cat.identity(p.cat.target[i]) in hits)
     return verdict
 
 
@@ -448,19 +449,6 @@ def homotopy_category(p):
     )
 
 
-def cf_arrows(p):
-    """Arrows whose endpoints are each cofibrant or fibrant."""
-    out = []
-    for m in p.cat.morphisms:
-        ends_ok = True
-        for x in (p.cat.source[m], p.cat.target[m]):
-            if x not in p.cofibrant and x not in p.fibrant:
-                ends_ok = False
-        if ends_ok:
-            out.append(m)
-    return tuple(out)
-
-
 def core_cofibration_representative(p, s):
     """A cofibration with cofibrant source standing in for an arbitrary arrow s.
 
@@ -500,5 +488,10 @@ def is_equivalence(p, f):
 
 
 def equivalences(p):
-    """All equivalences among the arrows where the notion is defined."""
-    return frozenset(f for f in cf_arrows(p) if is_equivalence(p, f))
+    """All equivalences among the arrows where the notion is defined: those whose
+    endpoints are each cofibrant or fibrant."""
+    cat, ends = p.cat, p.cofibrant | p.fibrant
+    return frozenset(
+        f for f in cat.morphisms
+        if cat.source[f] in ends and cat.target[f] in ends and is_equivalence(p, f)
+    )

@@ -17,12 +17,13 @@ Factorization searches walk the category's index
 ``FiniteCategory.factor_pairs``; ``left_factors`` is its bitmask form, read
 by the cylinder verdicts and the cylinder search.
 
-A weak factorization system's own facts live in its category's per-WFS
-table, ``_system``: the ``verify_wfs`` report, read off the two complements,
-for a pair (C, AF), its cofibrant replacements, first factorizations and
-the arrows grouped by the arrow between replacements covering them; and the
-lifting meets behind the acyclic classes.  Every structure built on the pair
-shares them.
+A weak factorization system is the pair (left, right) itself:
+``verify_wfs(cat, left, right)`` checks one and ``generate_wfs`` returns one.
+Its own facts live in its category's per-WFS table, ``_system``: the
+``verify_wfs`` report, read off the two complements, for a pair (C, AF), its
+cofibrant replacements, first factorizations and the arrows grouped by the
+arrow between replacements covering them; and the lifting meets behind the
+acyclic classes.  Every structure built on the pair shares them.
 """
 
 from types import SimpleNamespace
@@ -214,12 +215,6 @@ def cell_closure(cat, generators):
             return frozenset(members)
 
 
-class WeakFactorizationSystem(NamedTuple):
-    cat: object
-    left: frozenset
-    right: frozenset
-
-
 class WfsReport(NamedTuple):
     ok: bool
     lifting_ok: bool
@@ -271,8 +266,8 @@ def _system(cat, left, right):
     return facts
 
 
-def verify_wfs(wfs):
-    """Check the three defining conditions, with counterexamples.
+def verify_wfs(cat, left, right):
+    """Check the three defining conditions on the pair, with counterexamples.
 
     1. every (left, right) pair lifts;
     2. left  = complement_llp(right);
@@ -282,13 +277,13 @@ def verify_wfs(wfs):
     The report depends on the two classes alone, so a category finds it once
     per pair and every structure built on that pair shares it.
     """
-    cat, left, right = wfs.cat, frozenset(wfs.left), frozenset(wfs.right)
+    left, right = frozenset(left), frozenset(right)
     facts = _system(cat, left, right)
     if facts.report is not None:
         return facts.report
     failures = []
-    expected_right = complement_rlp(cat, wfs.left)
-    expected_left = complement_llp(cat, wfs.right)
+    expected_right = complement_rlp(cat, left)
+    expected_left = complement_llp(cat, right)
 
     # a left member lifts against all of right exactly when it is in llp(right)
     lifting_ok = left <= expected_left
@@ -318,7 +313,7 @@ def verify_wfs(wfs):
 
 
 def generate_wfs(cat, generators):
-    """The system (llp(rlp(I)), rlp(I)) generated by a set of morphisms.
+    """The pair (llp(rlp(I)), rlp(I)) generated by a set of morphisms.
 
     The two complements satisfy the lifting and complement conditions by
     construction; what can genuinely fail at finite scale is factorization,
@@ -326,10 +321,9 @@ def generate_wfs(cat, generators):
     """
     right = complement_rlp(cat, generators)
     left = complement_llp(cat, right)
-    wfs = WeakFactorizationSystem(cat, left, right)
     require_factorizations(cat, left, right, "no factorization of %s")
-    report = verify_wfs(wfs)
+    report = verify_wfs(cat, left, right)
     if not report.ok:
         # Unreachable for the generated classes, kept as a loud invariant.
         raise ConstructionError("generated system fails verification: %s" % (report.failures,))
-    return wfs
+    return left, right

@@ -38,7 +38,6 @@ from .premodel import (
     PremodelStructure,
     _assert_premodel,
     _rebuild_fibrations,
-    cofibrant_objects,
     verify_premodel,
 )
 from .saturate import saturate
@@ -399,7 +398,7 @@ def olschok_model(p, cyl, seeds=()):
     if missing:
         text = "olschok needs initial and terminal objects: %s has no %s object"
         raise InputError(text % (cat.name, missing))
-    system_report = verify_wfs(p.cof_system)
+    system_report = verify_wfs(cat, p.cofibrations, p.anodyne_fibrations)
     if not system_report.ok:
         raise InputError(
             "olschok needs a verified marked system: %s" % "; ".join(system_report.failures)
@@ -419,7 +418,7 @@ def olschok_model(p, cyl, seeds=()):
     _assert_premodel(generated, "generated structure")
     saturated = saturate(generated, "Lc")
     classification = classify_full(saturated)
-    all_cofibrant = len(cofibrant_objects(saturated)) == len(cat.objects)
+    all_cofibrant = saturated.cofibrant == frozenset(cat.objects)
 
     quillen_asserted = all_cofibrant
     left_semi_asserted = not all_cofibrant and verify_quillen_cylinder(cyl, saturated).ok

@@ -24,7 +24,6 @@ from typing import NamedTuple
 from .errors import ConstructionError, InputError, VerificationError
 from .fincat import FiniteCategory, _fact, check_adjunction, involution, validate_category
 from .lifting import (
-    WeakFactorizationSystem,
     _mask,
     _members,
     _system,
@@ -114,14 +113,6 @@ class PremodelStructure:
         cylinder witness, kept once decided by ``homotopy._cylinder_verdict``."""
         return {}
 
-    @property
-    def cof_system(self):
-        return WeakFactorizationSystem(self.cat, self.cofibrations, self.anodyne_fibrations)
-
-    @property
-    def fib_system(self):
-        return WeakFactorizationSystem(self.cat, self.anodyne_cofibrations, self.fibrations)
-
     def classes(self):
         return {name: getattr(self, name) for name in _CLASSES}
 
@@ -179,24 +170,6 @@ def is_cofibrant(p, x):
 def is_fibrant(p, x):
     _require_object(p, x)
     return x in p.fibrant
-
-
-class ObjectStatus(NamedTuple):
-    obj: str
-    cofibrant: bool
-    fibrant: bool
-
-
-def object_status(p, x):
-    return ObjectStatus(x, is_cofibrant(p, x), is_fibrant(p, x))
-
-
-def cofibrant_objects(p):
-    return tuple(x for x in p.cat.objects if x in p.cofibrant)
-
-
-def fibrant_objects(p):
-    return tuple(x for x in p.cat.objects if x in p.fibrant)
 
 
 def core_cofibrations(p):
@@ -289,8 +262,8 @@ def verify_premodel(p):
     if not cat_verdict.ok:
         failures.extend("category: %s" % x for x in cat_verdict.violations)
 
-    cof_report = verify_wfs(p.cof_system)
-    fib_report = verify_wfs(p.fib_system)
+    cof_report = verify_wfs(p.cat, p.cofibrations, p.anodyne_fibrations)
+    fib_report = verify_wfs(p.cat, p.anodyne_cofibrations, p.fibrations)
     failures.extend("(C, AF): %s" % x for x in cof_report.failures)
     failures.extend("(AC, F): %s" % x for x in fib_report.failures)
 

@@ -74,13 +74,7 @@ class Session:
 
 
 def _classes_tree(p):
-    cat = p.cat
-    return {
-        "cofibrations": cat.sort_morphisms(p.cofibrations),
-        "anodyne_fibrations": cat.sort_morphisms(p.anodyne_fibrations),
-        "anodyne_cofibrations": cat.sort_morphisms(p.anodyne_cofibrations),
-        "fibrations": cat.sort_morphisms(p.fibrations),
-    }
+    return {name: p.cat.sort_morphisms(members) for name, members in p.classes().items()}
 
 
 def _flags_tree(p):
@@ -248,8 +242,8 @@ def _do_check(session, what, name, tree):
     p = session.lookup("premodel", name)
     tree["target"] = name
     if what == "wfs":
-        cof = verify_wfs(p.cof_system)
-        fib = verify_wfs(p.fib_system)
+        cof = verify_wfs(p.cat, p.cofibrations, p.anodyne_fibrations)
+        fib = verify_wfs(p.cat, p.anodyne_cofibrations, p.fibrations)
         tree["cofibration_system"] = {"ok": cof.ok, "failures": list(cof.failures)}
         tree["fibration_system"] = {"ok": fib.ok, "failures": list(fib.failures)}
         ok = cof.ok and fib.ok

@@ -26,8 +26,6 @@ from .premodel import (
     core_acyclic_fibrations,
     core_cofibrations,
     core_fibrations,
-    cofibrant_objects,
-    fibrant_objects,
     same_classes,
     saturation_flags,
 )
@@ -37,8 +35,8 @@ MODES = ("L", "Lc", "R", "Rc")
 
 def _core_signature(p):
     return (
-        cofibrant_objects(p),
-        fibrant_objects(p),
+        p.cofibrant,
+        p.fibrant,
         core_cofibrations(p),
         core_fibrations(p),
         core_acyclic_cofibrations(p),

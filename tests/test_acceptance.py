@@ -40,12 +40,10 @@ from mclab.premodel import (
     PremodelStructure,
     acyclic_cofibrations,
     acyclic_fibrations,
-    cofibrant_objects,
     core_acyclic_cofibrations,
     core_cofibrations,
     core_fibrations,
     dualize,
-    fibrant_objects,
     same_classes,
     saturation_flags,
     verify_premodel,
@@ -87,7 +85,7 @@ def test_criterion_03_left_localization_classes():
     p0 = fixtures.barton_p0()
     loc = left_bousfield(p0, {"ac"}, mode="Lc")
     q = loc.structure
-    assert fibrant_objects(q) == ("c", "d")
+    assert q.fibrant == {"c", "d"}
     assert "ab" in q.anodyne_fibrations
     assert "bd" in q.anodyne_cofibrations
     assert same_classes(q, fixtures.barton_p1(p0.cat))
@@ -123,9 +121,8 @@ def test_criterion_05_duality_suite():
 
 
 def _acyclic_with_fibrant_target_lemma(p, violations):
-    fibrant = set(fibrant_objects(p))
     for f in acyclic_cofibrations(p):
-        if p.cat.target[f] in fibrant and f not in p.anodyne_cofibrations:
+        if p.cat.target[f] in p.fibrant and f not in p.anodyne_cofibrations:
             violations.append((p.name, "fibrant-target", f))
 
 
@@ -284,10 +281,8 @@ def test_criterion_09_verdicts_survive_enumeration_reversal():
     for p in _weak_corpus():
         r = _reversed_copy(p)
         cat = p.cat
-        cofibrant = set(cofibrant_objects(p))
-        fibrant = set(fibrant_objects(p))
         for f in cat.morphisms:
-            if cat.source[f] in cofibrant and cat.target[f] in fibrant:
+            if cat.source[f] in p.cofibrant and cat.target[f] in p.fibrant:
                 for g in cat.hom(cat.source[f], cat.target[f]):
                     assert homotopic(p, f, g) == homotopic(r, f, g), (p.name, f, g)
             try:
@@ -320,8 +315,8 @@ def test_criterion_10_cylinder_generation():
 def test_criterion_11_oracle_agreement():
     for p in _corpus():
         cat = p.cat
-        assert frozenset(cofibrant_objects(p)) == bf.cofibrant_set(p), p.name
-        assert frozenset(fibrant_objects(p)) == bf.fibrant_set(p), p.name
+        assert p.cofibrant == bf.cofibrant_set(p), p.name
+        assert p.fibrant == bf.fibrant_set(p), p.name
         assert core_cofibrations(p) == bf.core_cofibrations(p), p.name
         assert core_fibrations(p) == bf.core_fibrations(p), p.name
         assert (

@@ -190,23 +190,32 @@ def test_kept_cylinder_verdicts_read_the_first_leg():
     # among finite sets the fold of 0 -> 1 is 1 ⊔ 1 = 2, so a first leg c∘q0
     # is not c itself.  With every map but 2 -> 1 a cofibration and only the
     # bijections anodyne, each c leaving 2 has a first leg 1 -> 2, never
-    # acyclic, so 0 -> 1 has no witness although ∇ factors through c = id
+    # acyclic, so 0 -> 1 has no witness although ∇ factors through c = id.
+    # With id_2 = 2>2:01 dropped from C instead, id_2 is no acyclic
+    # cofibration, so it is no anodyne leg and no strong witness uses it:
+    # the swap 2>2:10 has a weak witness but no strong one
     cat = finite_sets(2)
     assert validate_category(cat).ok and len(cat.morphisms) == 11
     isos = frozenset({"0>0:", "1>1:0", "2>2:01", "2>2:10"})
     every = frozenset(cat.morphisms)
-    p = PremodelStructure(cat, every - {"2>1:00"}, isos, isos, every, name="holed")
-    acyclic = bf.acyclic_cofibrations(p)
-    for i in cat.morphisms:
-        if i in p.cofibrations and fold(cat, i) is not None:
-            cone, codiag = fold(cat, i)
-            strong = [
-                w[0] for w in bf.cylinder_witnesses(p, i, acyclic)
-                if w[1:5] == (cone.apex, *cone.legs, codiag)
-            ]
-            assert _cylinder_verdict(p, i) == (bool(strong), any(strong)), i
+    holed = PremodelStructure(cat, every - {"2>1:00"}, isos, isos, every, name="holed")
+    no_id = PremodelStructure(cat, every - {"2>2:01"}, isos, isos, every, name="no id_2")
+    for p in (holed, no_id):
+        acyclic = bf.acyclic_cofibrations(p)
+        for i in cat.morphisms:
+            if i in p.cofibrations and fold(cat, i) is not None:
+                cone, codiag = fold(cat, i)
+                strong = [
+                    w[0] for w in bf.cylinder_witnesses(p, i, acyclic)
+                    if w[1:5] == (cone.apex, *cone.legs, codiag)
+                ]
+                assert _cylinder_verdict(p, i) == (bool(strong), any(strong)), (p.name, i)
+                for mode in ("weak", "strong"):
+                    for w in iter_cylinder_witnesses(p, i, mode):
+                        assert check_cylinder_witness(p, w).ok, (p.name, i, mode, w)
     assert fold(cat, "0>1:")[0].apex == "2"
-    assert _cylinder_verdict(p, "0>1:") == (False, False)
+    assert _cylinder_verdict(holed, "0>1:") == (False, False)
+    assert _cylinder_verdict(no_id, "2>2:10") == (True, False)
 
 
 def test_find_cylinder_on_identity_like_data(p1):

@@ -22,10 +22,15 @@ set in ``__init__``.
 The brute-force oracle ``tests/bruteforce.py`` stays independent of the
 engine: it imports nothing from ``mclab`` and reads only the raw tables of a
 category and the four marked classes of a structure, never a cached fact.
+
+The public surface of ``mclab`` is a pinned list of names.
 """
 
 import ast
 import pathlib
+import types
+
+import mclab
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ORACLE = ROOT / "tests" / "bruteforce.py"
@@ -244,3 +249,44 @@ def test_records_are_named_tuples():
         "homotopy.py": ["CylinderWitness"],
         "premodel.py": ["PremodelStructure", "SaturationFlags"],
     }
+
+
+def test_public_surface_is_pinned():
+    """The public names ``mclab`` exports, modules left out.  A change that adds
+    or removes an export updates this list and names the change in CHANGES.md,
+    so the surface cannot grow or shrink unnoticed."""
+    exported = sorted(
+        name for name, value in vars(mclab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == [
+        "AdjunctionData", "BiSaturationReport", "ClassificationReport", "Cone",
+        "ConstructionError", "CylinderReport", "CylinderWitness", "DiagramShape",
+        "FiniteCategory", "FunctorData", "HomotopyCategory", "InputError",
+        "LeftLocalization", "LeftSemiReport", "NatTrans", "OlschokReport", "ParseError",
+        "PreRightLocalization", "PremodelReport", "PremodelStructure",
+        "QuillenAdjunctionReport", "QuillenCylinderData", "QuillenReport",
+        "RightLocalization", "RightSemiReport", "SaturationFlags", "TwoSidedReport",
+        "Verdict", "VerificationError", "WeakModelReport", "WfsReport",
+        "acyclic_cofibrations", "acyclic_fibrations", "bi_saturate", "cell_closure",
+        "check_adjunction", "check_cylinder_witness", "check_functor", "check_nat_trans",
+        "check_path_witness", "check_pre_cylinder", "check_quillen_adjunction",
+        "classify_full", "cofibrant_replacement", "colimit", "complement_llp",
+        "complement_rlp", "compute_WL", "compute_WR", "coproduct",
+        "core_acyclic_cofibrations", "core_acyclic_fibrations", "core_cofibrations",
+        "core_fibrations", "corner_product", "dualize", "equivalences", "factor",
+        "factorizations", "fibrant_replacement", "find_cylinder", "find_path",
+        "generate_wfs", "has_lift", "homotopic", "homotopy_category", "identity_adjunction",
+        "identity_cylinder", "identity_functor", "initial_object", "is_cofibrant",
+        "is_equivalence", "is_fibrant", "isomorphisms", "iter_cylinder_witnesses",
+        "left_bousfield", "left_localization_object", "limit", "llp", "mediating_out",
+        "nabla", "nabla_chain", "nt_is_anodyne", "nt_is_cofibration", "olschok_lambda",
+        "olschok_model", "opposite", "pair_functor", "poset_category",
+        "pre_right_localization", "product", "pullback", "pushout", "quillen_check",
+        "recognize_left_semi", "recognize_right_semi", "retract_closure",
+        "reverse_enumeration", "right_bousfield", "right_localization_object",
+        "same_classes", "same_presentation", "saturate", "saturation_flags",
+        "terminal_object", "two_sided_check", "validate_category", "verify_premodel",
+        "verify_quillen_cylinder", "verify_weak_model", "verify_wfs",
+        "weak_cylinder_theorem_harness", "weak_to_strong",
+    ]

@@ -7,7 +7,6 @@ from mclab import fixtures
 from mclab.errors import InputError
 from mclab.fincat import poset_category, validate_category
 from mclab.lifting import (
-    WeakFactorizationSystem,
     cell_closure,
     complement_llp,
     complement_rlp,
@@ -189,25 +188,22 @@ def test_factor_deterministic(barton):
 def test_verify_wfs_accepts_trivial_system(barton):
     everything = frozenset(barton.morphisms)
     ids = frozenset(barton.identities.values())
-    report = verify_wfs(WeakFactorizationSystem(barton, everything, ids))
+    report = verify_wfs(barton, everything, ids)
     assert report.ok, report.failures
-    report = verify_wfs(WeakFactorizationSystem(barton, ids, everything))
+    report = verify_wfs(barton, ids, everything)
     assert report.ok, report.failures
 
 
 def test_verify_wfs_reports_each_failure_kind(barton):
     ids = frozenset(barton.identities.values())
     # left class too small: factorization of ab fails, complements disagree
-    report = verify_wfs(WeakFactorizationSystem(barton, ids, ids))
+    report = verify_wfs(barton, ids, ids)
     assert not report.ok
     assert not report.factorization_ok
     assert not report.right_is_complement
     assert report.failures
     # lifting itself can fail: ab against cd has an unliftable square
-    bad = WeakFactorizationSystem(
-        barton, frozenset({"ab"}) | ids, frozenset({"cd"}) | ids
-    )
-    report = verify_wfs(bad)
+    report = verify_wfs(barton, frozenset({"ab"}) | ids, frozenset({"cd"}) | ids)
     assert not report.lifting_ok
 
 
@@ -221,20 +217,19 @@ def test_kept_reports_equal_fresh_ones():
         (everything, ids), (ids, everything), (ids, ids),
         (ids | {"ab"}, ids | {"cd"}), (everything, everything),
     ]
-    kept = [verify_wfs(WeakFactorizationSystem(cat, *pair)) for pair in pairs]
+    kept = [verify_wfs(cat, *pair) for pair in pairs]
     assert [r.ok for r in kept] == [True, True, False, False, False]
     for pair, report in zip(pairs, kept):
-        assert verify_wfs(WeakFactorizationSystem(cat, *pair)) is report
-        fresh = verify_wfs(WeakFactorizationSystem(fixtures.barton(), *pair))
+        assert verify_wfs(cat, *pair) is report
+        fresh = verify_wfs(fixtures.barton(), *pair)
         assert fresh is not report and fresh == report
 
 
 def test_generate_wfs_round_trips(barton):
-    wfs = generate_wfs(barton, frozenset({"ab"}))
-    assert verify_wfs(wfs).ok
-    assert "ab" in wfs.left
-    assert wfs.right == complement_rlp(barton, wfs.left)
+    left, right = generate_wfs(barton, frozenset({"ab"}))
+    assert verify_wfs(barton, left, right).ok
+    assert "ab" in left
+    assert right == complement_rlp(barton, left)
     # generating from the generated left class is idempotent
-    again = generate_wfs(barton, wfs.left)
-    assert again == wfs
+    assert generate_wfs(barton, left) == (left, right)
 

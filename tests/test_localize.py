@@ -1,7 +1,7 @@
 import pytest
 
 from mclab import fixtures
-from mclab.errors import InputError
+from mclab.errors import InputError, VerificationError
 from mclab.localize import (
     core_cofibration_representative,
     left_bousfield,
@@ -11,7 +11,6 @@ from mclab.localize import (
     right_bousfield,
 )
 from mclab.premodel import (
-    fibrant_objects,
     same_classes,
     saturation_flags,
     verify_premodel,
@@ -61,7 +60,7 @@ def test_left_bousfield_postconditions(p0):
     loc = left_bousfield(p0, {"ac"}, mode="Lc")
     q = loc.structure
     assert q.cofibrations == p0.cofibrations
-    assert fibrant_objects(q) == ("c", "d")
+    assert q.fibrant == {"c", "d"}
     for s, rep in loc.representatives.items():
         assert rep in q.anodyne_cofibrations
         assert is_equivalence(q, rep)
@@ -75,7 +74,7 @@ def test_left_bousfield_at_ad_collapses_everything():
     assert loc.intermediate.anodyne_cofibrations == IDS | {"ad", "bd", "cd"}
     assert loc.intermediate.fibrations == IDS | {"ab", "ac"}
     assert not same_classes(loc.intermediate, loc.structure)
-    assert fibrant_objects(loc.structure) == ("d",)
+    assert loc.structure.fibrant == {"d"}
 
 
 def test_left_bousfield_rejects_unknown_arrows(p0):
@@ -96,6 +95,41 @@ def test_pre_right_localization(p0):
     assert verify_weak_model(q).ok
     assert saturation_flags(q).bi_saturated
     assert set(pre.witnesses) == pre.generators == frozenset({"ac"})
+
+
+def test_pre_right_localization_outcomes_on_the_census(census):
+    """Pre-right localization at each non-identity cofibration of every census
+    weak model on chain3 and barton.  27 of the 170 calls raise the internal
+    "not right saturated" error on verified input, a known fault (ROADMAP.md,
+    the theorem-census item): either the construction needs a precondition it
+    does not check or its closing assertion is too strong.  The fix of that
+    fault brings the 27 to 0 and must update this pin."""
+    outcomes, failed = {}, []
+    for name in ("chain3", "barton"):
+        results = errors = 0
+        for p in census[name]:
+            if not verify_weak_model(p).ok:
+                continue
+            ids = frozenset(p.cat.identities.values())
+            for i in p.cat.sort_morphisms(p.cofibrations - ids):
+                try:
+                    pre_right_localization(p, [i])
+                except VerificationError as err:
+                    assert str(err) == "pre-right localization is not right saturated"
+                    errors += 1
+                    failed.append((name, p.classes(), i))
+                else:
+                    results += 1
+        outcomes[name] = results, errors
+    assert outcomes == {"chain3": (22, 3), "barton": (121, 24)}
+    ids = frozenset({"id_a", "id_c", "id_d"})
+    example = {
+        "cofibrations": ids | {"ad", "cd"},
+        "anodyne_fibrations": ids | {"ac"},
+        "anodyne_cofibrations": ids,
+        "fibrations": ids | {"ac", "ad", "cd"},
+    }
+    assert ("chain3", example, "cd") in failed
 
 
 def test_right_bousfield_against_point(p0):

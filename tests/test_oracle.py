@@ -20,10 +20,8 @@ from mclab.lifting import complement_llp, complement_rlp, factor, factorizations
 from mclab.premodel import (
     acyclic_cofibrations,
     acyclic_fibrations,
-    cofibrant_objects,
     core_cofibrations,
     core_fibrations,
-    fibrant_objects,
 )
 
 
@@ -138,8 +136,8 @@ def test_factorization_order_is_pinned(premodel_corpus):
 
 def test_object_classes_agree(premodel_corpus):
     for p in premodel_corpus:
-        assert frozenset(cofibrant_objects(p)) == bf.cofibrant_set(p)
-        assert frozenset(fibrant_objects(p)) == bf.fibrant_set(p)
+        assert p.cofibrant == bf.cofibrant_set(p)
+        assert p.fibrant == bf.fibrant_set(p)
         assert core_cofibrations(p) == bf.core_cofibrations(p)
         assert core_fibrations(p) == bf.core_fibrations(p)
 

@@ -20,18 +20,15 @@ from mclab.premodel import (
     arrow_from_initial,
     arrow_to_terminal,
     check_quillen_adjunction,
-    cofibrant_objects,
     cofibrant_replacement,
     core_acyclic_cofibrations,
     core_cofibrations,
     core_fibrations,
     dualize,
     factor_cof_afib,
-    fibrant_objects,
     fibrant_replacement,
     is_cofibrant,
     is_fibrant,
-    object_status,
     same_classes,
     saturation_flags,
     verify_premodel,
@@ -71,12 +68,11 @@ def test_p1_classes_frozen(p1):
 
 
 def test_object_status(p0, p1):
-    assert cofibrant_objects(p0) == ("a", "c", "d")
-    assert fibrant_objects(p0) == ("a", "b", "c", "d")
-    assert cofibrant_objects(p1) == ("a", "c", "d")
-    assert fibrant_objects(p1) == ("c", "d")
-    st = object_status(p1, "b")
-    assert not st.cofibrant and not st.fibrant
+    assert p0.cofibrant == {"a", "c", "d"}
+    assert p0.fibrant == {"a", "b", "c", "d"}
+    assert p1.cofibrant == {"a", "c", "d"}
+    assert p1.fibrant == {"c", "d"}
+    assert not is_cofibrant(p1, "b") and not is_fibrant(p1, "b")
     assert arrow_from_initial(p1, "b") == "ab"
     assert arrow_to_terminal(p1, "b") == "bd"
 
@@ -135,14 +131,19 @@ def test_structures_on_one_system_share_its_facts():
     assert p0.replacements is p1.replacements == {}
     assert cofibrant_replacement(p1, "b") == ("a", "ab")
     assert p0.replacements == {"b": ("a", "ab")}
-    assert verify_wfs(p0.cof_system) is verify_wfs(p1.cof_system)
-    assert verify_wfs(p0.fib_system) is not verify_wfs(p1.fib_system)
+    assert verify_wfs(cat, p0.cofibrations, p0.anodyne_fibrations) is verify_wfs(
+        cat, p1.cofibrations, p1.anodyne_fibrations
+    )
+    assert verify_wfs(cat, p0.anodyne_cofibrations, p0.fibrations) is not verify_wfs(
+        cat, p1.anodyne_cofibrations, p1.fibrations
+    )
     # the same C with another AF is another pair: a key on C alone would mix them
     bare = p1.with_classes(anodyne_fibrations=IDS)
     assert bare.replacements is not p1.replacements and bare.replacements == {}
     with pytest.raises(ConstructionError, match="no factorization of ab gives a replacement of b"):
         cofibrant_replacement(bare, "b")
-    assert verify_wfs(p1.cof_system).ok and not verify_wfs(bare.cof_system).ok
+    assert verify_wfs(cat, p1.cofibrations, p1.anodyne_fibrations).ok
+    assert not verify_wfs(cat, bare.cofibrations, bare.anodyne_fibrations).ok
     # a fibrant replacement is kept by the dual, on the pair (F, AC) of cat.op
     q = p1.with_classes(cofibrations=everything, anodyne_fibrations=IDS)
     assert verify_premodel(q).ok
@@ -314,7 +315,7 @@ def test_quillen_adjunction_rejects_wrong_categories(p0):
 
 
 def test_arrow_lookup_rejects_unknown_object(p0):
-    lookups = (arrow_from_initial, arrow_to_terminal, is_cofibrant, is_fibrant, object_status)
+    lookups = (arrow_from_initial, arrow_to_terminal, is_cofibrant, is_fibrant)
     for lookup in lookups:
         with pytest.raises(InputError):
             lookup(p0, "z")
@@ -323,7 +324,7 @@ def test_arrow_lookup_rejects_unknown_object(p0):
     for lookup in lookups:
         with pytest.raises(InputError):
             lookup(p, "z")
-    for lookup, end in zip(lookups, ("initial", "terminal", "initial", "terminal", "initial")):
+    for lookup, end in zip(lookups, ("initial", "terminal", "initial", "terminal")):
         with pytest.raises(ConstructionError, match="no %s object" % end):
             lookup(p, "u")
 

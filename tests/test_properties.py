@@ -75,20 +75,20 @@ def premodels(draw):
     cat = draw(posets(bounded=True))
     gens = draw(st.sets(st.sampled_from(cat.morphisms)))
     try:
-        cof_system = generate_wfs(cat, frozenset(gens))
+        cofibrations, anodyne_fibrations = generate_wfs(cat, frozenset(gens))
     except ConstructionError:
         assume(False)
-    anodyne_gens = draw(st.sets(st.sampled_from(sorted(cof_system.left))))
+    anodyne_gens = draw(st.sets(st.sampled_from(sorted(cofibrations))))
     try:
-        fib_system = generate_wfs(cat, frozenset(anodyne_gens))
+        anodyne_cofibrations, fibrations = generate_wfs(cat, frozenset(anodyne_gens))
     except ConstructionError:
         assume(False)
     return PremodelStructure(
         cat=cat,
-        cofibrations=cof_system.left,
-        anodyne_fibrations=cof_system.right,
-        anodyne_cofibrations=fib_system.left,
-        fibrations=fib_system.right,
+        cofibrations=cofibrations,
+        anodyne_fibrations=anodyne_fibrations,
+        anodyne_cofibrations=anodyne_cofibrations,
+        fibrations=fibrations,
         name="rnd",
     )
 
