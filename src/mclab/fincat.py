@@ -17,7 +17,8 @@ Conventions
 * A category computes each derived fact once and keeps it: its opposite, its
   endpoints and the arrows to and from them, its validation verdict, every
   (co)limit asked of it, the fold of each arrow (its pushout along itself, with
-  the codiagonal), its factorization index, its lifting rows, the
+  the codiagonal; an epimorphism's is read off its hom-sets, without a colimit
+  search), its factorization index, its lifting rows, the
   complements decoded from them and, in ``_complements``, the complement of
   each frozenset class asked for, per side.
 * The factorization index ``factor_pairs`` lists each arrow's factorizations
@@ -411,14 +412,18 @@ class Cone(NamedTuple):
     legs: tuple[str, ...] = ()
 
 
+def _require_legs(cat, legs):
+    for leg in legs:
+        if not cat.has_morphism(leg):
+            raise InputError("shape leg %r is not a morphism of %s" % (leg, cat.name))
+
+
 def _check_shape(cat, shape, allowed):
     if shape.kind not in SHAPE_KINDS:
         raise InputError("unknown shape kind %r" % shape.kind)
     if shape.kind not in allowed:
         raise InputError("shape kind %r not supported here" % shape.kind)
-    for leg in shape.legs:
-        if not cat.has_morphism(leg):
-            raise InputError("shape leg %r is not a morphism of %s" % (leg, cat.name))
+    _require_legs(cat, shape.legs)
     if shape.kind == "empty":
         if shape.legs:
             raise InputError("empty shape takes no legs")
@@ -513,12 +518,13 @@ def limit(cat, shape):
 def mediating_out(cat, cone, target_legs):
     """The unique morphism out of a colimit apex hitting the given cocone.
 
-    Raises ConstructionError when no morphism matches (the target legs do not
-    form a cocone) and VerificationError on ambiguity, which a genuine
-    colimit rules out.
+    Raises InputError on an unknown leg or a leg count unlike the cone's,
+    ConstructionError when no morphism matches (no cocone) and
+    VerificationError on ambiguity, which a genuine colimit rules out.
     """
-    if not target_legs:
-        raise InputError("mediating_out needs at least one target leg")
+    _require_legs(cat, (*cone.legs, *target_legs))
+    if not target_legs or len(target_legs) != len(cone.legs):
+        raise InputError("mediating_out needs one target leg per cone leg, and at least one")
     tgt = cat.target[target_legs[0]]
     hits = [
         m
@@ -544,12 +550,33 @@ def pushout(cat, f, g):
 
 def fold(cat, i):
     """``(pushout cone of i along itself, codiagonal ∇)``, or None when that
-    pushout is absent; found once per arrow and category."""
+    pushout is absent; found once per arrow and category, by ``_epi_fold`` for
+    an epimorphism and by ``pushout`` and ``mediating_out`` otherwise."""
     if i not in cat._folds:
-        cone = pushout(cat, i, i)
-        ident = cat.identity(cat.target[i])
-        cat._folds[i] = None if cone is None else (cone, mediating_out(cat, cone, (ident, ident)))
+        _require_legs(cat, (i,))
+        folded = _epi_fold(cat, i)
+        if folded is None:
+            cone, ident = pushout(cat, i, i), cat.identity(cat.target[i])
+            folded = None if cone is None else (cone, mediating_out(cat, cone, (ident, ident)))
+        cat._folds[i] = folded
     return cat._folds[i]
+
+
+def _epi_fold(cat, i):
+    """The fold of i: A -> B without a colimit search when i is epi (g ↦ g∘i is
+    injective on the arrows leaving B, as for every arrow of a poset), else None.
+    Its cocones are then the (a, a), universal exactly when a is an isomorphism:
+    the search's answer is (φ, φ) for the first isomorphism φ out of B (object
+    order, then morphism order), and ∇ is φ's inverse."""
+    b, table = cat.target[i], cat.compose_table
+    ident, out = cat.identity(b), cat.arrows_from(b)
+    if len({table[(g, i)] for g in out}) < len(out):
+        return None
+    for x in cat.objects:
+        for phi in cat.hom(b, x):
+            for n in cat.hom(x, b):
+                if table[(n, phi)] == ident and table[(phi, n)] == cat.identity(x):
+                    return Cone(x, (phi, phi)), n
 
 
 def pullback(cat, f, g):

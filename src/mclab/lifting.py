@@ -5,7 +5,8 @@ relation depends only on the tables, never on any marked classes, so each
 category searches it once, for all pairs, and keeps it as integer bitmask
 rows and columns, ``FiniteCategory.lifting_rows``.  The search walks only
 composable arrows, through the out-arrow index (``_lifting_rows`` states its
-criterion); the opposite category runs its own.  A lifting query is one bit
+criterion, and decides the squares with at most one diagonal without building
+a set); the opposite category runs its own.  A lifting query is one bit
 test; a whole-class complement ANDs the rows (or columns) of the class,
 looking each id up only there, and decodes each resulting mask to a frozenset
 of morphism ids once per category (``_members``); ``_mask`` encodes a
@@ -66,6 +67,8 @@ def _lifting_rows(cat):
     and their diagonals are the d in ``over[u]``; since g∘d lies in ``over[g∘u]``
     for each such d, every one of these squares lifts exactly when
     ``over[g∘u] == {g∘d : d in over[u]}``.  A pair with no top u lifts vacuously.
+    Without a diagonal that asks that ``over[g∘u]`` be empty, with one, d, that
+    it be the single arrow g∘d; only two or more diagonals build the set.
     """
     table, index = cat.compose_table, cat._morphism_index
     full = (1 << len(cat.morphisms)) - 1
@@ -78,11 +81,18 @@ def _lifting_rows(cat):
         row = full
         for u in cat.arrows_from(cat.source[f]):
             diagonals = over.get(u, ())
+            d = next(iter(diagonals)) if len(diagonals) == 1 else None
             for g in cat.arrows_from(cat.target[u]):
                 bit = 1 << index[g]
-                if row & bit and over.get(table[(g, u)], set()) != {table[(g, d)] for d in diagonals}:
-                    row ^= bit
-                    cols[g] ^= 1 << i
+                if row & bit:
+                    target = over.get(table[(g, u)], ())
+                    if d is not None:
+                        lifts = len(target) == 1 and table[(g, d)] in target
+                    else:
+                        lifts = target == {table[(g, e)] for e in diagonals} if diagonals else not target
+                    if not lifts:
+                        row ^= bit
+                        cols[g] ^= 1 << i
         rows[f] = row
     return rows, cols
 

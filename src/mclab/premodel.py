@@ -298,13 +298,16 @@ def _assert_premodel(q, context):
 
 
 def _rebuild_fibrations(p, fibrations, what, name=None):
-    """p with (AC, F) replaced by (llp F', F'), F' = ``fibrations``; a (C, AF)
-    rebuild is this step on ``p.dual``, then ``.dual``.  The first arrow h, in
-    morphism order, that the new pair does not factor raises ConstructionError
-    "<what> loses factorization of h", with witness h."""
+    """p with (AC, F) replaced by (llp F', F'), F' = ``fibrations``, or p itself,
+    with every fact it has found, when that changes neither class nor the name;
+    a (C, AF) rebuild is this step on ``p.dual``, then ``.dual``.  The first
+    arrow h, in morphism order, that the new pair does not factor raises
+    ConstructionError "<what> loses factorization of h", with witness h."""
     anodyne = complement_llp(p.cat, fibrations)
     require_factorizations(p.cat, anodyne, fibrations, what + " loses factorization of %s")
     name = p.name if name is None else name
+    if (anodyne, fibrations, name) == (p.anodyne_cofibrations, p.fibrations, p.name):
+        return p
     return p.with_classes(anodyne_cofibrations=anodyne, fibrations=fibrations, name=name)
 
 

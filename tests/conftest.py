@@ -6,7 +6,7 @@ import pytest
 
 import bruteforce as bf
 from mclab import fixtures
-from mclab.fincat import AdjunctionData, FiniteCategory, FunctorData, poset_category
+from mclab.fincat import AdjunctionData, FiniteCategory, FunctorData, mediating_out, poset_category, pushout
 from mclab.premodel import PremodelStructure, verify_premodel
 from monoids import bounded_monoids
 
@@ -50,6 +50,15 @@ def census():
     chain4 = poset_category("chain4", "abcd", [("b", "a"), ("c", "b"), ("d", "c")])
     cats = [fixtures.chain3(), fixtures.barton(), chain4, *bounded_monoids()]
     return {cat.name: oracle_premodels(cat) for cat in cats}
+
+
+def fresh_fold(cat, i):
+    """The fold of i found by ``pushout`` and ``mediating_out`` on a fresh copy
+    of ``cat``: the general colimit search, with nothing kept beforehand."""
+    morphisms = [(m, cat.source[m], cat.target[m]) for m in cat.morphisms]
+    copy = FiniteCategory(cat.name, cat.objects, morphisms, cat.identities, cat.compose_table)
+    cone, ident = pushout(copy, i, i), cat.identity(cat.target[i])
+    return None if cone is None else (cone, mediating_out(copy, cone, (ident, ident)))
 
 
 def collapse_adjunction(pt, bart):

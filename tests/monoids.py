@@ -1,4 +1,5 @@
-"""Small non-thin categories for the test suite: bounded monoids.
+"""Small non-thin categories for the test suite: bounded monoids and the
+finite sets of size at most n.
 
 A bounded monoid has one object x whose endomorphisms form a monoid M, plus
 an initial object 0 and a terminal object 1 adjoined.  Its arrows are the
@@ -6,6 +7,8 @@ three identities, the non-identity elements of M, z: 0 -> x, t: x -> 1 and
 zt: 0 -> 1, so it has |M| + 5 of them.  Squares in it can commute in several
 ways and have several diagonals, unlike in a poset.
 """
+
+import itertools
 
 from mclab.fincat import FiniteCategory
 
@@ -42,3 +45,28 @@ def bounded_monoids():
         bounded_monoid("idempotent", ["e"], {("e", "e"): "e"}),
         bounded_monoid("left_zero", ["p", "q"], {(g, f): g for g in "pq" for f in "pq"}),
     ]
+
+
+def finite_sets(n):
+    """The sets {0, ..., k-1} for k ≤ n and every map between them; the map
+    a -> b sending x to v_x is named "a>b:v_0...v_{a-1}"."""
+    arrows = {
+        "%d>%d:%s" % (a, b, "".join(map(str, v))): (a, b, v)
+        for a in range(n + 1)
+        for b in range(n + 1)
+        for v in itertools.product(range(b), repeat=a)
+    }
+    named = {data: m for m, data in arrows.items()}
+    compose = {
+        (g, f): named[(a, c, tuple(w[x] for x in v))]
+        for f, (a, b, v) in arrows.items()
+        for g, (b2, c, w) in arrows.items()
+        if b2 == b
+    }
+    return FiniteCategory(
+        "FinSet%d" % n,
+        [str(a) for a in range(n + 1)],
+        [(m, str(a), str(b)) for m, (a, b, _) in arrows.items()],
+        {str(a): named[(a, a, tuple(range(a)))] for a in range(n + 1)},
+        compose,
+    )

@@ -13,6 +13,7 @@ from mclab.fincat import (
     check_functor,
     colimit,
     coproduct,
+    fold,
     identity_adjunction,
     identity_functor,
     initial_object,
@@ -30,7 +31,9 @@ from mclab.fincat import (
     validate_category,
 )
 from mclab.premodel import is_cofibrant
-from monoids import bounded_monoids
+from monoids import bounded_monoids, finite_sets
+
+from conftest import fresh_fold
 
 
 def test_all_fixture_categories_validate(category_corpus):
@@ -172,6 +175,43 @@ def test_cached_colimits_equal_a_fresh_search():
             assert pushout(cat, f, g) == pushout(_fresh_copy(cat), f, g), (cat.name, f, g)
 
 
+def _fold_corpus():
+    bases = [*fixtures.category_fixtures(), *bounded_monoids(), finite_sets(1), finite_sets(2)]
+    return [cat for base in bases for cat in (base, reverse_enumeration(base), base.op)]
+
+
+def test_folds_equal_a_fresh_search():
+    # an epimorphism folds without a colimit search, any other arrow through
+    # one; both give the cone and ∇ the general search gives on a fresh copy
+    epis = arrows = 0
+    for cat in _fold_corpus():
+        for i in cat.morphisms:
+            assert fold(cat, i) == fresh_fold(cat, i), (cat.name, i)
+            epis += mclab.fincat._epi_fold(cat, i) is not None
+            arrows += 1
+    assert 0 < epis < arrows
+
+
+def test_only_an_arrow_that_is_not_epi_searches_its_fold(monkeypatch):
+    searched = []
+    search = mclab.fincat._search_colimit
+
+    def counted(cat, shape):
+        searched.append(shape.legs)
+        return search(cat, shape)
+
+    monkeypatch.setattr(mclab.fincat, "_search_colimit", counted)
+    cat = fixtures.barton()
+    for i in cat.morphisms:
+        fold(cat, i)
+    assert searched == []
+    # 0 -> 1 is no epimorphism among finite sets: both maps 1 -> 2 restrict to
+    # the empty map; its fold is 1 ⊔ 1 = 2, found by the search
+    sets = finite_sets(2)
+    assert fold(sets, "0>1:") == (Cone("2", ("1>2:0", "1>2:1")), "2>1:00")
+    assert searched == [("0>1:", "0>1:")]
+
+
 def test_endpoint_arrows_and_verdict_are_kept():
     cat = fixtures.barton()
     assert cat.from_initial == {"a": "id_a", "b": "ab", "c": "ac", "d": "ad"}
@@ -239,6 +279,22 @@ def test_mediating_out_missing_raises():
         mediating_out(cat, Cone("b", ("id_b", "id_b")), ("ab", "ab"))
     cone = pushout(cat, "ab", "ac")
     assert mediating_out(cat, cone, ("bd", "cd")) == "id_d"
+
+
+def test_unknown_legs_are_input_errors():
+    cat = fixtures.barton()
+    calls = (
+        lambda: mediating_out(cat, pushout(cat, "ab", "ab"), ("zz",)),
+        lambda: mediating_out(cat, Cone("b", ("zz", "id_b")), ("id_b", "id_b")),
+        lambda: fold(cat, "zz"),
+    )
+    for call in calls:
+        for _ in range(2):
+            with pytest.raises(InputError, match="'zz'"):
+                call()
+    # one target leg per cone leg: a missing one is no IndexError
+    with pytest.raises(InputError, match="one target leg per cone leg"):
+        mediating_out(cat, pushout(cat, "ab", "ac"), ("bd",))
 
 
 def test_mediating_out_ambiguity_is_a_verification_error():

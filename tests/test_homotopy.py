@@ -1,4 +1,3 @@
-import itertools
 from collections import Counter
 
 import pytest
@@ -6,7 +5,7 @@ import pytest
 import bruteforce as bf
 from mclab import fixtures
 from mclab.errors import ConstructionError, InputError
-from mclab.fincat import FiniteCategory, fold, validate_category
+from mclab.fincat import fold, validate_category
 from mclab.homotopy import (
     _cylinder_verdict,
     check_cylinder_witness,
@@ -23,7 +22,7 @@ from mclab.homotopy import (
     weak_to_strong,
 )
 from mclab.premodel import PremodelStructure, cofibrant_replacement, dualize, fibrant_replacement
-from monoids import bounded_monoids
+from monoids import bounded_monoids, finite_sets
 
 
 @pytest.fixture(scope="module")
@@ -159,31 +158,6 @@ def test_kept_cylinder_verdicts_say_no_where_the_oracle_does(census):
                             assert verdict == (bool(strong), any(strong)), (q.classes(), i)
                             seen[verdict] += 1
     assert seen == {(True, True): 2567, (True, False): 25, (False, False): 145}
-
-
-def finite_sets(n):
-    """The sets {0, ..., k-1} for k ≤ n and every map between them; the map
-    a -> b sending x to v_x is named "a>b:v_0...v_{a-1}"."""
-    arrows = {
-        "%d>%d:%s" % (a, b, "".join(map(str, v))): (a, b, v)
-        for a in range(n + 1)
-        for b in range(n + 1)
-        for v in itertools.product(range(b), repeat=a)
-    }
-    named = {data: m for m, data in arrows.items()}
-    compose = {
-        (g, f): named[(a, c, tuple(w[x] for x in v))]
-        for f, (a, b, v) in arrows.items()
-        for g, (b2, c, w) in arrows.items()
-        if b2 == b
-    }
-    return FiniteCategory(
-        "FinSet%d" % n,
-        [str(a) for a in range(n + 1)],
-        [(m, str(a), str(b)) for m, (a, b, _) in arrows.items()],
-        {str(a): named[(a, a, tuple(range(a)))] for a in range(n + 1)},
-        compose,
-    )
 
 
 def test_kept_cylinder_verdicts_read_the_first_leg():

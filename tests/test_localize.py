@@ -16,6 +16,7 @@ from mclab.premodel import (
     verify_premodel,
 )
 from mclab.homotopy import is_equivalence, verify_weak_model
+from mclab.saturate import saturate
 
 from conftest import collapse_adjunction
 
@@ -64,6 +65,9 @@ def test_left_bousfield_postconditions(p0):
     for s, rep in loc.representatives.items():
         assert rep in q.anodyne_cofibrations
         assert is_equivalence(q, rep)
+    # the result is core-left-saturated, so saturating it again returns it
+    # with the verdicts ``left_bousfield`` found on it
+    assert saturate(q, "Lc") is q and q.equivalence_verdicts
 
 
 def test_left_bousfield_at_ad_collapses_everything():

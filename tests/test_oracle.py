@@ -9,12 +9,12 @@ import dataclasses
 import math
 
 import bruteforce as bf
-from monoids import bounded_monoids
+from monoids import bounded_monoids, finite_sets
 
 from mclab import fixtures
 from mclab.classify import classify_full, strong_cylinder_objects, strong_path_objects
 from mclab.errors import InputError
-from mclab.fincat import initial_object, opposite, pushout, reverse_enumeration, terminal_object
+from mclab.fincat import fold, initial_object, opposite, pushout, reverse_enumeration, terminal_object
 from mclab.homotopy import homotopic, is_equivalence, verify_weak_model
 from mclab.lifting import complement_llp, complement_rlp, factor, factorizations, has_lift, llp
 from mclab.premodel import (
@@ -95,6 +95,19 @@ def test_pushouts_agree(category_corpus):
                     assert (cone.apex, cone.legs[0], cone.legs[1]) in cones
                 else:
                     assert cone is None
+
+
+def test_folds_agree(category_corpus):
+    for base in [*category_corpus, *bounded_monoids(), finite_sets(1), finite_sets(2)]:
+        for cat in (base, opposite(base)):
+            for i in cat.morphisms:
+                cones, folded = bf.pushout_cones(cat, i, i), fold(cat, i)
+                assert (folded is None) == (not cones), (cat.name, i)
+                if folded is not None:
+                    (apex, (q0, q1)), codiag = folded
+                    assert (apex, q0, q1) in cones, (cat.name, i)
+                    ident = cat.identity(cat.target[i])
+                    assert bf.comp(cat, codiag, q0) == bf.comp(cat, codiag, q1) == ident
 
 
 def test_factorizations_agree(premodel_corpus):

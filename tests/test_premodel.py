@@ -238,8 +238,9 @@ def test_orphaned_dual_builds_its_opposite_once():
 
 
 def test_weak_model_check_of_the_dual_searches_nothing_new(monkeypatch, premodel_corpus):
-    rows, colimits = [], []
+    rows, colimits, epi_folds = [], [], []
     search_rows, search_colimit = mclab.lifting._lifting_rows, mclab.fincat._search_colimit
+    epi_fold = mclab.fincat._epi_fold
 
     def counted_rows(cat):
         rows.append(cat)
@@ -249,14 +250,24 @@ def test_weak_model_check_of_the_dual_searches_nothing_new(monkeypatch, premodel
         colimits.append(shape)
         return search_colimit(cat, shape)
 
+    def counted_epi_fold(cat, i):
+        epi_folds.append(i)
+        return epi_fold(cat, i)
+
+    first = 0
     for p in premodel_corpus:
-        verify_weak_model(p)
         monkeypatch.setattr(mclab.lifting, "_lifting_rows", counted_rows)
         monkeypatch.setattr(mclab.fincat, "_search_colimit", counted_colimit)
-        # p.dual.dual is p, so every row and colimit search was already run
+        monkeypatch.setattr(mclab.fincat, "_epi_fold", counted_epi_fold)
+        verify_weak_model(p)
+        first += len(epi_folds)
+        del rows[:], colimits[:], epi_folds[:]
+        # p.dual.dual is p, so every row search and fold was already run
         assert verify_weak_model(dualize(p)).ok == verify_weak_model(p).ok
-        assert (rows, colimits) == ([], []), p.name
+        assert (rows, colimits, epi_folds) == ([], [], []), p.name
         monkeypatch.undo()
+    # the counters see the folds: the first checks ran some
+    assert first > 0
 
 
 def test_factoring_an_unknown_arrow_names_it(p0):

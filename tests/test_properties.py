@@ -16,6 +16,7 @@ from mclab.errors import ConstructionError
 from mclab.fincat import (
     DiagramShape,
     colimit,
+    fold,
     initial_object,
     limit,
     opposite,
@@ -42,7 +43,7 @@ from mclab.premodel import (
 )
 from mclab.saturate import MODES, saturate
 
-from conftest import categories_built
+from conftest import categories_built, fresh_fold
 
 LETTERS = "uvwxy"
 
@@ -124,6 +125,15 @@ def test_opposite_involution_and_duality(cat):
     for f in cat.morphisms:
         for g in cat.morphisms:
             assert llp(cat, f, g) == llp(op, g, f)
+
+
+@given(posets())
+@settings(max_examples=80, deadline=None)
+def test_poset_folds_equal_a_fresh_search(cat):
+    # every arrow of a poset is epi, so each fold is read off the hom-sets
+    for base in (cat, reverse_enumeration(cat), cat.op):
+        for i in base.morphisms:
+            assert fold(base, i) == fresh_fold(base, i), (i, base.objects)
 
 
 def _endpoints_are_the_empty_shape_search(cat):

@@ -3,6 +3,7 @@ import pytest
 import bruteforce as bf
 from mclab import fixtures
 from mclab.errors import ConstructionError, InputError
+from mclab.parser import load
 from mclab.premodel import (
     PremodelStructure,
     core_acyclic_cofibrations,
@@ -11,6 +12,8 @@ from mclab.premodel import (
     saturation_flags,
     verify_premodel,
 )
+from mclab.report import to_text
+from mclab.run import OK, run_directives
 from mclab.saturate import MODES, bi_saturate, saturate
 from monoids import bounded_monoids
 
@@ -48,6 +51,31 @@ def test_saturate_fixes_already_saturated(premodel_corpus):
     for p in premodel_corpus:
         for mode in MODES:
             assert same_classes(saturate(p, mode), p), (p.name, mode)
+
+
+def test_an_unchanged_saturation_returns_its_input(census):
+    # a rebuild that changes nothing returns the structure it was given, so
+    # every fact already found on it is kept; any other gives a new structure
+    structures = census["barton"]
+    for p in structures:
+        assert (saturate(p, "Lc") is p) == saturation_flags(p).core_left_saturated, p.classes()
+    kept = next(p for p in structures if saturation_flags(p).core_left_saturated)
+    moved = next(p for p in structures if not saturation_flags(p).core_left_saturated)
+    assert not same_classes(saturate(moved, "Lc"), moved)
+    # ``run`` compares classes, so it still reports the first as unchanged
+    names = {
+        field: ", ".join(sorted(kept.classes()[field]))
+        for field in ("cofibrations", "anodyne_cofibrations")
+    }
+    env = load(
+        "poset barton { d <= b <= a; d <= c <= a; }\n"
+        "premodel P on barton { cofibrations: {%(cofibrations)s}; "
+        "anodyne_cofibrations: {%(anodyne_cofibrations)s}; }\n"
+        "run { saturate P mode Lc; }" % names
+    )
+    outcome = run_directives(env, env.directives)
+    assert outcome.code == OK and outcome.trees[0]["changed"] is False
+    assert "changed: no" in to_text(outcome.trees[0])
 
 
 def test_bi_saturate_reports_both_orders(premodel_corpus):
