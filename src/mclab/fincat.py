@@ -518,14 +518,18 @@ def limit(cat, shape):
 def mediating_out(cat, cone, target_legs):
     """The unique morphism out of a colimit apex hitting the given cocone.
 
-    Raises InputError on an unknown leg or a leg count unlike the cone's,
-    ConstructionError when no morphism matches (no cocone) and
-    VerificationError on ambiguity, which a genuine colimit rules out.
+    Raises InputError on an unknown leg, a leg count unlike the cone's or a leg
+    off the apex or the first target leg's target, ConstructionError when no
+    morphism matches and VerificationError on ambiguity, which a colimit rules out.
     """
     _require_legs(cat, (*cone.legs, *target_legs))
     if not target_legs or len(target_legs) != len(cone.legs):
         raise InputError("mediating_out needs one target leg per cone leg, and at least one")
     tgt = cat.target[target_legs[0]]
+    for what, legs, end in (("cone", cone.legs, cone.apex), ("target", target_legs, tgt)):
+        for leg in legs:
+            if cat.target[leg] != end:
+                raise InputError("%s leg %s does not end at %s" % (what, leg, end))
     hits = [
         m
         for m in cat.hom(cone.apex, tgt)

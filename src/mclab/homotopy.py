@@ -24,7 +24,7 @@ Whether a witness exists is a mask test on data each category keeps next to
 its folds (``_cylinder_verdict``); each structure keeps the (weak, strong)
 answer per cofibration in ``cylinder_verdicts``, read by the axioms, the core
 criterion and the strong cylinder and path objects.  Only
-``iter_cylinder_witnesses`` runs the search, to build witnesses.
+``iter_cylinder_witnesses`` runs the search; ``_witness`` builds each witness.
 """
 
 from dataclasses import dataclass, replace
@@ -82,15 +82,19 @@ def fold_cone(p, i):
 
 def iter_cylinder_witnesses(p, i, mode="weak"):
     """All witnesses for i, searching candidates in enumeration order."""
-    cat = p.cat
     for c, l, e in _cylinder_search(p, i, mode):
-        cone, codiag = fold(cat, i)
-        yield CylinderWitness(
-            base=i, fold_apex=cone.apex, coproj0=cone.legs[0], coproj1=cone.legs[1],
-            codiagonal=codiag, cylinder_obj=cat.target[c], cylinder_cof=c,
-            weak_target=cat.target[l], anodyne_leg=l, comparison=e,
-            strong=l == cat.identity(cat.target[i]),
-        )
+        yield _witness(p.cat, i, c, l, e)
+
+
+def _witness(cat, i, c, l, e):
+    """The witness (c, l, e) on i: the fold fields are ``fold(cat, i)``'s, Z and
+    D the targets of c and l, and it is strong exactly when l is the identity."""
+    (apex, (q0, q1)), codiag = fold(cat, i)
+    return CylinderWitness(
+        base=i, fold_apex=apex, coproj0=q0, coproj1=q1, codiagonal=codiag,
+        cylinder_obj=cat.target[c], cylinder_cof=c, weak_target=cat.target[l],
+        anodyne_leg=l, comparison=e, strong=l == cat.identity(cat.target[i]),
+    )
 
 
 def find_cylinder(p, i, mode="weak"):
@@ -101,10 +105,10 @@ def find_cylinder(p, i, mode="weak"):
 def _cylinder_search(p, i, mode):
     """The search that builds witnesses: (c, l, e) in enumeration order.
 
-    The strong search is the weak one with the identity of B as its only
-    anodyne leg l, so none when that identity is not acyclic.  Only the
-    candidates of ``_cylinder_masks`` that some l∘∇ factors through are
-    tried: their bit is set in that leg's ``left_factors[l∘∇]``.
+    It walks the kept candidates c of ``_fold_masks`` and tries a leg (l, mask)
+    on c only when c's bit is set in cand and in mask: ``_cylinder_verdict``'s
+    rule.  The strong search is the weak one with the identity of B as its
+    only leg, so none when that identity is not acyclic.
     """
     if mode not in ("weak", "strong"):
         raise InputError("cylinder mode must be 'weak' or 'strong', got %r" % mode)
@@ -112,14 +116,10 @@ def _cylinder_search(p, i, mode):
     cand, legs = _cylinder_masks(p, i)
     if mode == "strong":
         legs = [(l, mask) for l, mask in legs if l == cat.identity(cat.target[i])]
-    reach = 0
-    for _, mask in legs:
-        reach |= cand & mask
-    (apex, _), codiag = fold(cat, i)
-    table, index = cat.compose_table, cat._morphism_index
-    for c in cat.arrows_from(apex):
-        if reach >> index[c] & 1:
-            for l, _ in legs:
+    codiag, table = fold(cat, i)[1], cat.compose_table
+    for c, _, bit in _fold_masks(cat, i)[0]:
+        for l, mask in legs:
+            if cand & mask & bit:
                 rhs = table[(l, codiag)]
                 for e in cat.hom(cat.target[c], cat.target[l]):
                     if table[(e, c)] == rhs:
@@ -370,14 +370,8 @@ def homotopic(p, f, g):
     w = find_cylinder(p, arrow_from_initial(p, x), "weak")
     if w is None:
         raise ConstructionError("no weak cylinder on %s" % x, witness=x)
-    return _homotopic_via(p, w, f, g)
-
-
-def _homotopic_via(p, w, f, g):
-    cat = p.cat
     e0 = cat.compose_table[(w.cylinder_cof, w.coproj0)]
     e1 = cat.compose_table[(w.cylinder_cof, w.coproj1)]
-    y = cat.target[f]
     return any(
         cat.compose_table[(h, e0)] == f and cat.compose_table[(h, e1)] == g
         for h in cat.hom(w.cylinder_obj, y)

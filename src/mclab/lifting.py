@@ -22,9 +22,9 @@ A weak factorization system is the pair (left, right) itself:
 ``verify_wfs(cat, left, right)`` checks one and ``generate_wfs`` returns one.
 Its own facts live in its category's per-WFS table, ``_system``: the
 ``verify_wfs`` report, read off the two complements, for a pair (C, AF), its
-cofibrant replacements, first factorizations and the arrows grouped by the
-arrow between replacements covering them; and the lifting meets behind the
-acyclic classes.  Every structure built on the pair shares them.
+first factorizations (the cofibrant replacements are read off them) and the
+arrows grouped by the arrow between replacements covering them; and the
+lifting meets behind the acyclic classes.  Every structure on the pair shares them.
 """
 
 from types import SimpleNamespace
@@ -264,14 +264,14 @@ def require_factorizations(cat, left, right, message):
 def _system(cat, left, right):
     """The facts the pair (left, right) of frozensets determines on ``cat``, kept
     there: its ``verify_wfs`` report once found and, for a pair (C, AF), each
-    cofibrant replacement once asked for, its first factorizations and the
-    arrows grouped by the arrow between replacements that covers them
-    (``classify._induced_groups``); ``gates`` keeps the meets behind
-    ``premodel``'s acyclic classes."""
+    first factorization once found (a cofibrant replacement is read off the
+    one of the arrow from the initial object) and the arrows grouped by the
+    arrow between replacements that covers them (``classify._induced_groups``);
+    ``gates`` keeps the meets behind ``premodel``'s acyclic classes."""
     facts = cat._systems.get((left, right))
     if facts is None:
         facts = cat._systems[left, right] = SimpleNamespace(
-            report=None, replacements={}, factors={}, induced=None, gates=[None, None]
+            report=None, factors={}, induced=None, gates=[None, None]
         )
     return facts
 

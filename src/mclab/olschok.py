@@ -32,7 +32,7 @@ from .fincat import (
     mediating_out,
     pushout,
 )
-from .homotopy import CylinderWitness, check_cylinder_witness, fold_cone, verify_weak_model
+from .homotopy import _witness, check_cylinder_witness, fold_cone, verify_weak_model
 from .lifting import _require_morphisms, _unknown_morphism, complement_rlp, verify_wfs
 from .premodel import (
     PremodelStructure,
@@ -283,7 +283,7 @@ def weak_cylinder_theorem_harness(p, cyl):
         a, b = cat.source[f], cat.target[f]
         if f not in p.cofibrations or a not in p.cofibrant:
             continue
-        cone, codiag = fold_cone(p, f)
+        cone, _ = fold_cone(p, f)
         i_f = cyl.cylinder.on_morphism(f)
         e_a = cyl.comparison.at(a)
         side = pushout(cat, i_f, e_a)
@@ -299,20 +299,7 @@ def weak_cylinder_theorem_harness(p, cyl):
         r = mediating_out(
             cat, side, (cyl.comparison.at(b), cyl.weak_target.on_morphism(f))
         )
-        d_b = cyl.weak_target.on_object(b)
-        witness = CylinderWitness(
-            base=f,
-            fold_apex=cone.apex,
-            coproj0=cone.legs[0],
-            coproj1=cone.legs[1],
-            codiagonal=codiag,
-            cylinder_obj=side.apex,
-            cylinder_cof=m,
-            weak_target=d_b,
-            anodyne_leg=cyl.leg.at(b),
-            comparison=r,
-            strong=(d_b == b and cyl.leg.at(b) == cat.identity(b)),
-        )
+        witness = _witness(cat, f, m, cyl.leg.at(b), r)
         verdict = check_cylinder_witness(p, witness)
         if not verdict.ok:
             failures.append("witness for %s: %s" % (f, "; ".join(verdict.violations)))

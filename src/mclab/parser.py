@@ -199,22 +199,22 @@ class _Parser:
 
     def parse_document(self):
         doc = Document([], [], [], [], [], [])
+        blocks = {
+            "category": (doc.categories, self.parse_category),
+            "poset": (doc.posets, self.parse_poset),
+            "premodel": (doc.premodels, self.parse_premodel),
+            "adjunction": (doc.adjunctions, self.parse_adjunction),
+            "cylinder": (doc.cylinders, self.parse_cylinder),
+        }
         while True:
             t = self.peek()
             if t.kind == "eof":
                 return doc
             if t.kind != "name":
                 self.fail("expected a block keyword")
-            if t.value == "category":
-                doc.categories.append(self.parse_category())
-            elif t.value == "poset":
-                doc.posets.append(self.parse_poset())
-            elif t.value == "premodel":
-                doc.premodels.append(self.parse_premodel())
-            elif t.value == "adjunction":
-                doc.adjunctions.append(self.parse_adjunction())
-            elif t.value == "cylinder":
-                doc.cylinders.append(self.parse_cylinder())
+            if t.value in blocks:
+                decls, parse_block = blocks[t.value]
+                decls.append(parse_block())
             elif t.value == "run":
                 self.next()
                 self.expect_punct("{")
@@ -310,16 +310,12 @@ class _Parser:
         return PremodelDecl(name.value, cat_name.value, classes, head.line, head.col)
 
     def parse_class_expr(self):
-        t = self.peek()
-        if t.kind == "name" and t.value == "all":
-            self.next()
+        if self.accept_name("all"):
             return ("all",)
-        if t.kind == "name" and t.value == "all_except":
-            self.next()
-            return ("all_except", self.brace_list())
-        if t.kind == "name" and t.value == "generated":
-            self.next()
-            return ("generated", self.brace_list())
+        for keyword in ("all_except", "generated"):
+            if self.accept_name(keyword):
+                return (keyword, self.brace_list())
+        t = self.peek()
         if t.kind == "punct" and t.value == "{":
             return ("set", self.brace_list())
         self.fail("expected a class expression")
@@ -574,13 +570,21 @@ _PARTNERS = (
 )
 
 
-def _build_premodel(decl, categories):
-    pos = (decl.line, decl.col)
-    cat = categories.get(decl.cat_name)
+def _category(categories, name, kind, owner):
+    """The category ``name`` that the ``kind`` block ``owner`` references."""
+    cat = categories.get(name)
     if cat is None:
         raise ParseError(
-            "premodel %s references undefined category %r" % (decl.name, decl.cat_name), *pos
+            "%s %s references undefined category %r" % (kind, owner.name, name),
+            owner.line,
+            owner.col,
         )
+    return cat
+
+
+def _build_premodel(decl, categories):
+    pos = (decl.line, decl.col)
+    cat = _category(categories, decl.cat_name, "premodel", decl)
     resolved = {
         f: _resolve_class(cat, e, f, decl) for f, e in decl.classes.items()
     }
@@ -598,15 +602,8 @@ def _build_premodel(decl, categories):
 
 
 def _build_functor(name, decl, categories, owner):
-    src = categories.get(decl.src)
-    tgt = categories.get(decl.tgt)
-    if src is None or tgt is None:
-        missing = decl.src if src is None else decl.tgt
-        raise ParseError(
-            "adjunction %s references undefined category %r" % (owner.name, missing),
-            owner.line,
-            owner.col,
-        )
+    src = _category(categories, decl.src, "adjunction", owner)
+    tgt = _category(categories, decl.tgt, "adjunction", owner)
     return FunctorData(name, src, tgt, dict(decl.objects), dict(decl.arrows))
 
 
@@ -617,13 +614,7 @@ def _build_adjunction(decl, categories):
 
 
 def _build_cylinder(decl, categories):
-    cat = categories.get(decl.cat_name)
-    if cat is None:
-        raise ParseError(
-            "cylinder %s references undefined category %r" % (decl.name, decl.cat_name),
-            decl.line,
-            decl.col,
-        )
+    cat = _category(categories, decl.cat_name, "cylinder", decl)
     try:
         return identity_cylinder(cat)
     except ConstructionError as exc:   # some X ⊔ X is absent
@@ -660,12 +651,15 @@ def resolve(doc):
         if decl.name in premodels or decl.name in categories:
             raise ParseError("duplicate name %r" % decl.name, decl.line, decl.col)
         premodels[decl.name], derived_classes[decl.name] = _build_premodel(decl, categories)
-    adjunctions = {}
-    for decl in doc.adjunctions:
-        adjunctions[decl.name] = _build_adjunction(decl, categories)
-    cylinders = {}
-    for decl in doc.cylinders:
-        cylinders[decl.name] = _build_cylinder(decl, categories)
+    adjunctions, cylinders = {}, {}
+    for decls, built, build in (
+        (doc.adjunctions, adjunctions, _build_adjunction),
+        (doc.cylinders, cylinders, _build_cylinder),
+    ):
+        for decl in decls:
+            if decl.name in built:
+                raise ParseError("duplicate name %r" % decl.name, decl.line, decl.col)
+            built[decl.name] = build(decl, categories)
     return Environment(
         categories=categories,
         premodels=premodels,

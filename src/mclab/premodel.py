@@ -40,12 +40,12 @@ _CLASSES = ("cofibrations", "anodyne_fibrations", "anodyne_cofibrations", "fibra
 class PremodelStructure:
     """Four marked classes on one category; immutable, so each derived fact
     (the dual, the cofibrant and fibrant objects, the acyclic classes, each
-    replacement, each equivalence verdict and each cofibration's cylinder
-    verdict) is computed once on first use; the acyclic classes are ANDs of
-    lifting masks.  The replacements, first factorizations, WL grouping,
-    lifting meets and the two systems' ``verify_wfs`` reports live in the
-    category's per-WFS table, ``lifting._system``, shared by every structure
-    on that system; the cylinder verdicts read ``homotopy._fold_masks``."""
+    equivalence verdict and each cofibration's cylinder verdict) is computed
+    once on first use; the acyclic classes are ANDs of lifting masks.  The
+    first (C, AF) factorizations, which the replacements are read off, the WL
+    grouping, lifting meets and the two systems' ``verify_wfs`` reports live in
+    the category's per-WFS table, ``lifting._system``, shared by every
+    structure on that system; the cylinder verdicts read ``homotopy._fold_masks``."""
 
     cat: FiniteCategory
     cofibrations: frozenset
@@ -95,12 +95,6 @@ class PremodelStructure:
     @_fact
     def _cof_system(self):
         return _system(self.cat, self.cofibrations, self.anodyne_fibrations)
-
-    @_fact
-    def replacements(self):
-        """``{x: (x', arrow)}``: each cofibrant replacement, kept once found by any
-        structure with this (C, AF) on this category; the fibrant ones are the dual's."""
-        return self._cof_system.replacements
 
     @_fact
     def equivalence_verdicts(self):
@@ -268,22 +262,17 @@ def verify_premodel(p):
     failures.extend("(AC, F): %s" % x for x in fib_report.failures)
 
     nesting_ok = True
-    bad_ac = p.cat.sort_morphisms(p.anodyne_cofibrations - p.cofibrations)
-    if bad_ac:
-        nesting_ok = False
-        failures.append("anodyne cofibrations outside cofibrations: %s" % ", ".join(bad_ac))
-    bad_af = p.cat.sort_morphisms(p.anodyne_fibrations - p.fibrations)
-    if bad_af:
-        nesting_ok = False
-        failures.append("anodyne fibrations outside fibrations: %s" % ", ".join(bad_af))
-
-    endpoints_ok = True
-    if p.cat.initial is None:
-        endpoints_ok = False
-        failures.append("no initial object")
-    if p.cat.terminal is None:
-        endpoints_ok = False
-        failures.append("no terminal object")
+    for name, inner, outer in (
+        ("cofibrations", p.anodyne_cofibrations, p.cofibrations),
+        ("fibrations", p.anodyne_fibrations, p.fibrations),
+    ):
+        bad = p.cat.sort_morphisms(inner - outer)
+        if bad:
+            nesting_ok = False
+            failures.append("anodyne %s outside %s: %s" % (name, name, ", ".join(bad)))
+    missing = [end for end in ("initial", "terminal") if getattr(p.cat, end) is None]
+    failures.extend("no %s object" % end for end in missing)
+    endpoints_ok = not missing
 
     ok = cat_verdict.ok and cof_report.ok and fib_report.ok and nesting_ok and endpoints_ok
     return PremodelReport(
@@ -321,15 +310,22 @@ def dualize(p):
     return p.dual
 
 
+def _first_factorization(p, h):
+    """The first (C, AF) factorization (l, r) of h, kept in the system's
+    ``factors`` once found, or None, keeping nothing."""
+    factors = p._cof_system.factors
+    hit = factors.get(h) or factor(p.cat, p.cofibrations, p.anodyne_fibrations, h)
+    if hit is not None:
+        factors[h] = hit
+    return hit
+
+
 def factor_cof_afib(p, h):
     """h = (anodyne fibration) ∘ (cofibration); first choice in order."""
-    factors = p._cof_system.factors
-    if h not in factors:
-        hit = factor(p.cat, p.cofibrations, p.anodyne_fibrations, h)
-        if hit is None:
-            raise ConstructionError("no (cofibration, anodyne fibration) factorization of %s" % h, witness=h)
-        factors[h] = hit
-    return factors[h]
+    hit = _first_factorization(p, h)
+    if hit is None:
+        raise ConstructionError("no (cofibration, anodyne fibration) factorization of %s" % h, witness=h)
+    return hit
 
 
 def cofibrant_replacement(p, x):
@@ -353,16 +349,13 @@ def _cofibrant_replacement(p, x):
     """The two replacements of an object read off the tables, unchecked."""
     if x in p.cofibrant:
         return x, p.cat.identity(x)
-    if x not in p.replacements:
-        h = p.cat.from_initial[x]
-        hit = factor(p.cat, p.cofibrations, p.anodyne_fibrations, h)
-        if hit is None:
-            raise ConstructionError(
-                "no factorization of %s gives a replacement of %s" % (h, x), witness=h
-            )
-        l, r = hit
-        p.replacements[x] = p.cat.target[l], r
-    return p.replacements[x]
+    h = p.cat.from_initial[x]
+    hit = _first_factorization(p, h)
+    if hit is None:
+        raise ConstructionError(
+            "no factorization of %s gives a replacement of %s" % (h, x), witness=h
+        )
+    return p.cat.target[hit[0]], hit[1]
 
 
 def _fibrant_replacement(p, x):

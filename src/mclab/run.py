@@ -77,8 +77,11 @@ def _classes_tree(p):
     return {name: p.cat.sort_morphisms(members) for name, members in p.classes().items()}
 
 
-def _flags_tree(p):
-    return saturation_flags(p).as_dict()
+def _kept(session, tree, q):
+    """Make the produced premodel q the ``result`` and report its classes and flags."""
+    session.keep("premodel", q)
+    tree["classes"] = _classes_tree(q)
+    tree["saturation"] = saturation_flags(q).as_dict()
 
 
 def _weak_model_tree(r):
@@ -163,13 +166,8 @@ def execute(session, directive):
     if kind == "saturate":
         p = session.lookup("premodel", args["target"])
         out = saturate(p, args["mode"])
-        session.keep("premodel", out)
-        tree.update(
-            mode=args["mode"],
-            changed=not same_classes(p, out),
-            classes=_classes_tree(out),
-            saturation=_flags_tree(out),
-        )
+        tree.update(mode=args["mode"], changed=not same_classes(p, out))
+        _kept(session, tree, out)
         return tree, True
     if kind == "localize":
         return _do_localize(session, args, tree)
@@ -196,10 +194,7 @@ def execute(session, directive):
         return _do_classify(session, p, args["target"], tree)
     if kind == "dualize":
         p = session.lookup("premodel", args["target"])
-        out = dualize(p)
-        session.keep("premodel", out)
-        tree["classes"] = _classes_tree(out)
-        tree["saturation"] = _flags_tree(out)
+        _kept(session, tree, dualize(p))
         return tree, True
     if kind == "olschok":
         return _do_olschok(session, args, tree)
@@ -254,7 +249,7 @@ def _do_check(session, what, name, tree):
         tree["ok"] = rep.ok
         tree["failures"] = list(rep.failures)
         if rep.ok:
-            tree["saturation"] = _flags_tree(p)
+            tree["saturation"] = saturation_flags(p).as_dict()
         derived = session.env.derived_classes.get(name)
         if derived:
             tree["derived_classes"] = list(derived)
@@ -269,7 +264,6 @@ def _do_localize(session, args, tree):
     if args["side"] == "left":
         arrows = session.arrows_of(p, args["arrows"])
         loc = left_bousfield(p, arrows, mode=args["mode"])
-        session.keep("premodel", loc.structure)
         tree["representatives"] = {
             s: loc.representatives[s] for s in p.cat.sort_morphisms(loc.representatives)
         }
@@ -278,18 +272,15 @@ def _do_localize(session, args, tree):
         adj = session.lookup("adjunction", args["adjunction"])
         target_p = session.lookup("premodel", args["into"])
         loc = right_bousfield(p, adj, target_p, mode=args["mode"])
-        session.keep("premodel", loc.structure)
         tree["localizer"] = p.cat.sort_morphisms(loc.localizer)
     tree["mode"] = args["mode"]
     tree["changed"] = not same_classes(p, loc.structure)
-    tree["classes"] = _classes_tree(loc.structure)
-    tree["saturation"] = _flags_tree(loc.structure)
+    _kept(session, tree, loc.structure)
     return tree, True
 
 
 def _do_classify(session, p, name, tree):
     rep = classify_full(p)
-    cat = p.cat
     tree["target"] = name
     tree["summary"] = rep.summary
     tree["premodel"] = {"ok": rep.premodel.ok, "failures": list(rep.premodel.failures)}
@@ -303,9 +294,8 @@ def _do_classify(session, p, name, tree):
     two = rep.two_sided
     tree["two_sided"] = None if two is None else {"ok": two.ok, **_fields(two)}
     tree["quillen"] = _quillen_tree(rep.quillen)
-    tree["equivalences"] = cat.sort_morphisms(rep.equivalences) if rep.equivalences is not None else None
-    tree["wl"] = cat.sort_morphisms(rep.wl) if rep.wl is not None else None
-    tree["wr"] = cat.sort_morphisms(rep.wr) if rep.wr is not None else None
+    for key, arrows in (("equivalences", rep.equivalences), ("wl", rep.wl), ("wr", rep.wr)):
+        tree[key] = None if arrows is None else p.cat.sort_morphisms(arrows)
     return tree, rep.premodel.ok
 
 
@@ -314,14 +304,12 @@ def _do_olschok(session, args, tree):
     cyl = session.lookup("cylinder", args["cylinder"])
     seeds = session.arrows_of(p, args.get("seeds", []))
     rep = olschok_model(p, cyl, seeds=seeds)
-    session.keep("premodel", rep.saturated)
     cat = p.cat
     tree["lambda"] = cat.sort_morphisms(rep.lambda_set)
     tree["lambda_without_second"] = cat.sort_morphisms(rep.lambda_without_second)
     tree["second_corner_matters"] = rep.second_corner_matters
     tree["generated_classes"] = _classes_tree(rep.premodel)
-    tree["classes"] = _classes_tree(rep.saturated)
-    tree["saturation"] = _flags_tree(rep.saturated)
+    _kept(session, tree, rep.saturated)
     tree["all_cofibrant"] = rep.all_cofibrant
     tree["quillen_asserted"] = rep.quillen_asserted
     tree["left_semi_asserted"] = rep.left_semi_asserted

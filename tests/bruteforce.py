@@ -270,6 +270,67 @@ def weak_model(p):
     return cylinder_axiom(p) and path_axiom(p)
 
 
+# ---- saturation and the semi-model recognizers ------------------------------
+
+def saturation_flags(p):
+    """Whether the anodyne classes hold the acyclic ones: all of them, or those
+    with cofibrant source (fibrant target) for the core flags."""
+    acyclic_cof, acyclic_fib = acyclic_cofibrations(p), acyclic_fibrations(p)
+    cofibrant, fibrant = cofibrant_set(p), fibrant_set(p)
+    left = p.anodyne_cofibrations == acyclic_cof
+    right = p.anodyne_fibrations == acyclic_fib
+    return {
+        "left_saturated": left,
+        "core_left_saturated": all(
+            f in p.anodyne_cofibrations for f in acyclic_cof if p.cat.source[f] in cofibrant
+        ),
+        "right_saturated": right,
+        "core_right_saturated": all(
+            g in p.anodyne_fibrations for g in acyclic_fib if p.cat.target[g] in fibrant
+        ),
+        "bi_saturated": left and right,
+    }
+
+
+def semi_flags(p):
+    """(left, right): the Fresse and Spitzweck semi-model flags and their parts.
+
+    Left Fresse: a weak model with a strong cylinder on 0 -> x for every
+    cofibrant x that is core left saturated; Spitzweck adds right saturation.
+    The right flags mirror them with strong path objects on x -> 1, searched
+    as strong cylinders of the opposite structure.
+    """
+    cat, dual = p.cat, opposite_premodel(p)
+    zero, one = initial_objects(cat)[0], terminal_objects(cat)[0]
+    acyclic, dual_acyclic = acyclic_cofibrations(p), acyclic_cofibrations(dual)
+    weak, flags = weak_model(p), saturation_flags(p)
+    cylinders = all(
+        has_strong_cylinder(p, hom(cat, zero, x)[0], acyclic) for x in cofibrant_set(p)
+    )
+    paths = all(
+        has_strong_cylinder(dual, hom(cat, x, one)[0], dual_acyclic) for x in fibrant_set(p)
+    )
+    left_fresse = weak and cylinders and flags["core_left_saturated"]
+    right_fresse = weak and paths and flags["core_right_saturated"]
+    left = {
+        "weak_model": weak,
+        "strong_cylinders": cylinders,
+        "core_left_saturated": flags["core_left_saturated"],
+        "right_saturated": flags["right_saturated"],
+        "fresse": left_fresse,
+        "spitzweck": left_fresse and flags["right_saturated"],
+    }
+    right = {
+        "weak_model": weak,
+        "strong_paths": paths,
+        "core_right_saturated": flags["core_right_saturated"],
+        "left_saturated": flags["left_saturated"],
+        "fresse": right_fresse,
+        "spitzweck": right_fresse and flags["left_saturated"],
+    }
+    return left, right
+
+
 # ---- model structures, by the Joyal–Tierney criterion -----------------------
 
 def is_model_structure(p):

@@ -297,6 +297,20 @@ def test_unknown_legs_are_input_errors():
         mediating_out(cat, pushout(cat, "ab", "ac"), ("bd",))
 
 
+def test_legs_off_the_cone_are_input_errors():
+    # a hand-made cone whose legs miss its apex, or target legs with no one
+    # shared target, name the offending leg instead of failing a table lookup
+    cat = fixtures.barton()
+    calls = (
+        (Cone("b", ("ac", "ab")), ("cd", "bd"), "cone leg ac does not end at b"),
+        (pushout(cat, "ab", "ac"), ("bd", "ac"), "target leg ac does not end at d"),
+    )
+    for cone, legs, text in calls:
+        with pytest.raises(InputError) as err:
+            mediating_out(cat, cone, legs)
+        assert str(err.value) == text
+
+
 def test_mediating_out_ambiguity_is_a_verification_error():
     # both id_x and e satisfy m∘e = e, so Cone("x", ("e",)) is no colimit
     idem = _one_object("idem", "e", "e")

@@ -416,6 +416,8 @@ def test_cli_single_commands(capsys):
 
 CAT_M = "category M thin { objects: x, y; arrows: f: x -> y; }\n"
 PRE_P = CAT_M + "premodel P on M { cofibrations: all; anodyne_cofibrations: {ids}; }\n"
+ADJ_A = "adjunction A { left: M -> M { } right: M -> M { } }\n"
+CYL_C = "cylinder C { on: M; kind: identity; }\n"
 
 # (document, message, line, column) of each ParseError, as ``load`` raises it
 PARSE_ERRORS = [
@@ -443,6 +445,9 @@ PARSE_ERRORS = [
     ("block M { }", "unknown block 'block' (found 'block')", 1, 1),
     (CAT_M + "run { frobnicate M; }", "unknown directive 'frobnicate' (found 'frobnicate')", 2, 7),
     (CAT_M + "run { classify; }", "expected a name (found ';')", 2, 15),
+    # a repeated adjunction or cylinder name is refused at the second block
+    (CAT_M + ADJ_A + ADJ_A, "duplicate name 'A'", 3, 1),
+    (CAT_M + CYL_C + "\n  " + CYL_C, "duplicate name 'C'", 4, 3),
 ]
 
 

@@ -303,8 +303,8 @@ def test_kept_answers_keep_the_contract(p1):
             with pytest.raises(ConstructionError) as err:
                 call(p, arg)
             assert str(err.value) == text
-    assert p.replacements == {} and p.equivalence_verdicts == {}
-    assert p.dual.replacements == {}
+    assert p._cof_system.factors == {} and p.equivalence_verdicts == {}
+    assert p.dual._cof_system.factors == {}
     assert is_equivalence(p1, "ac") and is_equivalence(p1, "ac")
     assert p1.equivalence_verdicts["ac"] is True
 

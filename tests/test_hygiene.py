@@ -13,7 +13,8 @@ place: ``require_factorizations`` is called only by the rebuild step
 builds a system from a generating set alone.  Likewise the cylinder search
 runs only to build witnesses: ``_cylinder_search`` is called only by
 ``homotopy.iter_cylinder_witnesses``, and whether a witness exists is a mask
-test on a kept verdict, ``homotopy._cylinder_verdict``.
+test on a kept verdict, ``homotopy._cylinder_verdict``.  Every witness, the
+search's and the Olschok harness's, is built by ``homotopy._witness``.
 
 No engine module reads or writes an instance's ``__dict__``: a derived fact
 is a ``fincat._fact`` (a ``cached_property`` without its lock) or an attribute
@@ -201,6 +202,11 @@ def test_factorization_is_required_in_one_rebuild_step():
 def test_only_witness_builders_run_the_cylinder_search():
     found = sorted(hit for p in ENGINE for hit in callers(p, "_cylinder_search"))
     assert found == [("homotopy.py", "iter_cylinder_witnesses")]
+
+
+def test_only_one_function_builds_cylinder_witnesses():
+    found = sorted(hit for p in ENGINE for hit in callers(p, "CylinderWitness"))
+    assert found == [("homotopy.py", "_witness")]
 
 
 def dataclasses_in(path):

@@ -268,3 +268,34 @@ def test_strong_cylinder_and_path_objects_agree_on_the_census(census):
             assert strong_path_objects(p) == (not paths, paths), p.classes()
             compared += 1
     assert compared == 125
+
+
+# per category: weak models, left/right Fresse, left/right Spitzweck, and
+# left/core-left/right/core-right saturated structures of the census
+SEMI_COUNTS = {
+    "chain3": (13, 12, 12, 11, 11, 12, 12, 12, 12),
+    "barton": (44, 39, 39, 34, 34, 39, 39, 39, 39),
+    "chain4": (68, 58, 58, 44, 44, 54, 58, 54, 58),
+}
+
+
+def test_saturation_and_semi_flags_agree_on_the_census(census):
+    for name, counts in SEMI_COUNTS.items():
+        found = [0] * len(counts)
+        for p in census[name]:
+            report = classify_full(p)
+            flags = bf.saturation_flags(p)
+            left, right = bf.semi_flags(p)
+            assert report.flags.as_dict() == flags, p.classes()
+            if report.left_semi is None:
+                assert not left["weak_model"], p.classes()
+            else:
+                assert {k: getattr(report.left_semi, k) for k in left} == left, p.classes()
+                assert {k: getattr(report.right_semi, k) for k in right} == right, p.classes()
+            seen = (
+                left["weak_model"], left["fresse"], right["fresse"], left["spitzweck"],
+                right["spitzweck"], flags["left_saturated"], flags["core_left_saturated"],
+                flags["right_saturated"], flags["core_right_saturated"],
+            )
+            found = [n + bool(b) for n, b in zip(found, seen)]
+        assert tuple(found) == counts, name

@@ -127,10 +127,11 @@ def test_structures_on_one_system_share_its_facts():
     cat = fixtures.barton()
     everything = frozenset(cat.morphisms)
     p0, p1 = fixtures.barton_p0(cat), fixtures.barton_p1(cat)
-    # P0 and P1 have the same (C, AF) and different (AC, F)
-    assert p0.replacements is p1.replacements == {}
+    # P0 and P1 have the same (C, AF) and different (AC, F); a replacement is
+    # read off the kept first factorization of the arrow from the initial object
+    assert p0._cof_system is p1._cof_system and p1._cof_system.factors == {}
     assert cofibrant_replacement(p1, "b") == ("a", "ab")
-    assert p0.replacements == {"b": ("a", "ab")}
+    assert p0._cof_system.factors == {"ab": ("id_a", "ab")}
     assert verify_wfs(cat, p0.cofibrations, p0.anodyne_fibrations) is verify_wfs(
         cat, p1.cofibrations, p1.anodyne_fibrations
     )
@@ -139,7 +140,7 @@ def test_structures_on_one_system_share_its_facts():
     )
     # the same C with another AF is another pair: a key on C alone would mix them
     bare = p1.with_classes(anodyne_fibrations=IDS)
-    assert bare.replacements is not p1.replacements and bare.replacements == {}
+    assert bare._cof_system is not p1._cof_system and bare._cof_system.factors == {}
     with pytest.raises(ConstructionError, match="no factorization of ab gives a replacement of b"):
         cofibrant_replacement(bare, "b")
     assert verify_wfs(cat, p1.cofibrations, p1.anodyne_fibrations).ok
@@ -147,9 +148,10 @@ def test_structures_on_one_system_share_its_facts():
     # a fibrant replacement is kept by the dual, on the pair (F, AC) of cat.op
     q = p1.with_classes(cofibrations=everything, anodyne_fibrations=IDS)
     assert verify_premodel(q).ok
-    assert q.dual.replacements is p1.dual.replacements is not p0.dual.replacements
+    assert q.dual._cof_system is p1.dual._cof_system is not p0.dual._cof_system
     assert fibrant_replacement(p1, "b") == ("d", "bd")
-    assert q.dual.replacements == {"b": ("d", "bd")} and p0.dual.replacements == {}
+    assert q.dual._cof_system.factors == {"bd": ("id_d", "bd")}
+    assert p0.dual._cof_system.factors == {}
 
 
 def test_dualize_is_involutive_and_swaps_classes(premodel_corpus):
