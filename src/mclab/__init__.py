@@ -18,7 +18,6 @@ from .fincat import (
     check_functor,
     colimit,
     coproduct,
-    identity_adjunction,
     identity_functor,
     initial_object,
     isomorphisms,
@@ -29,8 +28,6 @@ from .fincat import (
     product,
     pullback,
     pushout,
-    reverse_enumeration,
-    same_presentation,
     terminal_object,
     validate_category,
 )
@@ -73,10 +70,8 @@ from .homotopy import (
     HomotopyCategory,
     WeakModelReport,
     check_cylinder_witness,
-    check_path_witness,
     equivalences,
     find_cylinder,
-    find_path,
     homotopic,
     homotopy_category,
     is_equivalence,
@@ -87,12 +82,9 @@ from .homotopy import (
 from .saturate import BiSaturationReport, bi_saturate, saturate
 from .localize import (
     LeftLocalization,
-    PreRightLocalization,
     RightLocalization,
     left_bousfield,
     nabla,
-    nabla_chain,
-    pre_right_localization,
     right_bousfield,
 )
 from .classify import (

@@ -263,18 +263,6 @@ class FiniteCategory:
         )
 
 
-def same_presentation(a, b):
-    """Equality of categories up to enumeration order (names ignored)."""
-    return (
-        sorted(a.objects) == sorted(b.objects)
-        and sorted(a.morphisms) == sorted(b.morphisms)
-        and a.source == b.source
-        and a.target == b.target
-        and a.identities == b.identities
-        and a.compose_table == b.compose_table
-    )
-
-
 def validate_category(cat):
     """Check the category axioms on the raw tables.
 
@@ -358,17 +346,6 @@ def _validate_tables(cat):
 def opposite(cat):
     """Reverse every morphism; built once, and ``opposite(opposite(cat)) is cat``."""
     return cat.op
-
-
-def reverse_enumeration(cat):
-    """Same category, object and morphism lists reversed.
-
-    Used to check that nothing downstream depends on enumeration order.
-    """
-    morphisms = [(m, cat.source[m], cat.target[m]) for m in reversed(cat.morphisms)]
-    return FiniteCategory(
-        cat.name, list(reversed(cat.objects)), morphisms, cat.identities, cat.compose_table
-    )
 
 
 def isomorphisms(cat):
@@ -684,17 +661,6 @@ class AdjunctionData(NamedTuple):
     right: FunctorData
     unit: dict
     counit: dict
-
-
-def identity_adjunction(cat):
-    ident = identity_functor(cat)
-    return AdjunctionData(
-        "id_adj_%s" % cat.name,
-        ident,
-        ident,
-        {x: cat.identity(x) for x in cat.objects},
-        {x: cat.identity(x) for x in cat.objects},
-    )
 
 
 def check_adjunction(adj):

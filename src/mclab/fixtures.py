@@ -101,23 +101,3 @@ def barton_p1(cat=None):
         fibrations=_BARTON_IDS | {"ab", "cd"},
         name="P1",
     )
-
-
-def premodel_fixtures():
-    """The premodel corpus the property suites quantify over.
-
-    Every entry passes verify_premodel; names are stable identifiers.
-    """
-    b = barton()
-    return [
-        trivial_premodel(point(), "point/trivial"),
-        trivial_premodel(interval(), "interval/trivial"),
-        trivial_premodel(chain3(), "chain3/trivial"),
-        trivial_premodel(barton(), "barton/trivial"),
-        barton_p0(b),
-        barton_p1(b),
-    ]
-
-
-def category_fixtures():
-    return [point(), interval(), discrete2(), chain3(), barton()]

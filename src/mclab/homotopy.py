@@ -14,7 +14,8 @@ which case e∘c = ∇ on the nose; that identity is an anodyne leg like any
 other, so it too must be an acyclic cofibration.  A path witness for a
 fibration is a cylinder witness of the dual structure: the same morphism
 ids, read in the opposite category, where the pushout is a pullback and ∇ a
-diagonal.
+diagonal.  So ``find_cylinder(p.dual, g)`` finds one and
+``check_cylinder_witness(p.dual, w)`` checks it.
 
 "Acyclic" always means: lifts against every fibration between fibrant
 objects (or dually), computed fresh from the marked classes — see the
@@ -260,16 +261,6 @@ def weak_to_strong(p, w):
             "strengthened witness fails validation: %s" % "; ".join(verdict.violations)
         )
     return upgraded
-
-
-def find_path(p, g, mode="weak"):
-    """First path witness for a fibration g: a cylinder witness of the dual."""
-    return find_cylinder(dualize(p), g, mode)
-
-
-def check_path_witness(p, w):
-    """Recheck a path witness as the cylinder witness it is on the dual."""
-    return check_cylinder_witness(dualize(p), w)
 
 
 class WeakModelReport(NamedTuple):

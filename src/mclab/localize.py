@@ -12,7 +12,7 @@ rebuilds run it on the dual.
 The operator ∇ sends a cofibration i to the cylinder inclusion
 B ⊔_A B -> Z of its first weak cylinder witness; iterating it is what makes
 the localized lifting problems solvable, so the closure is computed as an
-honest fixpoint with cycle tracking available for inspection.
+honest fixpoint.
 """
 
 from typing import NamedTuple
@@ -22,7 +22,6 @@ from .homotopy import (
     core_cofibration_representative,
     find_cylinder,
     is_equivalence,
-    iter_cylinder_witnesses,
     verify_weak_model,
 )
 from .lifting import complement_llp, complement_rlp
@@ -34,21 +33,7 @@ from .premodel import (
     acyclic_fibrations,
     check_quillen_adjunction,
     core_fibrations,
-    saturation_flags,
 )
-
-
-class NablaChain(NamedTuple):
-    """Iterates of ∇ starting from a cofibration.
-
-    ``steps[k]`` is the k-th iterate; ``cycle_start`` is the index the last
-    computed entry loops back to, or None; ``stopped`` carries the reason
-    when an iterate has no weak cylinder witness.
-    """
-
-    steps: tuple[str, ...]
-    cycle_start: int | None
-    stopped: str | None
 
 
 def nabla(p, i):
@@ -57,29 +42,6 @@ def nabla(p, i):
     if w is None:
         raise ConstructionError("no weak cylinder witness for %s" % i, witness=i)
     return w.cylinder_cof
-
-
-def nabla_chain(p, i, k):
-    """Iterate ∇ up to k times, stopping early on a revisit or a dead end."""
-    if k < 0:
-        raise InputError("chain length must be non-negative")
-    steps = [i]
-    seen = {i: 0}
-    stopped = None
-    cycle_start = None
-    for _ in range(k):
-        try:
-            nxt = nabla(p, steps[-1])
-        except ConstructionError as exc:
-            stopped = str(exc)
-            break
-        if nxt in seen:
-            steps.append(nxt)
-            cycle_start = seen[nxt]
-            break
-        seen[nxt] = len(steps)
-        steps.append(nxt)
-    return NablaChain(tuple(steps), cycle_start, stopped)
 
 
 def _nabla_closure(p, seeds):
@@ -197,50 +159,3 @@ def right_bousfield(p, adj, target, mode="Rc"):
     if not verify_weak_model(result).ok:
         raise VerificationError("right localization does not verify the weak model axioms")
     return RightLocalization(result, localizer, intermediate)
-
-
-class PreRightLocalization(NamedTuple):
-    structure: PremodelStructure
-    generators: frozenset
-    witnesses: dict                # generator -> accepted cylinder witness
-
-
-def pre_right_localization(p, arrows):
-    """Enlarge the cofibrations by a generating set, keeping (AC, F).
-
-    New cofibrations G = llp(rlp(I ∪ AC)); admissible only when every
-    generator has a weak cylinder witness whose cylinder inclusion lies in
-    G (otherwise ConstructionError).  The result is verified as a weak model
-    and must come out right-saturated.
-    """
-    arrows = list(arrows)
-    _require_weak_model(p, "pre-right localization")
-    cat = p.cat
-    for i in arrows:
-        if i not in p.cofibrations:
-            raise InputError("generator %s is not a cofibration" % i)
-
-    new_cof = complement_llp(cat, complement_rlp(cat, frozenset(arrows) | p.anodyne_cofibrations))
-
-    witnesses = {}
-    for i in arrows:
-        found = None
-        for w in iter_cylinder_witnesses(p, i, "weak"):
-            if w.cylinder_cof in new_cof:
-                found = w
-                break
-        if found is None:
-            raise ConstructionError(
-                "no weak cylinder witness for %s lands in the enlarged cofibrations" % i,
-                witness=i,
-            )
-        witnesses[i] = found
-
-    name = "%s_pre_rloc" % (p.name or cat.name)
-    structure = _rebuild_fibrations(p.dual, new_cof, "pre-right localization", name).dual
-    _assert_premodel(structure, "pre-right localization")
-    if not verify_weak_model(structure).ok:
-        raise VerificationError("pre-right localization does not verify the weak model axioms")
-    if not saturation_flags(structure).right_saturated:
-        raise VerificationError("pre-right localization is not right saturated")
-    return PreRightLocalization(structure, frozenset(arrows), witnesses)

@@ -637,19 +637,26 @@ class Environment(NamedTuple):
 
 
 def resolve(doc):
+    """Build the engine objects of ``doc``.  Declared names share one
+    namespace: a block that reuses a name resolved before it, of any kind, or
+    that declares the pseudo-name ``result`` is a ParseError."""
+    declared = set()
+
+    def declare(decl, duplicate="duplicate name %r"):
+        if decl.name == "result":
+            raise ParseError("reserved name 'result'", decl.line, decl.col)
+        if decl.name in declared:
+            raise ParseError(duplicate % decl.name, decl.line, decl.col)
+        declared.add(decl.name)
+
     categories = {}
-    for decl in doc.categories:
-        if decl.name in categories:
-            raise ParseError("duplicate category %r" % decl.name, decl.line, decl.col)
-        categories[decl.name] = _build_category(decl)
-    for decl in doc.posets:
-        if decl.name in categories:
-            raise ParseError("duplicate category %r" % decl.name, decl.line, decl.col)
-        categories[decl.name] = _build_poset(decl)
+    for decls, build in ((doc.categories, _build_category), (doc.posets, _build_poset)):
+        for decl in decls:
+            declare(decl, "duplicate category %r")
+            categories[decl.name] = build(decl)
     premodels, derived_classes = {}, {}
     for decl in doc.premodels:
-        if decl.name in premodels or decl.name in categories:
-            raise ParseError("duplicate name %r" % decl.name, decl.line, decl.col)
+        declare(decl)
         premodels[decl.name], derived_classes[decl.name] = _build_premodel(decl, categories)
     adjunctions, cylinders = {}, {}
     for decls, built, build in (
@@ -657,8 +664,7 @@ def resolve(doc):
         (doc.cylinders, cylinders, _build_cylinder),
     ):
         for decl in decls:
-            if decl.name in built:
-                raise ParseError("duplicate name %r" % decl.name, decl.line, decl.col)
+            declare(decl)
             built[decl.name] = build(decl, categories)
     return Environment(
         categories=categories,

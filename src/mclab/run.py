@@ -48,6 +48,8 @@ class Session:
             "adjunction": env.adjunctions,
             "cylinder": env.cylinders,
         }
+        # declared names are unique across kinds (``parser.resolve``)
+        self.kind_of = {name: kind for kind, table in self.tables.items() for name in table}
         self.results = {}  # kind -> the latest premodel or category produced
         self.latest = None  # the kind of the latest one
 
@@ -212,23 +214,19 @@ def _verified_premodel(session, name):
 
 def _do_validate(session, name, tree):
     tree["target"] = name
-    env = session.env
-    latest = session.latest if name == "result" else None
-    if name in env.categories or latest == "category":
-        verdict = validate_category(session.lookup("category", name))
-        kind, ok, violations = "category", verdict.ok, verdict.violations
-    elif name in env.premodels or latest == "premodel":
-        rep = verify_premodel(session.lookup("premodel", name))
-        kind, ok, violations = "premodel", rep.ok, rep.failures
-    elif name in env.adjunctions:
-        verdict = check_adjunction(env.adjunctions[name])
-        kind, ok, violations = "adjunction", verdict.ok, verdict.violations
-    elif name in env.cylinders:
-        cyl = env.cylinders[name]
-        violations = _structural_cylinder_check(cyl, cyl.pair.source)
-        kind, ok = "cylinder", not violations
-    else:
+    kind = session.latest if name == "result" else session.kind_of.get(name)
+    if kind is None:
         raise InputError("unknown name %r" % name)
+    found = session.lookup(kind, name)
+    if kind == "premodel":
+        rep = verify_premodel(found)
+        ok, violations = rep.ok, rep.failures
+    elif kind == "cylinder":
+        violations = _structural_cylinder_check(found, found.pair.source)
+        ok = not violations
+    else:
+        verdict = (validate_category if kind == "category" else check_adjunction)(found)
+        ok, violations = verdict.ok, verdict.violations
     tree.update(kind=kind, ok=ok, violations=list(violations))
     return tree, ok
 

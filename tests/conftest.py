@@ -6,7 +6,15 @@ import pytest
 
 import bruteforce as bf
 from mclab import fixtures
-from mclab.fincat import AdjunctionData, FiniteCategory, FunctorData, mediating_out, poset_category, pushout
+from mclab.fincat import (
+    AdjunctionData,
+    FiniteCategory,
+    FunctorData,
+    identity_functor,
+    mediating_out,
+    poset_category,
+    pushout,
+)
 from mclab.premodel import PremodelStructure, verify_premodel
 from monoids import bounded_monoids
 
@@ -14,14 +22,70 @@ _ACCEPTANCE = {}
 _PATTERN = re.compile(r"test_criterion_(\d+)")
 
 
+def premodel_fixtures():
+    """The premodel corpus the property suites quantify over.
+
+    Every entry passes verify_premodel; names are stable identifiers.
+    """
+    b = fixtures.barton()
+    return [
+        fixtures.trivial_premodel(fixtures.point(), "point/trivial"),
+        fixtures.trivial_premodel(fixtures.interval(), "interval/trivial"),
+        fixtures.trivial_premodel(fixtures.chain3(), "chain3/trivial"),
+        fixtures.trivial_premodel(fixtures.barton(), "barton/trivial"),
+        fixtures.barton_p0(b),
+        fixtures.barton_p1(b),
+    ]
+
+
+def category_fixtures():
+    return [
+        fixtures.point(), fixtures.interval(), fixtures.discrete2(), fixtures.chain3(), fixtures.barton()
+    ]
+
+
 @pytest.fixture
 def premodel_corpus():
-    return fixtures.premodel_fixtures()
+    return premodel_fixtures()
 
 
 @pytest.fixture
 def category_corpus():
-    return fixtures.category_fixtures()
+    return category_fixtures()
+
+
+def same_presentation(a, b):
+    """Equality of categories up to enumeration order (names ignored)."""
+    return (
+        sorted(a.objects) == sorted(b.objects)
+        and sorted(a.morphisms) == sorted(b.morphisms)
+        and a.source == b.source
+        and a.target == b.target
+        and a.identities == b.identities
+        and a.compose_table == b.compose_table
+    )
+
+
+def reverse_enumeration(cat):
+    """Same category, object and morphism lists reversed.
+
+    Used to check that nothing downstream depends on enumeration order.
+    """
+    morphisms = [(m, cat.source[m], cat.target[m]) for m in reversed(cat.morphisms)]
+    return FiniteCategory(
+        cat.name, list(reversed(cat.objects)), morphisms, cat.identities, cat.compose_table
+    )
+
+
+def identity_adjunction(cat):
+    ident = identity_functor(cat)
+    return AdjunctionData(
+        "id_adj_%s" % cat.name,
+        ident,
+        ident,
+        {x: cat.identity(x) for x in cat.objects},
+        {x: cat.identity(x) for x in cat.objects},
+    )
 
 
 def oracle_premodels(cat):

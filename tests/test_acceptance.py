@@ -8,6 +8,7 @@ scratch rather than trusting the unit suites.
 import pytest
 
 import bruteforce as bf
+from conftest import premodel_fixtures, reverse_enumeration
 
 from mclab import fixtures
 from mclab.classify import (
@@ -22,7 +23,7 @@ from mclab.classify import (
     two_sided_check,
 )
 from mclab.errors import InputError
-from mclab.fincat import pushout, reverse_enumeration
+from mclab.fincat import pushout
 from mclab.homotopy import (
     homotopic,
     homotopy_category,
@@ -52,7 +53,7 @@ from mclab.saturate import MODES, bi_saturate, saturate
 
 
 def _corpus():
-    return fixtures.premodel_fixtures()
+    return premodel_fixtures()
 
 
 def _weak_corpus():

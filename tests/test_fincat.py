@@ -14,7 +14,6 @@ from mclab.fincat import (
     colimit,
     coproduct,
     fold,
-    identity_adjunction,
     identity_functor,
     initial_object,
     isomorphisms,
@@ -25,15 +24,19 @@ from mclab.fincat import (
     product,
     pullback,
     pushout,
-    reverse_enumeration,
-    same_presentation,
     terminal_object,
     validate_category,
 )
 from mclab.premodel import is_cofibrant
 from monoids import bounded_monoids, finite_sets
 
-from conftest import fresh_fold
+from conftest import (
+    category_fixtures,
+    fresh_fold,
+    identity_adjunction,
+    reverse_enumeration,
+    same_presentation,
+)
 
 
 def test_all_fixture_categories_validate(category_corpus):
@@ -162,7 +165,7 @@ def test_colimits_are_searched_once_per_shape():
 
 
 def test_cached_colimits_equal_a_fresh_search():
-    for cat in fixtures.category_fixtures():
+    for cat in category_fixtures():
         spans = [
             (f, g)
             for f in cat.morphisms
@@ -176,7 +179,7 @@ def test_cached_colimits_equal_a_fresh_search():
 
 
 def _fold_corpus():
-    bases = [*fixtures.category_fixtures(), *bounded_monoids(), finite_sets(1), finite_sets(2)]
+    bases = [*category_fixtures(), *bounded_monoids(), finite_sets(1), finite_sets(2)]
     return [cat for base in bases for cat in (base, reverse_enumeration(base), base.op)]
 
 

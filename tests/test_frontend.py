@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mclab.parser
+from conftest import same_presentation
 from mclab import fixtures
 from mclab.cli import main
 from mclab.errors import ParseError
-from mclab.fincat import same_presentation
 from mclab.parser import Environment, load, parse
 from mclab.premodel import same_classes
 from mclab.report import check_tree, from_machine, to_machine, to_text
@@ -448,6 +448,11 @@ PARSE_ERRORS = [
     # a repeated adjunction or cylinder name is refused at the second block
     (CAT_M + ADJ_A + ADJ_A, "duplicate name 'A'", 3, 1),
     (CAT_M + CYL_C + "\n  " + CYL_C, "duplicate name 'C'", 4, 3),
+    # declared names share one namespace, and ``result`` names no block
+    (CAT_M + ADJ_A + CYL_C.replace("C", "A", 1), "duplicate name 'A'", 3, 1),
+    (PRE_P + "cylinder M { on: M; kind: identity; }", "duplicate name 'M'", 3, 1),
+    ("poset result { x <= y; }\nrun { validate result; }", "reserved name 'result'", 1, 1),
+    (CAT_M + CYL_C.replace("C", "result", 1), "reserved name 'result'", 2, 1),
 ]
 
 

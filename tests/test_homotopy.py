@@ -9,10 +9,8 @@ from mclab.fincat import fold, validate_category
 from mclab.homotopy import (
     _cylinder_verdict,
     check_cylinder_witness,
-    check_path_witness,
     equivalences,
     find_cylinder,
-    find_path,
     fold_cone,
     homotopic,
     homotopy_category,
@@ -21,7 +19,14 @@ from mclab.homotopy import (
     verify_weak_model,
     weak_to_strong,
 )
-from mclab.premodel import PremodelStructure, cofibrant_replacement, dualize, fibrant_replacement
+from mclab.premodel import (
+    PremodelStructure,
+    cofibrant_replacement,
+    dualize,
+    fibrant_replacement,
+    verify_premodel,
+)
+from conftest import premodel_fixtures
 from monoids import bounded_monoids, finite_sets
 
 
@@ -65,13 +70,13 @@ def test_a_wrong_base_is_named_truly_on_both_sides(p1):
     # a path search is a cylinder search on the dual, so the text must hold
     # on either side: ab is no cofibration of P1, bd (a cofibration) no fibration
     bases = "a cylinder needs a cofibration, a path a fibration"
-    for search, g in ((find_cylinder, "ab"), (find_path, "bd")):
+    for q, g in ((p1, "ab"), (p1.dual, "bd")):
         with pytest.raises(InputError) as err:
-            search(p1, g)
+            find_cylinder(q, g)
         assert str(err.value) == "%s does not fit this search in P1: %s" % (g, bases)
-    w = find_path(p1, "cd")
+    w = find_cylinder(p1.dual, "cd")
     bad = type(w)(**{**w.__dict__, "base": "bd"})
-    assert check_path_witness(p1, bad).violations == (
+    assert check_cylinder_witness(p1.dual, bad).violations == (
         "base bd does not fit this search: %s" % bases,
     )
 
@@ -81,10 +86,10 @@ def test_path_witness_violations_hold_on_both_sides(p1):
     # are cofibrations of P1, ac an acyclic one, and neither is a fibration
     bases = "a cylinder needs a cofibration, a path a fibration"
     legs = "a cylinder needs an acyclic cofibration, a path an acyclic fibration"
-    w = find_path(p1, "cd")
+    w = find_cylinder(p1.dual, "cd")
 
     def violations(**changes):
-        return check_path_witness(p1, type(w)(**{**w.__dict__, **changes})).violations
+        return check_cylinder_witness(p1.dual, type(w)(**{**w.__dict__, **changes})).violations
 
     assert violations(cylinder_cof="bd") == (
         "cylinder inclusion bd does not fit this search: %s" % bases,
@@ -105,7 +110,7 @@ def test_path_witness_violations_hold_on_both_sides(p1):
 def _cylinder_corpus(census):
     """(structure, base) for every cofibration with a fold in the fixture
     premodels and the census, and in their duals."""
-    structures = fixtures.premodel_fixtures() + [p for ps in census.values() for p in ps]
+    structures = premodel_fixtures() + [p for ps in census.values() for p in ps]
     for p in structures:
         for q in (p, p.dual):
             for i in q.cat.sort_morphisms(q.cofibrations):
@@ -210,26 +215,52 @@ def test_witness_check_rejects_tampering(p1):
     assert not check_cylinder_witness(p1, bad).ok
 
 
-def test_weak_to_strong(p0, p1):
-    for p in (p0, p1):
+def _upgrades(structures):
+    """(witnesses, already strong) over every weak witness of a cofibration
+    with a fibrant base codomain; each one comes out strong and checks out."""
+    seen = strong = 0
+    for p in structures:
         for i in p.cat.sort_morphisms(p.cofibrations):
-            w = find_cylinder(p, i)
-            if w is None:
+            if p.cat.target[i] not in p.fibrant or fold(p.cat, i) is None:
                 continue
-            s = weak_to_strong(p, w)
-            assert s.strong
-            assert check_cylinder_witness(p, s).ok
+            for w in iter_cylinder_witnesses(p, i, "weak"):
+                s = weak_to_strong(p, w)
+                assert s.strong and s.cylinder_cof == w.cylinder_cof
+                assert check_cylinder_witness(p, s).ok
+                seen, strong = seen + 1, strong + w.strong
+    return seen, strong
+
+
+def test_weak_to_strong(p0, p1, census):
+    # in a thin category the retraction of an anodyne leg out of a fibrant
+    # base makes that leg an identity, so every such witness is strong already
+    census_models = [p for name in ("chain3", "barton") for p in census[name]]
+    weak_models = [p for p in census_models if verify_weak_model(p).ok]
+    assert _upgrades([p0, p1, *weak_models]) == (300, 300)
+    # finite sets of size ≤ 2: C = the bijections and every map out of a
+    # non-empty set, AF = the bijections and the maps out of 0, AC = the
+    # bijections and 2 -> 1, F = AF and the maps 1 -> 2; here the anodyne leg
+    # 1 -> 2 of a weak witness needs its retraction 2 -> 1
+    cat = finite_sets(2)
+    isos = frozenset({"0>0:", "1>1:0", "2>2:01", "2>2:10"})
+    from_empty = frozenset(m for m in cat.morphisms if cat.source[m] == "0")
+    af = isos | from_empty
+    p = PremodelStructure(
+        cat, isos | (frozenset(cat.morphisms) - from_empty), af, isos | {"2>1:00"},
+        af | {"1>2:0", "1>2:1"}, name="FinSet2",
+    )
+    assert verify_premodel(p).ok and verify_weak_model(p).ok
+    assert _upgrades([p]) == (27, 7)
 
 
 def test_path_witnesses_mirror_cylinders(p1):
-    g = "cd"
-    w = find_path(p1, g)
-    assert w is not None
-    assert check_path_witness(p1, w).ok
     # a path witness is the dual structure's cylinder witness, ids unchanged
-    dual = dualize(p1)
-    assert w == find_cylinder(dual, g)
-    assert check_cylinder_witness(dual, w).ok
+    g = "cd"
+    w = find_cylinder(p1.dual, g)
+    assert w is not None and w == find_cylinder(dualize(p1), g)
+    assert check_cylinder_witness(p1.dual, w).ok
+    legs = {w.coproj0, w.codiagonal, w.cylinder_cof, w.anodyne_leg, w.comparison}
+    assert w.base == g and legs <= set(p1.cat.morphisms)
 
 
 def test_verify_weak_model_corpus(premodel_corpus):

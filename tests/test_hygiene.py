@@ -24,7 +24,9 @@ The brute-force oracle ``tests/bruteforce.py`` stays independent of the
 engine: it imports nothing from ``mclab`` and reads only the raw tables of a
 category and the four marked classes of a structure, never a cached fact.
 
-The public surface of ``mclab`` is a pinned list of names.
+The public surface of ``mclab`` is a pinned list of names, and so is every
+public function of ``src/`` that nothing in ``src/`` reads, each with the
+reason it stays.
 """
 
 import ast
@@ -209,6 +211,99 @@ def test_only_one_function_builds_cylinder_witnesses():
     assert found == [("homotopy.py", "_witness")]
 
 
+def public_functions(path):
+    """The names of the public functions defined at the top level of ``path``."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def reads(path):
+    """{(module, statement): names} for each top-level statement of ``path``,
+    named by its definition or line, with every name it reads as a bare name
+    or an attribute: a call, a decorator or a table entry."""
+    tree = ast.parse(path.read_text(), str(path))
+    return {
+        (path.name, getattr(top, "name", top.lineno)): {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute)
+            or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        }
+        for top in tree.body
+    }
+
+
+def readers(statements, module, name):
+    """The statements that read the function ``name`` of ``module``; its own
+    definition does not count, so a recursive call is no reader."""
+    return [stmt for stmt, names in statements.items() if name in names and stmt != (module, name)]
+
+
+def test_reader_check_finds_planted_readers(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def f():\n    return f()\n\n"
+        "def g():\n    return m.f\n\n"
+        "@f\ndef h():\n    pass\n\n"
+        "TABLE = {'f': f}\n"
+    )
+    assert public_functions(probe) == ["f", "g", "h"]
+    statements = reads(probe)
+    assert readers(statements, "probe.py", "f") == [
+        ("probe.py", "g"), ("probe.py", "h"), ("probe.py", 11)
+    ]
+    assert readers(statements, "probe.py", "g") == []
+
+
+# Every public function of ``src/`` that nothing in ``src/`` reads, with the
+# reason it stays: the test that calls it, the bench/tracing.py counter that
+# names it, or the open ROADMAP.md item it waits on.
+CALLER_LESS = {
+    "barton_p0": "fixture: conftest.premodel_fixtures and bench/test_bench.py",
+    "barton_p1": "fixture: conftest.premodel_fixtures and bench/test_bench.py",
+    "chain3": "fixture: conftest.census",
+    "discrete2": "fixture: conftest.category_fixtures and bench/test_bench.py",
+    "interval": "fixture: conftest.premodel_fixtures",
+    "point": "fixture: conftest.premodel_fixtures",
+    "trivial_premodel": "fixture: conftest.premodel_fixtures and bench/workloads.py",
+    "bi_saturate": "test_acceptance criterion 07",
+    "cell_closure": "test_properties.test_lifting_galois_connection",
+    "from_machine": "test_frontend.test_machine_report_round_trips",
+    "generate_wfs": "waits on the census function of ROADMAP.md, which replaces it",
+    "initial_object": "counter fincat.initial_terminal.calls",
+    "terminal_object": "counter fincat.initial_terminal.calls",
+    "opposite": "counter fincat.opposite.calls",
+    "is_cofibrant": "counter premodel.object_status.calls",
+    "is_fibrant": "counter premodel.object_status.calls",
+    "quillen_check": "counter classify.quillen_check.calls",
+    "left_localization_object": "test_acceptance criterion 04",
+    "right_localization_object": "test_acceptance criterion 04",
+    "recognize_left_semi": "test_acceptance criterion 05",
+    "recognize_right_semi": "test_acceptance criterion 05",
+    "pullback": "test_fincat.test_limit_is_colimit_on_opposite",
+    "weak_cylinder_theorem_harness": "test_olschok.test_weak_cylinder_theorem_harness",
+    "weak_to_strong": "test_homotopy.test_weak_to_strong",
+}
+
+
+def test_caller_less_functions_are_pinned():
+    """A public function that nothing in ``src/`` reads earns its place by a
+    reason in ``CALLER_LESS``.  A new caller-less function, or a pinned one
+    that gained a reader or went away, updates the pin."""
+    modules = [p for p in ENGINE if p.name != "__init__.py"]
+    statements = {stmt: names for path in modules for stmt, names in reads(path).items()}
+    found = sorted(
+        name
+        for path in modules
+        for name in public_functions(path)
+        if not readers(statements, path.name, name)
+    )
+    assert found == sorted(CALLER_LESS)
+
+
 def dataclasses_in(path):
     """Names of the classes in ``path`` decorated with ``dataclass``."""
     tree = ast.parse(path.read_text(), str(path))
@@ -270,29 +365,27 @@ def test_public_surface_is_pinned():
         "ConstructionError", "CylinderReport", "CylinderWitness", "DiagramShape",
         "FiniteCategory", "FunctorData", "HomotopyCategory", "InputError",
         "LeftLocalization", "LeftSemiReport", "NatTrans", "OlschokReport", "ParseError",
-        "PreRightLocalization", "PremodelReport", "PremodelStructure",
-        "QuillenAdjunctionReport", "QuillenCylinderData", "QuillenReport",
-        "RightLocalization", "RightSemiReport", "SaturationFlags", "TwoSidedReport",
-        "Verdict", "VerificationError", "WeakModelReport", "WfsReport",
-        "acyclic_cofibrations", "acyclic_fibrations", "bi_saturate", "cell_closure",
-        "check_adjunction", "check_cylinder_witness", "check_functor", "check_nat_trans",
-        "check_path_witness", "check_pre_cylinder", "check_quillen_adjunction",
-        "classify_full", "cofibrant_replacement", "colimit", "complement_llp",
-        "complement_rlp", "compute_WL", "compute_WR", "coproduct",
+        "PremodelReport", "PremodelStructure", "QuillenAdjunctionReport",
+        "QuillenCylinderData", "QuillenReport", "RightLocalization", "RightSemiReport",
+        "SaturationFlags", "TwoSidedReport", "Verdict", "VerificationError",
+        "WeakModelReport", "WfsReport", "acyclic_cofibrations", "acyclic_fibrations",
+        "bi_saturate", "cell_closure", "check_adjunction", "check_cylinder_witness",
+        "check_functor", "check_nat_trans", "check_pre_cylinder",
+        "check_quillen_adjunction", "classify_full", "cofibrant_replacement", "colimit",
+        "complement_llp", "complement_rlp", "compute_WL", "compute_WR", "coproduct",
         "core_acyclic_cofibrations", "core_acyclic_fibrations", "core_cofibrations",
         "core_fibrations", "corner_product", "dualize", "equivalences", "factor",
-        "factorizations", "fibrant_replacement", "find_cylinder", "find_path",
-        "generate_wfs", "has_lift", "homotopic", "homotopy_category", "identity_adjunction",
-        "identity_cylinder", "identity_functor", "initial_object", "is_cofibrant",
-        "is_equivalence", "is_fibrant", "isomorphisms", "iter_cylinder_witnesses",
-        "left_bousfield", "left_localization_object", "limit", "llp", "mediating_out",
-        "nabla", "nabla_chain", "nt_is_anodyne", "nt_is_cofibration", "olschok_lambda",
-        "olschok_model", "opposite", "pair_functor", "poset_category",
-        "pre_right_localization", "product", "pullback", "pushout", "quillen_check",
-        "recognize_left_semi", "recognize_right_semi", "retract_closure",
-        "reverse_enumeration", "right_bousfield", "right_localization_object",
-        "same_classes", "same_presentation", "saturate", "saturation_flags",
-        "terminal_object", "two_sided_check", "validate_category", "verify_premodel",
+        "factorizations", "fibrant_replacement", "find_cylinder", "generate_wfs",
+        "has_lift", "homotopic", "homotopy_category", "identity_cylinder",
+        "identity_functor", "initial_object", "is_cofibrant", "is_equivalence",
+        "is_fibrant", "isomorphisms", "iter_cylinder_witnesses", "left_bousfield",
+        "left_localization_object", "limit", "llp", "mediating_out", "nabla",
+        "nt_is_anodyne", "nt_is_cofibration", "olschok_lambda", "olschok_model",
+        "opposite", "pair_functor", "poset_category", "product", "pullback", "pushout",
+        "quillen_check", "recognize_left_semi", "recognize_right_semi",
+        "retract_closure", "right_bousfield", "right_localization_object",
+        "same_classes", "saturate", "saturation_flags", "terminal_object",
+        "two_sided_check", "validate_category", "verify_premodel",
         "verify_quillen_cylinder", "verify_weak_model", "verify_wfs",
         "weak_cylinder_theorem_harness", "weak_to_strong",
     ]

@@ -1,18 +1,15 @@
 import pytest
 
 from mclab import fixtures
-from mclab.errors import InputError, VerificationError
+from mclab.errors import InputError
 from mclab.localize import (
     core_cofibration_representative,
     left_bousfield,
     nabla,
-    nabla_chain,
-    pre_right_localization,
     right_bousfield,
 )
 from mclab.premodel import (
     same_classes,
-    saturation_flags,
     verify_premodel,
 )
 from mclab.homotopy import is_equivalence, verify_weak_model
@@ -28,13 +25,10 @@ def p0():
     return fixtures.barton_p0()
 
 
-def test_nabla_and_chain(p0):
+def test_nabla(p0):
     assert nabla(p0, "ac") == "id_c"
     assert nabla(p0, "ad") == "id_d"
-    chain = nabla_chain(p0, "ac", 5)
-    assert chain.steps == ("ac", "id_c", "id_c")  # last entry is the revisit
-    assert chain.cycle_start == 1
-    assert chain.stopped is None
+    assert nabla(p0, "id_c") == "id_c"
 
 
 def test_representative_of_generator(p0):
@@ -86,54 +80,6 @@ def test_left_bousfield_rejects_unknown_arrows(p0):
         left_bousfield(p0, {"zz"})
     with pytest.raises(InputError):
         left_bousfield(p0, {"ac"}, mode="R")  # not a left mode
-
-
-def test_pre_right_localization(p0):
-    pre = pre_right_localization(p0, {"ac"})
-    q = pre.structure
-    assert q.cofibrations == IDS | {"ac", "bd"}
-    assert q.anodyne_fibrations == IDS | {"ab", "cd"}
-    assert q.anodyne_cofibrations == p0.anodyne_cofibrations
-    assert q.fibrations == p0.fibrations
-    assert verify_premodel(q).ok
-    assert verify_weak_model(q).ok
-    assert saturation_flags(q).bi_saturated
-    assert set(pre.witnesses) == pre.generators == frozenset({"ac"})
-
-
-def test_pre_right_localization_outcomes_on_the_census(census):
-    """Pre-right localization at each non-identity cofibration of every census
-    weak model on chain3 and barton.  27 of the 170 calls raise the internal
-    "not right saturated" error on verified input, a known fault (ROADMAP.md,
-    the theorem-census item): either the construction needs a precondition it
-    does not check or its closing assertion is too strong.  The fix of that
-    fault brings the 27 to 0 and must update this pin."""
-    outcomes, failed = {}, []
-    for name in ("chain3", "barton"):
-        results = errors = 0
-        for p in census[name]:
-            if not verify_weak_model(p).ok:
-                continue
-            ids = frozenset(p.cat.identities.values())
-            for i in p.cat.sort_morphisms(p.cofibrations - ids):
-                try:
-                    pre_right_localization(p, [i])
-                except VerificationError as err:
-                    assert str(err) == "pre-right localization is not right saturated"
-                    errors += 1
-                    failed.append((name, p.classes(), i))
-                else:
-                    results += 1
-        outcomes[name] = results, errors
-    assert outcomes == {"chain3": (22, 3), "barton": (121, 24)}
-    ids = frozenset({"id_a", "id_c", "id_d"})
-    example = {
-        "cofibrations": ids | {"ad", "cd"},
-        "anodyne_fibrations": ids | {"ac"},
-        "anodyne_cofibrations": ids,
-        "fibrations": ids | {"ac", "ad", "cd"},
-    }
-    assert ("chain3", example, "cd") in failed
 
 
 def test_right_bousfield_against_point(p0):

@@ -9,12 +9,13 @@ import dataclasses
 import math
 
 import bruteforce as bf
+from conftest import reverse_enumeration
 from monoids import bounded_monoids, finite_sets
 
 from mclab import fixtures
 from mclab.classify import classify_full, strong_cylinder_objects, strong_path_objects
 from mclab.errors import InputError
-from mclab.fincat import fold, initial_object, opposite, pushout, reverse_enumeration, terminal_object
+from mclab.fincat import fold, initial_object, opposite, pushout, terminal_object
 from mclab.homotopy import homotopic, is_equivalence, verify_weak_model
 from mclab.lifting import complement_llp, complement_rlp, factor, factorizations, has_lift, llp
 from mclab.premodel import (

@@ -5,13 +5,14 @@ import weakref
 import pytest
 
 import bruteforce as bf
+from conftest import identity_adjunction
 
 import mclab.fincat
 import mclab.lifting
 from mclab import fixtures
 from mclab.classify import classify_full
 from mclab.errors import ConstructionError, InputError
-from mclab.fincat import identity_adjunction, opposite, terminal_object
+from mclab.fincat import opposite, terminal_object
 from mclab.homotopy import equivalences, fold_cone, verify_weak_model
 from mclab.lifting import factor, factorizations, llp, verify_wfs
 from mclab.premodel import (

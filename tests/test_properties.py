@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 
-from mclab import fixtures
 from mclab.classify import classify_full, compute_WL, compute_WR
 from mclab.errors import ConstructionError
 from mclab.fincat import (
@@ -21,7 +20,6 @@ from mclab.fincat import (
     limit,
     opposite,
     poset_category,
-    reverse_enumeration,
     terminal_object,
 )
 from mclab.homotopy import _alt_criterion, find_cylinder, verify_weak_model
@@ -43,7 +41,13 @@ from mclab.premodel import (
 )
 from mclab.saturate import MODES, saturate
 
-from conftest import categories_built, fresh_fold
+from conftest import (
+    categories_built,
+    category_fixtures,
+    fresh_fold,
+    premodel_fixtures,
+    reverse_enumeration,
+)
 
 LETTERS = "uvwxy"
 
@@ -155,7 +159,7 @@ def test_endpoints_are_the_empty_shape_search(cat):
 
 
 def test_endpoints_are_the_empty_shape_search_on_fixtures():
-    for cat in fixtures.category_fixtures():
+    for cat in category_fixtures():
         _endpoints_are_the_empty_shape_search(cat)
 
 
@@ -226,7 +230,7 @@ def _alt_criterion_walks_composable_pairs(p):
 
 
 def test_alt_criterion_walks_composable_pairs_on_fixtures():
-    for p in fixtures.premodel_fixtures():
+    for p in premodel_fixtures():
         _alt_criterion_walks_composable_pairs(p)
 
 
