@@ -19,16 +19,13 @@ from .fincat import (
     colimit,
     coproduct,
     identity_functor,
-    initial_object,
     isomorphisms,
     limit,
     mediating_out,
-    opposite,
     poset_category,
     product,
     pullback,
     pushout,
-    terminal_object,
     validate_category,
 )
 from .lifting import (
@@ -59,8 +56,6 @@ from .premodel import (
     core_fibrations,
     dualize,
     fibrant_replacement,
-    is_cofibrant,
-    is_fibrant,
     same_classes,
     saturation_flags,
     verify_premodel,

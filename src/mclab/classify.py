@@ -125,9 +125,7 @@ def _right_semi(p, weak, paths, flags):
     # the opposite category's own lifting relation: the independent side.
     mirror = _left_semi(weak, paths, saturation_flags(dualize(p)))
     if (mirror.fresse, mirror.spitzweck) != (report.fresse, report.spitzweck):
-        raise VerificationError(
-            "right semi recognition disagrees with its dual on %s" % (p.name or p.cat.name)
-        )
+        raise VerificationError("right semi recognition disagrees with its dual on %s" % p.label)
     return report
 
 
@@ -286,7 +284,7 @@ def _quillen(p, wl, wr):
         raise VerificationError(
             "quillen detectors disagree on %s: wl=wr %s, anodyne⊆wl %s, "
             "composite-exists %s, composite-canonical %s"
-            % ((p.name or cat.name,) + verdicts)
+            % ((p.label,) + verdicts)
         )
     return QuillenReport(cond1, cond1, cond3, cond5, cond6, square_ok, vacuous, wl, wr)
 
@@ -314,7 +312,7 @@ def classify_full(p):
     their own inputs.
     """
     premodel_report = verify_premodel(p)
-    name = p.name or p.cat.name
+    name = p.label
     if not premodel_report.ok:
         return ClassificationReport(
             name, premodel_report, None, None, None, None, None, None, None, None, None,

@@ -136,6 +136,12 @@ def _dispatch(args):
     if args.command == "localize" and args.side == "right" and not (args.adjunction and args.into):
         print("localize right needs --by and --into", file=sys.stderr)
         return BAD_INPUT
+    if args.command == "localize" and args.side == "left" and (args.adjunction, args.into) != (None, None):
+        print("localize left takes no --by or --into", file=sys.stderr)
+        return BAD_INPUT
+    if args.command == "localize" and args.side == "right" and args.arrows is not None:
+        print("localize right takes no --at", file=sys.stderr)
+        return BAD_INPUT
     env = _load(args.file)
     if args.command == "run":
         directives = env.directives

@@ -12,8 +12,8 @@ Conventions
 -----------
 * Objects and morphisms are referred to by their string ids everywhere.
 * ``compose(g, f)`` is "g after f" and requires target(f) == source(g).
-* ``opposite`` keeps every id and reverses source/target; applying it twice
-  gives back the same category, not a copy (see ``FiniteCategory.op``).
+* ``cat.op`` keeps every id and reverses source/target; ``cat.op.op is cat``,
+  the same category, not a copy.
 * A category computes each derived fact once and keeps it: its opposite, its
   endpoints and the arrows to and from them, its validation verdict, every
   (co)limit asked of it, the fold of each arrow (its pushout along itself, with
@@ -83,6 +83,20 @@ def involution(build):
         return obj._opposite if base is None else base
 
     return property(get, doc=build.__doc__)
+
+
+def _closure(seeds, step):
+    """The seeds and everything reachable from them, where ``step(x)`` lists
+    the elements one step from x.  A worklist, last found first: ``step`` runs
+    once per seed as given (a repeated seed again) and once per new element."""
+    frontier = list(seeds)
+    members = set(frontier)
+    while frontier:
+        for y in step(frontier.pop()):
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return frozenset(members)
 
 
 class FiniteCategory:
@@ -343,11 +357,6 @@ def _validate_tables(cat):
     return Verdict.from_violations(v)
 
 
-def opposite(cat):
-    """Reverse every morphism; built once, and ``opposite(opposite(cat)) is cat``."""
-    return cat.op
-
-
 def isomorphisms(cat):
     """All isos: m with a two-sided inverse."""
     out = set()
@@ -579,14 +588,6 @@ def product(cat, x, y):
     return limit(cat, _pair(cat, x, y))
 
 
-def initial_object(cat):
-    return cat.initial
-
-
-def terminal_object(cat):
-    return cat.terminal
-
-
 # -- functors and adjunctions ----------------------------------------------
 
 
@@ -729,30 +730,21 @@ def poset_category(name, objects, le):
     transitive closure is taken.  Arrows run downward: there is exactly one
     morphism X -> Y when Y ≤ X, named by concatenating the object ids, so the
     minimum (when it exists) is the terminal object and the maximum the
-    initial one.  Identities are named ``id_<object>``.
+    initial one.  Identities are named ``id_<object>``.  A cycle raises
+    InputError naming the first object on one and its first partner, in
+    object order.
     """
     objects = list(objects)
-    index = {x: i for i, x in enumerate(objects)}
+    lower = {x: [] for x in objects}  # lower[y] = the x given as x <= y
     for x, y in le:
         for z in (x, y):
-            if z not in index:
+            if z not in lower:
                 raise InputError("poset %s: unknown element %r" % (name, z))
-    below = {x: {x} for x in objects}  # below[x] = all y with y <= x
-    for x, y in le:
-        below[y].add(x)
-    changed = True
-    while changed:
-        changed = False
-        for x in objects:
-            extra = set()
-            for y in below[x]:
-                extra |= below[y]
-            if not extra <= below[x]:
-                below[x] |= extra
-                changed = True
+        lower[y].append(x)
+    below = {x: _closure((x,), lower.__getitem__) for x in objects}  # all y with y <= x
     for x in objects:
-        for y in below[x]:
-            if x != y and x in below[y]:
+        for y in objects:
+            if x != y and y in below[x] and x in below[y]:
                 raise InputError("poset %s: cycle through %r and %r" % (name, x, y))
 
     morphisms = []

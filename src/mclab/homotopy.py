@@ -73,8 +73,7 @@ def fold_cone(p, i):
     a wrong base's text holds also for a path search, run on the dual.
     """
     if i not in p.cofibrations:
-        name = p.name or p.cat.name
-        raise InputError("%s does not fit this search in %s: %s" % (i, name, _BASES))
+        raise InputError("%s does not fit this search in %s: %s" % (i, p.label, _BASES))
     folded = fold(p.cat, i)
     if folded is None:
         raise ConstructionError("pushout of %s along itself is absent" % i, witness=i)
@@ -326,7 +325,7 @@ def verify_weak_model(p):
     if main != alt and verify_premodel(p).ok:
         raise VerificationError(
             "axioms (%s) and core criterion (%s) disagree on %s"
-            % (main, alt, p.name or p.cat.name)
+            % (main, alt, p.label)
         )
     return WeakModelReport(
         ok=main,
@@ -423,9 +422,7 @@ def homotopy_category(p):
                             "composition not homotopy-invariant at %s ∘ %s" % (g, f)
                         )
             compose[(g, f)] = rep
-    quotient = FiniteCategory(
-        "Ho(%s)" % (p.name or cat.name), objs, morphisms, identities, compose
-    )
+    quotient = FiniteCategory("Ho(%s)" % p.label, objs, morphisms, identities, compose)
     verdict = validate_category(quotient)
     if not verdict.ok:
         raise VerificationError("homotopy category is not a category: %s" % (verdict.violations,))

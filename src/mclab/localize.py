@@ -18,6 +18,7 @@ honest fixpoint.
 from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, VerificationError
+from .fincat import _closure
 from .homotopy import (
     core_cofibration_representative,
     find_cylinder,
@@ -42,17 +43,6 @@ def nabla(p, i):
     if w is None:
         raise ConstructionError("no weak cylinder witness for %s" % i, witness=i)
     return w.cylinder_cof
-
-
-def _nabla_closure(p, seeds):
-    members = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        nxt = nabla(p, frontier.pop())
-        if nxt not in members:
-            members.add(nxt)
-            frontier.append(nxt)
-    return frozenset(members)
 
 
 def _require_weak_model(p, what):
@@ -86,11 +76,10 @@ def left_bousfield(p, arrows, mode="Lc"):
     cat = p.cat
 
     reps = {s: core_cofibration_representative(p, s) for s in arrows}
-    closure = _nabla_closure(p, reps.values())
+    closure = _closure(reps.values(), lambda i: (nabla(p, i),))
 
     new_fib = complement_rlp(cat, p.anodyne_cofibrations | closure)
-    name = "%s_loc" % (p.name or cat.name)
-    intermediate = _rebuild_fibrations(p, new_fib, "left localization", name)
+    intermediate = _rebuild_fibrations(p, new_fib, "left localization", "%s_loc" % p.label)
     _assert_premodel(intermediate, "left localization intermediate")
 
     result = saturate(intermediate, mode)
@@ -143,7 +132,7 @@ def right_bousfield(p, adj, target, mode="Rc"):
         q for q in core_fibrations(p) if adj.right.on_morphism(q) in target_acyclic
     )
     new_cof = p.cofibrations & complement_llp(cat, localizer)
-    name = "%s_rloc" % (p.name or cat.name)
+    name = "%s_rloc" % p.label
     intermediate = _rebuild_fibrations(p.dual, new_cof, "right localization", name).dual
     _assert_premodel(intermediate, "right localization intermediate")
 

@@ -26,6 +26,7 @@ from .classify import classify_full
 from .fincat import (
     FunctorData,
     Verdict,
+    _closure,
     check_functor,
     coproduct,
     identity_functor,
@@ -308,7 +309,7 @@ def weak_cylinder_theorem_harness(p, cyl):
     if failures or not verify_weak_model(p).ok:
         raise VerificationError(
             "cylinder-to-weak-model implication failed on %s: %s"
-            % (p.name or cat.name, failures or "weak model axioms fail")
+            % (p.label, failures or "weak model axioms fail")
         )
     return witnesses
 
@@ -341,17 +342,11 @@ def olschok_lambda(p, cyl, seeds, include_second=True):
         members.add(corner_product(sigma0, i))
         if include_second:
             members.add(corner_product(sigma1, i))
-    frontier = list(members)
-    while frontier:
-        j = frontier.pop()
-        nxt = corner_product(sigma, j)
-        if nxt not in members:
-            members.add(nxt)
-            frontier.append(nxt)
+    members = _closure(members, lambda j: (corner_product(sigma, j),))
     stray = cat.sort_morphisms(members - p.cofibrations)
     if stray:
         raise VerificationError("Λ contains non-cofibrations: %s" % ", ".join(stray))
-    return frozenset(members)
+    return members
 
 
 class OlschokReport(NamedTuple):
@@ -400,7 +395,7 @@ def olschok_model(p, cyl, seeds=()):
     lam = olschok_lambda(p, cyl, seeds, include_second=True)
     lam_first_only = olschok_lambda(p, cyl, seeds, include_second=False)
 
-    name = "%s_olschok" % (p.name or cat.name)
+    name = "%s_olschok" % p.label
     generated = _rebuild_fibrations(p, complement_rlp(cat, lam), "generated system", name)
     _assert_premodel(generated, "generated structure")
     saturated = saturate(generated, "Lc")

@@ -242,10 +242,10 @@ class _Parser:
                 self.fail("unknown category field %r" % label.value, label)
         return CategoryDecl(name.value, thin, objects, arrows, relations, head.line, head.col)
 
-    def _items(self, parse_one):
-        """Items read by ``parse_one``, separated by ',' and ending in ';'."""
+    def _items(self, parse_one, end=";"):
+        """Items read by ``parse_one``, separated by ',' and ending in ``end``."""
         items = [parse_one()]
-        while not self.accept_punct(";"):
+        while not self.accept_punct(end):
             self.expect_punct(",")
             items.append(parse_one())
         return items
@@ -322,13 +322,9 @@ class _Parser:
 
     def brace_list(self):
         self.expect_punct("{")
-        names = []
-        if not self.accept_punct("}"):
-            names.append(self.expect_name().value)
-            while not self.accept_punct("}"):
-                self.expect_punct(",")
-                names.append(self.expect_name().value)
-        return names
+        if self.accept_punct("}"):
+            return []
+        return [t.value for t in self._items(self.expect_name, "}")]
 
     def parse_functor_body(self):
         src = self.expect_name("a source category")

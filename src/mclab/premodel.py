@@ -107,6 +107,11 @@ class PremodelStructure:
         cylinder witness, kept once decided by ``homotopy._cylinder_verdict``."""
         return {}
 
+    @property
+    def label(self):
+        """The name reports use: the structure's own, else its category's."""
+        return self.name or self.cat.name
+
     def classes(self):
         return {name: getattr(self, name) for name in _CLASSES}
 
@@ -154,16 +159,6 @@ def arrow_from_initial(p, x):
 def arrow_to_terminal(p, x):
     _require_object(p, x)
     return _endpoint_arrows(p.cat, p.cat.to_terminal, "terminal")[x]
-
-
-def is_cofibrant(p, x):
-    _require_object(p, x)
-    return x in p.cofibrant
-
-
-def is_fibrant(p, x):
-    _require_object(p, x)
-    return x in p.fibrant
 
 
 def core_cofibrations(p):

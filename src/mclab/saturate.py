@@ -63,9 +63,7 @@ def saturate(p, mode):
     q = q if side is p else q.dual
 
     if before != _core_signature(q):
-        raise VerificationError(
-            "saturation %s moved the bifibrant core of %s" % (mode, p.name or p.cat.name)
-        )
+        raise VerificationError("saturation %s moved the bifibrant core of %s" % (mode, p.label))
     flag = {"L": "left", "Lc": "core_left", "R": "right", "Rc": "core_right"}[mode]
     if not saturation_flags(q).as_dict()[flag + "_saturated"]:
         raise VerificationError("saturation %s failed to set its flag" % mode)

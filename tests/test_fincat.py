@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import mclab.fincat
@@ -15,19 +20,15 @@ from mclab.fincat import (
     coproduct,
     fold,
     identity_functor,
-    initial_object,
     isomorphisms,
     limit,
     mediating_out,
-    opposite,
     poset_category,
     product,
     pullback,
     pushout,
-    terminal_object,
     validate_category,
 )
-from mclab.premodel import is_cofibrant
 from monoids import bounded_monoids, finite_sets
 
 from conftest import (
@@ -122,15 +123,15 @@ def test_validate_catches_missing_identity_law():
 
 def test_opposite_is_involutive(category_corpus):
     for cat in category_corpus:
-        assert opposite(opposite(cat)) == cat
+        assert cat.op.op == cat
 
 
 def test_derived_facts_are_computed_once(monkeypatch):
     cat = fixtures.barton()
-    assert opposite(cat) is opposite(cat)
+    assert cat.op is cat.op
     # the opposite links back (weakly), so op.op is the category itself
-    assert opposite(opposite(cat)) is cat
-    assert initial_object(cat) == "a"
+    assert cat.op.op is cat
+    assert cat.initial == "a"
     p = fixtures.barton_p1(cat)
     calls = []
 
@@ -139,8 +140,8 @@ def test_derived_facts_are_computed_once(monkeypatch):
         return colimit(*args)
 
     monkeypatch.setattr(mclab.fincat, "colimit", counting_colimit)
-    assert initial_object(cat) == "a"
-    assert [is_cofibrant(p, x) for x in cat.objects] == [True, False, True, True]
+    assert cat.initial == "a"
+    assert [x in p.cofibrant for x in cat.objects] == [True, False, True, True]
     assert calls == []
 
 
@@ -227,7 +228,7 @@ def test_endpoint_arrows_and_verdict_are_kept():
 
 def test_opposite_swaps_homs():
     cat = fixtures.barton()
-    op = opposite(cat)
+    op = cat.op
     assert op.hom("b", "a") == ["ab"]
     assert op.hom("a", "b") == []
     assert op.compose("ac", "cd") == "ad"
@@ -235,10 +236,10 @@ def test_opposite_swaps_homs():
 
 def test_initial_and_terminal():
     cat = fixtures.barton()
-    assert initial_object(cat) == "a"
-    assert terminal_object(cat) == "d"
-    assert initial_object(fixtures.discrete2()) is None
-    assert terminal_object(fixtures.discrete2()) is None
+    assert cat.initial == "a"
+    assert cat.terminal == "d"
+    assert fixtures.discrete2().initial is None
+    assert fixtures.discrete2().terminal is None
 
 
 def test_pushouts_on_barton():
@@ -338,6 +339,26 @@ def test_unknown_ids_are_named():
 def test_poset_category_rejects_cycles():
     with pytest.raises(InputError):
         poset_category("cyc", ["x", "y"], [("x", "y"), ("y", "x")])
+
+
+def test_a_cycle_is_named_alike_under_every_hash_seed():
+    # the partner is the first in object order, not the first a set yields
+    code = (
+        "from mclab.fincat import poset_category\n"
+        "try:\n"
+        "    poset_category('P', 'abcd', [('a', 'b'), ('b', 'c'), ('c', 'd'), ('d', 'a')])\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+    )
+    src = str(pathlib.Path(mclab.fincat.__file__).resolve().parent.parent)
+    texts = set()
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        texts.add((run.returncode, run.stdout, run.stderr))
+    assert texts == {(0, "poset P: cycle through 'a' and 'b'\n", "")}
 
 
 def test_poset_category_transitive_closure():

@@ -562,3 +562,12 @@ def test_localize_options_are_checked_before_the_file_is_read(tmp_path, capsys):
         assert _cli(["localize", "right", missing, "P", "--mode", "R"] + extra, capsys) == (
             BAD_INPUT, "", "localize right needs --by and --into\n",
         )
+    # a flag of the other side is refused, not ignored, even when empty
+    left = ["localize", "left", missing, "P", "--mode", "L", "--at", "f"]
+    for stray in (["--by", "A"], ["--into", "Q"], ["--by", ""], ["--by", "A", "--into", "Q"]):
+        assert _cli(left + stray, capsys) == (
+            BAD_INPUT, "", "localize left takes no --by or --into\n",
+        )
+    right = ["localize", "right", missing, "P", "--mode", "R", "--by", "A", "--into", "Q"]
+    for stray in (["--at", "f"], ["--at", ""]):
+        assert _cli(right + stray, capsys) == (BAD_INPUT, "", "localize right takes no --at\n")

@@ -25,8 +25,8 @@ engine: it imports nothing from ``mclab`` and reads only the raw tables of a
 category and the four marked classes of a structure, never a cached fact.
 
 The public surface of ``mclab`` is a pinned list of names, and so is every
-public function of ``src/`` that nothing in ``src/`` reads, each with the
-reason it stays.
+public function of ``src/`` that nothing in ``src/`` reads, and every one that
+only returns a kept fact of its argument, each with the reason it stays.
 """
 
 import ast
@@ -273,12 +273,7 @@ CALLER_LESS = {
     "cell_closure": "test_properties.test_lifting_galois_connection",
     "from_machine": "test_frontend.test_machine_report_round_trips",
     "generate_wfs": "waits on the census function of ROADMAP.md, which replaces it",
-    "initial_object": "counter fincat.initial_terminal.calls",
-    "terminal_object": "counter fincat.initial_terminal.calls",
-    "opposite": "counter fincat.opposite.calls",
-    "is_cofibrant": "counter premodel.object_status.calls",
-    "is_fibrant": "counter premodel.object_status.calls",
-    "quillen_check": "counter classify.quillen_check.calls",
+    "quillen_check": "test_acceptance criterion 04",
     "left_localization_object": "test_acceptance criterion 04",
     "right_localization_object": "test_acceptance criterion 04",
     "recognize_left_semi": "test_acceptance criterion 05",
@@ -302,6 +297,64 @@ def test_caller_less_functions_are_pinned():
         if not readers(statements, path.name, name)
     )
     assert found == sorted(CALLER_LESS)
+
+
+def fact_aliases(path):
+    """The public top-level functions of ``path`` whose body, after its
+    docstring, is only ``return <parameter>.<attribute>``."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        ret = body[0] if len(body) == 1 else None
+        value = getattr(ret, "value", None)
+        if (
+            isinstance(ret, ast.Return)
+            and isinstance(value, ast.Attribute)
+            and isinstance(value.value, ast.Name)
+            and value.value.id in {a.arg for a in node.args.args}
+        ):
+            found.append(node.name)
+    return found
+
+
+def test_fact_alias_check_finds_planted_aliases(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        'def f(cat):\n    """Doc."""\n    return cat.op\n\n'
+        "def g(p, x):\n    return p.fibrant\n\n"
+        "def h(p):\n    return q.op\n\n"
+        "def k(p):\n    return p.dual.cat\n\n"
+        "def m(p):\n    p.op\n    return p.op\n\n"
+        "def n(p):\n    return p.op()\n\n"
+        "def _o(p):\n    return p.op\n\n"
+        'def e(p):\n    """Only a docstring."""\n\n'
+        "class C:\n    def f(self):\n        return self.op\n"
+    )
+    assert fact_aliases(probe) == ["f", "g"]
+
+
+# Every public function of ``src/`` that only reads a kept fact of its
+# argument, a second name for that fact, with the reason it stays.
+COUNTED = "counted by bench/tracing.py; goes with the next benchmark change (ROADMAP item 12)"
+FACT_ALIASES = {
+    "validate_category": COUNTED,
+    "dualize": COUNTED,
+    "acyclic_cofibrations": COUNTED,
+    "acyclic_fibrations": COUNTED,
+}
+
+
+def test_fact_aliases_are_pinned():
+    """Callers read a category's or a structure's fact itself (``cat.op``,
+    ``cat.initial``, ``x in p.cofibrant``).  A new public function that only
+    returns such a fact, or a pinned one that went away, updates the pin."""
+    found = sorted(
+        name for path in ENGINE if path.name != "__init__.py" for name in fact_aliases(path)
+    )
+    assert found == sorted(FACT_ALIASES)
 
 
 def dataclasses_in(path):
@@ -377,15 +430,14 @@ def test_public_surface_is_pinned():
         "core_fibrations", "corner_product", "dualize", "equivalences", "factor",
         "factorizations", "fibrant_replacement", "find_cylinder", "generate_wfs",
         "has_lift", "homotopic", "homotopy_category", "identity_cylinder",
-        "identity_functor", "initial_object", "is_cofibrant", "is_equivalence",
-        "is_fibrant", "isomorphisms", "iter_cylinder_witnesses", "left_bousfield",
-        "left_localization_object", "limit", "llp", "mediating_out", "nabla",
-        "nt_is_anodyne", "nt_is_cofibration", "olschok_lambda", "olschok_model",
-        "opposite", "pair_functor", "poset_category", "product", "pullback", "pushout",
+        "identity_functor", "is_equivalence", "isomorphisms", "iter_cylinder_witnesses",
+        "left_bousfield", "left_localization_object", "limit", "llp", "mediating_out",
+        "nabla", "nt_is_anodyne", "nt_is_cofibration", "olschok_lambda", "olschok_model",
+        "pair_functor", "poset_category", "product", "pullback", "pushout",
         "quillen_check", "recognize_left_semi", "recognize_right_semi",
         "retract_closure", "right_bousfield", "right_localization_object",
-        "same_classes", "saturate", "saturation_flags", "terminal_object",
-        "two_sided_check", "validate_category", "verify_premodel",
+        "same_classes", "saturate", "saturation_flags", "two_sided_check",
+        "validate_category", "verify_premodel",
         "verify_quillen_cylinder", "verify_weak_model", "verify_wfs",
         "weak_cylinder_theorem_harness", "weak_to_strong",
     ]

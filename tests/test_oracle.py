@@ -15,7 +15,7 @@ from monoids import bounded_monoids, finite_sets
 from mclab import fixtures
 from mclab.classify import classify_full, strong_cylinder_objects, strong_path_objects
 from mclab.errors import InputError
-from mclab.fincat import fold, initial_object, opposite, pushout, terminal_object
+from mclab.fincat import fold, pushout
 from mclab.homotopy import homotopic, is_equivalence, verify_weak_model
 from mclab.lifting import complement_llp, complement_rlp, factor, factorizations, has_lift, llp
 from mclab.premodel import (
@@ -30,13 +30,13 @@ def test_endpoints_agree(category_corpus):
     for cat in category_corpus:
         inits = bf.initial_objects(cat)
         terms = bf.terminal_objects(cat)
-        assert initial_object(cat) == (inits[0] if inits else None)
-        assert terminal_object(cat) == (terms[0] if terms else None)
+        assert cat.initial == (inits[0] if inits else None)
+        assert cat.terminal == (terms[0] if terms else None)
 
 
 def test_opposite_tables_agree(category_corpus):
     for cat in category_corpus:
-        op = opposite(cat)
+        op = cat.op
         source, target, table = bf.opposite_tables(cat)
         assert op.source == source
         assert op.target == target
@@ -100,7 +100,7 @@ def test_pushouts_agree(category_corpus):
 
 def test_folds_agree(category_corpus):
     for base in [*category_corpus, *bounded_monoids(), finite_sets(1), finite_sets(2)]:
-        for cat in (base, opposite(base)):
+        for cat in (base, base.op):
             for i in cat.morphisms:
                 cones, folded = bf.pushout_cones(cat, i, i), fold(cat, i)
                 assert (folded is None) == (not cones), (cat.name, i)

@@ -12,7 +12,6 @@ import mclab.lifting
 from mclab import fixtures
 from mclab.classify import classify_full
 from mclab.errors import ConstructionError, InputError
-from mclab.fincat import opposite, terminal_object
 from mclab.homotopy import equivalences, fold_cone, verify_weak_model
 from mclab.lifting import factor, factorizations, llp, verify_wfs
 from mclab.premodel import (
@@ -28,8 +27,6 @@ from mclab.premodel import (
     dualize,
     factor_cof_afib,
     fibrant_replacement,
-    is_cofibrant,
-    is_fibrant,
     same_classes,
     saturation_flags,
     verify_premodel,
@@ -73,7 +70,7 @@ def test_object_status(p0, p1):
     assert p0.fibrant == {"a", "b", "c", "d"}
     assert p1.cofibrant == {"a", "c", "d"}
     assert p1.fibrant == {"c", "d"}
-    assert not is_cofibrant(p1, "b") and not is_fibrant(p1, "b")
+    assert "b" not in p1.cofibrant and "b" not in p1.fibrant
     assert arrow_from_initial(p1, "b") == "ab"
     assert arrow_to_terminal(p1, "b") == "bd"
 
@@ -158,7 +155,7 @@ def test_structures_on_one_system_share_its_facts():
 def test_dualize_is_involutive_and_swaps_classes(premodel_corpus):
     for p in premodel_corpus:
         q = dualize(p)
-        assert q.cat == opposite(p.cat)
+        assert q.cat == p.cat.op
         assert q.cofibrations == p.fibrations
         assert q.anodyne_cofibrations == p.anodyne_fibrations
         assert verify_premodel(q).ok, p.name
@@ -196,8 +193,8 @@ def test_derived_facts_hold_no_reference_cycles():
     try:
         cat = fixtures.barton()
         p = fixtures.barton_p1(cat)
-        opposite(cat)
-        terminal_object(cat)
+        cat.op
+        cat.terminal
         llp(cat, "ab", "cd")
         dualize(p)
         acyclic_fibrations(p)
@@ -210,9 +207,9 @@ def test_derived_facts_hold_no_reference_cycles():
         verify_weak_model(p)
         classify_full(p)
         classify_full(dualize(p))
-        assert opposite(opposite(cat)) is cat
+        assert cat.op.op is cat
         assert dualize(dualize(p)) is p
-        refs = [weakref.ref(x) for x in (cat, opposite(cat), p, dualize(p))]
+        refs = [weakref.ref(x) for x in (cat, cat.op, p, dualize(p))]
         del cat, p
         assert [r() for r in refs] == [None] * 4
     finally:
@@ -231,7 +228,7 @@ def test_orphaned_dual_builds_its_opposite_once():
     # whose own opposite is the dual's category again
     rebuilt = dual.cat.op
     assert rebuilt == fixtures.barton()
-    assert opposite(dual.cat) is rebuilt and rebuilt.op is dual.cat
+    assert dual.cat.op is rebuilt and rebuilt.op is dual.cat
     q = dualize(dual)
     assert dualize(dual) is q and q.cat is rebuilt and q.dual is dual
     got, want = classify_full(q), classify_full(fixtures.barton_p1())
@@ -329,7 +326,7 @@ def test_quillen_adjunction_rejects_wrong_categories(p0):
 
 
 def test_arrow_lookup_rejects_unknown_object(p0):
-    lookups = (arrow_from_initial, arrow_to_terminal, is_cofibrant, is_fibrant)
+    lookups = (arrow_from_initial, arrow_to_terminal)
     for lookup in lookups:
         with pytest.raises(InputError):
             lookup(p0, "z")
@@ -338,9 +335,13 @@ def test_arrow_lookup_rejects_unknown_object(p0):
     for lookup in lookups:
         with pytest.raises(InputError):
             lookup(p, "z")
-    for lookup, end in zip(lookups, ("initial", "terminal", "initial", "terminal")):
+    for lookup, end in zip(lookups, ("initial", "terminal")):
         with pytest.raises(ConstructionError, match="no %s object" % end):
             lookup(p, "u")
+    # the object status itself needs the endpoint
+    for status, end in (("cofibrant", "initial"), ("fibrant", "terminal")):
+        with pytest.raises(ConstructionError, match="no %s object" % end):
+            getattr(p, status)
 
 
 def test_object_status_is_kept_per_structure(premodel_corpus):

@@ -7,21 +7,13 @@ generating sets, discarding draws whose factorizations do not exist.
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+import pytest
 
 import bruteforce as bf
 
 from mclab.classify import classify_full, compute_WL, compute_WR
-from mclab.errors import ConstructionError
-from mclab.fincat import (
-    DiagramShape,
-    colimit,
-    fold,
-    initial_object,
-    limit,
-    opposite,
-    poset_category,
-    terminal_object,
-)
+from mclab.errors import ConstructionError, InputError
+from mclab.fincat import DiagramShape, colimit, fold, limit, poset_category
 from mclab.homotopy import _alt_criterion, find_cylinder, verify_weak_model
 from mclab.lifting import (
     cell_closure,
@@ -66,6 +58,14 @@ def posets(draw, bounded=False):
         pairs += [("z", x) for x in objs if x != "z"]
         pairs += [(x, "s") for x in objs if x != "s"]
     return poset_category("rnd", objs, pairs)
+
+
+@st.composite
+def relations(draw):
+    """Any relation on at most six elements, cycles and repeats included."""
+    objs = list("abcdef"[: draw(st.integers(min_value=1, max_value=6))])
+    pair = st.tuples(st.sampled_from(objs), st.sampled_from(objs))
+    return objs, draw(st.lists(pair, max_size=12))
 
 
 @st.composite
@@ -118,14 +118,32 @@ def test_lifting_galois_connection(data):
     assert bf.rlp_class(cat, ()) == bf.llp_class(cat, ()) == everything
 
 
+@given(relations())
+@settings(max_examples=200, deadline=None)
+def test_poset_category_is_the_reflexive_transitive_closure(relation):
+    objs, pairs = relation
+    le = {(x, x) for x in objs} | set(pairs)
+    for z in objs:  # Warshall
+        le |= {(x, y) for x in objs for y in objs if (x, z) in le and (z, y) in le}
+    if any(x != y and (y, x) in le for x, y in le):
+        with pytest.raises(InputError, match="cycle through"):
+            poset_category("rel", objs, pairs)
+        return
+    cat = poset_category("rel", objs, pairs)
+    # one arrow x -> y exactly when y <= x
+    assert sorted((cat.source[m], cat.target[m]) for m in cat.morphisms) == sorted(
+        (x, y) for y, x in le
+    )
+
+
 @given(posets())
 @settings(max_examples=80, deadline=None)
 def test_opposite_involution_and_duality(cat):
-    assert opposite(opposite(cat)) == cat
-    assert initial_object(cat) == terminal_object(opposite(cat))
-    assert terminal_object(cat) == initial_object(opposite(cat))
+    assert cat.op.op == cat
+    assert cat.initial == cat.op.terminal
+    assert cat.terminal == cat.op.initial
     # the opposite searches its own rows: this checks one search against the other
-    op = opposite(cat)
+    op = cat.op
     for f in cat.morphisms:
         for g in cat.morphisms:
             assert llp(cat, f, g) == llp(op, g, f)
@@ -141,9 +159,9 @@ def test_poset_folds_equal_a_fresh_search(cat):
 
 
 def _endpoints_are_the_empty_shape_search(cat):
-    op = opposite(cat)
+    op = cat.op
     with categories_built() as built:
-        ends = (initial_object(cat), terminal_object(cat), initial_object(op), terminal_object(op))
+        ends = (cat.initial, cat.terminal, op.initial, op.terminal)
         empty = DiagramShape("empty")
         cones = (colimit(cat, empty), limit(cat, empty), colimit(op, empty), limit(op, empty))
     # endpoints are read off the hom-sets and limit(op, ...) searches op.op,
