@@ -20,11 +20,8 @@ from .fincat import (
     coproduct,
     identity_functor,
     isomorphisms,
-    limit,
     mediating_out,
     poset_category,
-    product,
-    pullback,
     pushout,
     validate_category,
 )

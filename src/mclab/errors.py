@@ -27,7 +27,7 @@ class ParseError(InputError):
 
 
 class ConstructionError(RuntimeError):
-    """A required colimit/limit/factorization does not exist.
+    """A required colimit or factorization does not exist.
 
     ``witness`` names the offending morphism or diagram, when known.
     """

@@ -16,7 +16,7 @@ Conventions
   the same category, not a copy.
 * A category computes each derived fact once and keeps it: its opposite, its
   endpoints and the arrows to and from them, its validation verdict, every
-  (co)limit asked of it, the fold of each arrow (its pushout along itself, with
+  colimit asked of it, the fold of each arrow (its pushout along itself, with
   the codiagonal; an epimorphism's is read off its hom-sets, without a colimit
   search), its factorization index, its lifting rows, the
   complements decoded from them and, in ``_complements``, the complement of
@@ -189,11 +189,8 @@ class FiniteCategory:
 
     @_fact
     def initial(self):
-        """The first object with exactly one arrow to every object, or None.
-
-        This is the apex the empty-shape colimit search returns; reading it
-        off the hom-sets keeps endpoint queries from building categories.
-        """
+        """The first object with exactly one arrow to every object, or None;
+        read off the hom-sets, so no endpoint query builds a category."""
         return next(
             (x for x in self.objects if all(len(self.hom(x, y)) == 1 for y in self.objects)),
             None,
@@ -372,16 +369,14 @@ def isomorphisms(cat):
     return frozenset(out)
 
 
-# -- diagram shapes and (co)limits ----------------------------------------
-
-SHAPE_KINDS = ("span", "cospan", "pair", "empty")
+# -- diagram shapes and colimits ------------------------------------------
 
 
 class DiagramShape(NamedTuple):
     """A tiny diagram named by its morphisms.
 
-    kind ∈ {span, cospan, pair, empty}.  ``pair`` is the discrete two-object
-    diagram; its legs must be the identities of the two objects.
+    kind ∈ {span, pair}: a ``span`` (what ``pushout`` builds) shares a source;
+    a ``pair`` (what ``coproduct`` builds) is discrete, its legs identities.
     """
 
     kind: str
@@ -389,10 +384,7 @@ class DiagramShape(NamedTuple):
 
 
 class Cone(NamedTuple):
-    """Apex plus structure morphisms, one per foot of the diagram.
-
-    For a colimit the legs run foot -> apex, for a limit apex -> foot.
-    """
+    """Apex plus structure morphisms foot -> apex, one per foot of the diagram."""
 
     apex: str
     legs: tuple[str, ...] = ()
@@ -404,44 +396,24 @@ def _require_legs(cat, legs):
             raise InputError("shape leg %r is not a morphism of %s" % (leg, cat.name))
 
 
-def _check_shape(cat, shape, allowed):
-    if shape.kind not in SHAPE_KINDS:
+def _shape_feet(cat, shape):
+    """The checked shape's feet (where cocone legs attach) and cocone equations."""
+    if shape.kind not in ("span", "pair"):
         raise InputError("unknown shape kind %r" % shape.kind)
-    if shape.kind not in allowed:
-        raise InputError("shape kind %r not supported here" % shape.kind)
     _require_legs(cat, shape.legs)
-    if shape.kind == "empty":
-        if shape.legs:
-            raise InputError("empty shape takes no legs")
-    elif len(shape.legs) != 2:
+    if len(shape.legs) != 2:
         raise InputError("%s shape needs exactly two legs" % shape.kind)
-    if shape.kind == "span":
-        f, g = shape.legs
-        if cat.source[f] != cat.source[g]:
-            raise InputError("span legs %s, %s must share their source" % (f, g))
-    elif shape.kind == "cospan":
-        f, g = shape.legs
-        if cat.target[f] != cat.target[g]:
-            raise InputError("cospan legs %s, %s must share their target" % (f, g))
-    elif shape.kind == "pair":
+    f, g = shape.legs
+    if shape.kind == "pair":
         for leg in shape.legs:
             if not cat.is_identity(leg):
                 raise InputError(
                     "pair shape designates objects by identity legs; %r is not an identity" % leg
                 )
-
-
-def _colimit_feet(cat, shape):
-    """Feet (where cocone legs attach) and cocone equations."""
-    if shape.kind == "empty":
-        return (), ()
-    if shape.kind == "span":
-        f, g = shape.legs
-        return (cat.target[f], cat.target[g]), ((0, f, 1, g),)
-    if shape.kind == "pair":
-        f, g = shape.legs
         return (cat.source[f], cat.source[g]), ()
-    raise InputError("no colimits for shape kind %r" % shape.kind)
+    if cat.source[f] != cat.source[g]:
+        raise InputError("span legs %s, %s must share their source" % (f, g))
+    return (cat.target[f], cat.target[g]), ((0, f, 1, g),)
 
 
 def _is_cocone(cat, legs, equations):
@@ -464,15 +436,14 @@ def colimit(cat, shape):
     there must be exactly one mediating morphism.  The shape is checked on
     every call; the search runs once per shape and category.
     """
-    _check_shape(cat, shape, ("span", "pair", "empty"))
+    feet, equations = _shape_feet(cat, shape)
     key = (shape.kind, tuple(shape.legs))
     if key not in cat._colimits:
-        cat._colimits[key] = _search_colimit(cat, shape)
+        cat._colimits[key] = _search_colimit(cat, feet, equations)
     return cat._colimits[key]
 
 
-def _search_colimit(cat, shape):
-    feet, equations = _colimit_feet(cat, shape)
+def _search_colimit(cat, feet, equations):
     for apex in cat.objects:
         for legs in _cocones(cat, feet, equations, apex):
             if _is_colimit(cat, feet, equations, apex, legs):
@@ -492,13 +463,6 @@ def _is_colimit(cat, feet, equations, apex, legs):
             if n != 1:
                 return False
     return True
-
-
-def limit(cat, shape):
-    """Dual search, run as a colimit in the opposite category."""
-    _check_shape(cat, shape, ("cospan", "pair", "empty"))
-    dual_kind = {"cospan": "span", "pair": "pair", "empty": "empty"}[shape.kind]
-    return colimit(cat.op, DiagramShape(dual_kind, shape.legs))
 
 
 def mediating_out(cat, cone, target_legs):
@@ -569,10 +533,6 @@ def _epi_fold(cat, i):
                     return Cone(x, (phi, phi)), n
 
 
-def pullback(cat, f, g):
-    return limit(cat, DiagramShape("cospan", (f, g)))
-
-
 def _pair(cat, x, y):
     for z in (x, y):
         if not cat.has_object(z):
@@ -582,10 +542,6 @@ def _pair(cat, x, y):
 
 def coproduct(cat, x, y):
     return colimit(cat, _pair(cat, x, y))
-
-
-def product(cat, x, y):
-    return limit(cat, _pair(cat, x, y))
 
 
 # -- functors and adjunctions ----------------------------------------------
@@ -753,14 +709,16 @@ def poset_category(name, objects, le):
         ident = "id_%s" % x
         identities[x] = ident
         morphisms.append((ident, x, x))
+    names = set(identities.values())
     for x in objects:
         for y in objects:
             if y != x and y in below[x]:
                 arrow = "%s%s" % (x, y)
-                if any(arrow == m for m, _, _ in morphisms):
+                if arrow in names:
                     raise InputError(
                         "poset %s: generated arrow name %r collides" % (name, arrow)
                     )
+                names.add(arrow)
                 morphisms.append((arrow, x, y))
 
     src = {m: s for m, s, _ in morphisms}

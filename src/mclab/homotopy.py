@@ -80,9 +80,9 @@ def fold_cone(p, i):
     return folded
 
 
-def iter_cylinder_witnesses(p, i, mode="weak"):
-    """All witnesses for i, searching candidates in enumeration order."""
-    for c, l, e in _cylinder_search(p, i, mode):
+def iter_cylinder_witnesses(p, i):
+    """All witnesses for i in enumeration order; the strong ones have ``w.strong``."""
+    for c, l, e in _cylinder_search(p, i):
         yield _witness(p.cat, i, c, l, e)
 
 
@@ -97,25 +97,19 @@ def _witness(cat, i, c, l, e):
     )
 
 
-def find_cylinder(p, i, mode="weak"):
+def find_cylinder(p, i):
     """First witness in search order, or None."""
-    return next(iter_cylinder_witnesses(p, i, mode), None)
+    return next(iter_cylinder_witnesses(p, i), None)
 
 
-def _cylinder_search(p, i, mode):
+def _cylinder_search(p, i):
     """The search that builds witnesses: (c, l, e) in enumeration order.
 
     It walks the kept candidates c of ``_fold_masks`` and tries a leg (l, mask)
     on c only when c's bit is set in cand and in mask: ``_cylinder_verdict``'s
-    rule.  The strong search is the weak one with the identity of B as its
-    only leg, so none when that identity is not acyclic.
-    """
-    if mode not in ("weak", "strong"):
-        raise InputError("cylinder mode must be 'weak' or 'strong', got %r" % mode)
+    rule."""
     cat = p.cat
     cand, legs = _cylinder_masks(p, i)
-    if mode == "strong":
-        legs = [(l, mask) for l, mask in legs if l == cat.identity(cat.target[i])]
     codiag, table = fold(cat, i)[1], cat.compose_table
     for c, _, bit in _fold_masks(cat, i)[0]:
         for l, mask in legs:
@@ -357,7 +351,7 @@ def homotopic(p, f, g):
     if y not in p.fibrant:
         raise InputError("target %s is not fibrant" % y)
 
-    w = find_cylinder(p, arrow_from_initial(p, x), "weak")
+    w = find_cylinder(p, arrow_from_initial(p, x))
     if w is None:
         raise ConstructionError("no weak cylinder on %s" % x, witness=x)
     e0 = cat.compose_table[(w.cylinder_cof, w.coproj0)]

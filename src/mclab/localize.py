@@ -39,7 +39,7 @@ from .premodel import (
 
 def nabla(p, i):
     """Cylinder inclusion of the first weak witness of i."""
-    w = find_cylinder(p, i, "weak")
+    w = find_cylinder(p, i)
     if w is None:
         raise ConstructionError("no weak cylinder witness for %s" % i, witness=i)
     return w.cylinder_cof

@@ -281,13 +281,13 @@ class _Parser:
         self.expect_punct("{")
         chains = []
         while not self.accept_punct("}"):
-            chain = [self.expect_name("an object name").value]
+            chain = [self.expect_name("an object name")]
             while self.accept_punct("<="):
-                chain.append(self.expect_name("an object name").value)
+                chain.append(self.expect_name("an object name"))
             self.expect_punct(";")
             if len(chain) < 2:
-                self.fail("poset chains need at least two objects")
-            chains.append(chain)
+                self.fail("poset chains need at least two objects", chain[0])
+            chains.append([t.value for t in chain])
         return PosetDecl(name.value, chains, head.line, head.col)
 
     def parse_premodel(self):
@@ -391,15 +391,15 @@ class _Parser:
         kind = head.value
         args = {}
         if kind == "check":
-            what = self.expect_name("wfs, premodel, or weakmodel").value
-            if what not in ("wfs", "premodel", "weakmodel"):
-                self.fail("check knows wfs, premodel, weakmodel; got %r" % what)
-            args["what"] = what
+            what = self.expect_name("wfs, premodel, or weakmodel")
+            if what.value not in ("wfs", "premodel", "weakmodel"):
+                self.fail("check knows wfs, premodel, weakmodel; got %r" % what.value, what)
+            args["what"] = what.value
         elif kind == "localize":
-            side = self.expect_name("left or right").value
-            if side not in ("left", "right"):
-                self.fail("localize knows left and right; got %r" % side)
-            args["side"] = side
+            side = self.expect_name("left or right")
+            if side.value not in ("left", "right"):
+                self.fail("localize knows left and right; got %r" % side.value, side)
+            args["side"] = side.value
         elif kind not in _TARGET_FIRST:
             self.fail("unknown directive %r" % kind, head)
         args["target"] = self.expect_name().value

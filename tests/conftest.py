@@ -116,6 +116,41 @@ def census():
     return {cat.name: oracle_premodels(cat) for cat in cats}
 
 
+def poset_adjunctions(P, Q):
+    """Every adjunction L ⊣ R with R: P -> Q between thin categories, R's
+    object maps in ``itertools.product`` order over Q's objects.
+
+    x ≤ y exactly when ``hom(y, x)`` is non-empty (arrows run downward).  R
+    is a monotone object map with, for each q, an object l such that
+    x ≤ l ⟺ R x ≤ q for every x; L q is the first such l in object order,
+    and each functor, unit and counit arrow is the unique one.
+    """
+    le = lambda cat, x, y: bool(cat.hom(y, x))
+
+    def functor(name, src, tgt, obj):
+        arrows = {m: tgt.hom(obj[src.source[m]], obj[src.target[m]])[0] for m in src.morphisms}
+        return FunctorData(name, src, tgt, obj, arrows)
+
+    found = []
+    for images in itertools.product(Q.objects, repeat=len(P.objects)):
+        r = dict(zip(P.objects, images))
+        if not all(le(Q, r[x], r[y]) for x in P.objects for y in P.objects if le(P, x, y)):
+            continue
+        left = {}
+        for q in Q.objects:
+            fits = [l for l in P.objects if all(le(P, x, l) == le(Q, r[x], q) for x in P.objects)]
+            if fits:
+                left[q] = fits[0]
+        if len(left) == len(Q.objects):
+            name = "adj%d" % len(found)
+            found.append(AdjunctionData(
+                name, functor(name + "_L", Q, P, left), functor(name + "_R", P, Q, r),
+                {q: Q.hom(q, r[left[q]])[0] for q in Q.objects},
+                {x: P.hom(left[r[x]], x)[0] for x in P.objects},
+            ))
+    return found
+
+
 def fresh_fold(cat, i):
     """The fold of i found by ``pushout`` and ``mediating_out`` on a fresh copy
     of ``cat``: the general colimit search, with nothing kept beforehand."""

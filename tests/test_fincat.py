@@ -21,11 +21,8 @@ from mclab.fincat import (
     fold,
     identity_functor,
     isomorphisms,
-    limit,
     mediating_out,
     poset_category,
-    product,
-    pullback,
     pushout,
     validate_category,
 )
@@ -153,12 +150,14 @@ def _fresh_copy(cat):
 def test_colimits_are_searched_once_per_shape():
     cat = fixtures.barton()
     assert pushout(cat, "ab", "ac") is pushout(cat, "ab", "ac")
-    assert pullback(cat, "bd", "cd") is pullback(cat, "bd", "cd")
-    # the shape is checked on every call, also once a valid one is cached
+    assert pushout(cat.op, "bd", "cd") is pushout(cat.op, "bd", "cd")
+    # the shape is checked on every call, also once a valid one is cached;
+    # only spans and pairs are built
     with pytest.raises(InputError):
         pushout(cat, "ab", "bd")
-    with pytest.raises(InputError):
-        colimit(cat, DiagramShape("cospan", ("bd", "cd")))
+    for kind, legs in (("cospan", ("bd", "cd")), ("empty", ())):
+        with pytest.raises(InputError, match="unknown shape kind %r" % kind):
+            colimit(cat, DiagramShape(kind, legs))
     # a span and a pair with the same legs are different shapes
     idem = _one_object("idem", "e", "e")
     assert pushout(idem, "id_x", "id_x") == Cone("x", ("id_x", "id_x"))
@@ -200,9 +199,9 @@ def test_only_an_arrow_that_is_not_epi_searches_its_fold(monkeypatch):
     searched = []
     search = mclab.fincat._search_colimit
 
-    def counted(cat, shape):
-        searched.append(shape.legs)
-        return search(cat, shape)
+    def counted(cat, feet, equations):
+        searched.append(equations)
+        return search(cat, feet, equations)
 
     monkeypatch.setattr(mclab.fincat, "_search_colimit", counted)
     cat = fixtures.barton()
@@ -213,7 +212,7 @@ def test_only_an_arrow_that_is_not_epi_searches_its_fold(monkeypatch):
     # the empty map; its fold is 1 ⊔ 1 = 2, found by the search
     sets = finite_sets(2)
     assert fold(sets, "0>1:") == (Cone("2", ("1>2:0", "1>2:1")), "2>1:00")
-    assert searched == [("0>1:", "0>1:")]
+    assert searched == [((0, "0>1:", 1, "0>1:"),)]
 
 
 def test_endpoint_arrows_and_verdict_are_kept():
@@ -258,23 +257,17 @@ def test_pushout_absent_on_discrete():
     cat = fixtures.discrete2()
     assert pushout(cat, "id_u", "id_u") is not None
     assert coproduct(cat, "u", "v") is None
-    assert product(cat, "u", "v") is None
+    assert coproduct(cat.op, "u", "v") is None
 
 
 def test_limit_is_colimit_on_opposite():
     cat = fixtures.barton()
-    pb = pullback(cat, "bd", "cd")
+    pb = pushout(cat.op, "bd", "cd")
     assert pb.apex == "a"
     assert pb.legs == ("ab", "ac")
     # meet/join through the generic entry points
     assert coproduct(cat, "b", "c").apex == "d"
-    assert product(cat, "b", "c").apex == "a"
-
-
-def test_empty_shape_gives_initial_terminal():
-    cat = fixtures.barton()
-    assert colimit(cat, DiagramShape("empty", ())).apex == "a"
-    assert limit(cat, DiagramShape("empty", ())).apex == "d"
+    assert coproduct(cat.op, "b", "c").apex == "a"
 
 
 def test_mediating_out_missing_raises():
@@ -326,7 +319,7 @@ def test_unknown_ids_are_named():
     cat = fixtures.barton()
     calls = (
         (lambda: coproduct(cat, "nope", "a"), "'nope'"),
-        (lambda: product(cat, "a", "nope"), "'nope'"),
+        (lambda: coproduct(cat.op, "a", "nope"), "'nope'"),
         (lambda: cat.compose("zz", "ab"), "'zz'"),
         (lambda: cat.compose("bd", "zz"), "'zz'"),
     )
@@ -339,6 +332,18 @@ def test_unknown_ids_are_named():
 def test_poset_category_rejects_cycles():
     with pytest.raises(InputError):
         poset_category("cyc", ["x", "y"], [("x", "y"), ("y", "x")])
+
+
+def test_poset_category_rejects_colliding_arrow_names():
+    # a -> bc and ab -> c are both named abc; id -> _x is named like id_x
+    calls = (
+        (["a", "bc", "ab", "c"], [("bc", "a"), ("c", "ab")], "'abc'"),
+        (["x", "id", "_x"], [("_x", "id")], "'id_x'"),
+    )
+    for objects, le, arrow in calls:
+        with pytest.raises(InputError) as err:
+            poset_category("P", objects, le)
+        assert str(err.value) == "poset P: generated arrow name %s collides" % arrow
 
 
 def test_a_cycle_is_named_alike_under_every_hash_seed():

@@ -445,6 +445,10 @@ PARSE_ERRORS = [
     ("block M { }", "unknown block 'block' (found 'block')", 1, 1),
     (CAT_M + "run { frobnicate M; }", "unknown directive 'frobnicate' (found 'frobnicate')", 2, 7),
     (CAT_M + "run { classify; }", "expected a name (found ';')", 2, 15),
+    # a refused label or a one-object chain is named at its own token
+    ("run { check foo P; }", "check knows wfs, premodel, weakmodel; got 'foo' (found 'foo')", 1, 13),
+    ("run { localize up P at {f} mode L; }", "localize knows left and right; got 'up' (found 'up')", 1, 16),
+    ("poset V {\n  a <= b;\n  x;\n}", "poset chains need at least two objects (found 'x')", 3, 3),
     # a repeated adjunction or cylinder name is refused at the second block
     (CAT_M + ADJ_A + ADJ_A, "duplicate name 'A'", 3, 1),
     (CAT_M + CYL_C + "\n  " + CYL_C, "duplicate name 'C'", 4, 3),

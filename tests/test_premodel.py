@@ -246,9 +246,9 @@ def test_weak_model_check_of_the_dual_searches_nothing_new(monkeypatch, premodel
         rows.append(cat)
         return search_rows(cat)
 
-    def counted_colimit(cat, shape):
-        colimits.append(shape)
-        return search_colimit(cat, shape)
+    def counted_colimit(cat, feet, equations):
+        colimits.append(equations)
+        return search_colimit(cat, feet, equations)
 
     def counted_epi_fold(cat, i):
         epi_folds.append(i)

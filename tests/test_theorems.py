@@ -3,7 +3,8 @@ the census of chain3, barton and chain4.
 
 Localization: a left Bousfield localization of a Quillen model structure
 exists and is both a left and a right semi-model structure (two-sided),
-without always being Quillen.  Extension: a weak model structure becomes a
+without always being Quillen.  So is a right one, along every adjunction
+from barton into chain2 whose right adjoint is right Quillen.  Extension: a weak model structure becomes a
 left semi-model structure under left saturation and a right one under right
 saturation.  The counts are pinned, so a change in what the census holds or
 in how many localizations stay Quillen shows.
@@ -12,9 +13,13 @@ in how many localizations stay Quillen shows.
 import pytest
 
 from mclab.classify import classify_full
+from mclab.errors import InputError
+from mclab.fincat import check_adjunction, poset_category
 from mclab.homotopy import verify_weak_model
-from mclab.localize import left_bousfield
+from mclab.localize import left_bousfield, right_bousfield
 from mclab.saturate import saturate
+
+from conftest import oracle_premodels, poset_adjunctions
 
 CATEGORIES = ("chain3", "barton", "chain4")
 QUILLEN = "Quillen model structure"
@@ -36,6 +41,30 @@ def test_left_localization_at_one_arrow_is_two_sided(census, name, mode):
     ]
     assert all(r.two_sided.ok for r in results)
     assert (len(results), sum(r.summary != QUILLEN for r in results)) == LOCALIZATIONS[name]
+
+
+@pytest.mark.parametrize("mode", ["R", "Rc"])
+def test_right_localization_into_chain2_is_two_sided(census, mode):
+    # every Quillen structure on barton, every weak model on chain2 and every
+    # adjunction between them: a right adjoint that is not right Quillen is
+    # refused as input, and nothing else may raise
+    chain2 = poset_category("chain2", "ab", [("b", "a")])
+    targets = [t for t in oracle_premodels(chain2) if verify_weak_model(t).ok]
+    sources = [p for p in census["barton"] if classify_full(p).summary == QUILLEN]
+    adjunctions = poset_adjunctions(sources[0].cat, chain2)
+    assert all(check_adjunction(adj).ok for adj in adjunctions)
+    assert (len(sources), len(targets), len(adjunctions)) == (23, 3, 4)
+    results, refused = [], 0
+    for p in sources:
+        for t in targets:
+            for adj in adjunctions:
+                try:
+                    results.append(classify_full(right_bousfield(p, adj, t, mode).structure))
+                except InputError as err:
+                    assert "needs a right Quillen functor" in str(err)
+                    refused += 1
+    assert all(r.two_sided.ok for r in results)
+    assert (refused, len(results), sum(r.summary != QUILLEN for r in results)) == (87, 189, 2)
 
 
 @pytest.mark.parametrize("name", CATEGORIES)
