@@ -71,7 +71,7 @@ from .homotopy import (
     verify_weak_model,
     weak_to_strong,
 )
-from .saturate import BiSaturationReport, bi_saturate, saturate
+from .saturate import saturate
 from .localize import (
     LeftLocalization,
     RightLocalization,
@@ -88,12 +88,6 @@ from .classify import (
     classify_full,
     compute_WL,
     compute_WR,
-    left_localization_object,
-    quillen_check,
-    recognize_left_semi,
-    recognize_right_semi,
-    right_localization_object,
-    two_sided_check,
 )
 from .olschok import (
     CylinderReport,

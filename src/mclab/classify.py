@@ -6,8 +6,8 @@ replacements is an equivalence, WR(f) the same with fibrant replacements.
 On a Quillen model structure the two agree; the four-object counterexample
 in the fixtures is exactly a two-sided weak model where they do not.
 
-The arrow between fibrant replacements and the right localization object
-are their left twins on ``p.dual``; WR's verdicts are still asked of ``p``.
+The arrow between fibrant replacements is its left twin on ``p.dual``;
+WR's verdicts are still asked of ``p``.
 The arrows are grouped by their covering arrow once per (C, AF), in
 ``lifting._system``, so WL and WR ask one ``is_equivalence`` per group.  The
 strong cylinder and path objects read the kept verdicts of ``homotopy``.
@@ -15,7 +15,7 @@ strong cylinder and path objects read the kept verdicts of ``homotopy``.
 
 from typing import NamedTuple
 
-from .errors import InputError, VerificationError
+from .errors import VerificationError
 from .homotopy import (
     _cylinder_verdict,
     equivalences,
@@ -26,9 +26,7 @@ from .lifting import _members, factorizations
 from .premodel import (
     _cofibrant_replacement,
     _fibrant_replacement,
-    cofibrant_replacement,
     dualize,
-    fibrant_replacement,
     saturation_flags,
     verify_premodel,
 )
@@ -85,14 +83,10 @@ class RightSemiReport(NamedTuple):
         return self.fresse and self.left_saturated
 
 
-def recognize_left_semi(p):
+def _left_semi(weak, cylinders, flags):
     """Weak model + strong cylinders on cofibrant objects + core left
     saturation; the stronger convention additionally wants right saturation.
     """
-    return _left_semi(verify_weak_model(p), strong_cylinder_objects(p), saturation_flags(p))
-
-
-def _left_semi(weak, cylinders, flags):
     cyl_ok, cyl_failures = cylinders
     failures = list(cyl_failures)
     if not weak.ok:
@@ -104,12 +98,8 @@ def _left_semi(weak, cylinders, flags):
     )
 
 
-def recognize_right_semi(p):
-    """Mirror image of recognize_left_semi, cross-checked through duality."""
-    return _right_semi(p, verify_weak_model(p), strong_path_objects(p), saturation_flags(p))
-
-
 def _right_semi(p, weak, paths, flags):
+    """Mirror image of ``_left_semi``, cross-checked through duality."""
     path_ok, path_failures = paths
     failures = list(path_failures)
     if not weak.ok:
@@ -143,13 +133,6 @@ class TwoSidedReport(NamedTuple):
             and self.strong_paths
             and self.bi_saturated
         )
-
-
-def two_sided_check(p):
-    weak = verify_weak_model(p)
-    cyl_ok, _ = strong_cylinder_objects(p)
-    path_ok, _ = strong_path_objects(p)
-    return TwoSidedReport(weak.ok, cyl_ok, path_ok, saturation_flags(p).bi_saturated)
 
 
 def _induced_groups(q):
@@ -201,20 +184,6 @@ def compute_WR(p):
     return _covered_equivalences(p, p.dual)
 
 
-def left_localization_object(p, x):
-    """Fibrant replacement of the cofibrant replacement."""
-    xc, _ = cofibrant_replacement(p, x)
-    xcf, _ = _fibrant_replacement(p, xc)
-    return xcf
-
-
-def right_localization_object(p, x):
-    """Cofibrant replacement of the fibrant replacement."""
-    xf, _ = fibrant_replacement(p, x)
-    xfc, _ = _cofibrant_replacement(p, xf)
-    return xfc
-
-
 class QuillenReport(NamedTuple):
     ok: bool
     wl_equals_wr: bool
@@ -227,7 +196,7 @@ class QuillenReport(NamedTuple):
     wr: frozenset
 
 
-def quillen_check(p):
+def _quillen(p, wl, wr):
     """Four equivalent detectors of Quillen-ness on a two-sided structure.
 
     1. WL = WR;
@@ -239,12 +208,6 @@ def quillen_check(p):
     evaluated alongside for the record, with a vacuity flag set when every
     object is already fibrant.
     """
-    if not two_sided_check(p).ok:
-        raise InputError("quillen_check requires a two-sided weak model structure")
-    return _quillen(p, compute_WL(p), compute_WR(p))
-
-
-def _quillen(p, wl, wr):
     cat = p.cat
     cond1 = wl == wr
     cond3 = p.anodyne_cofibrations <= wl
@@ -307,9 +270,8 @@ class ClassificationReport(NamedTuple):
 def classify_full(p):
     """Run the whole ladder bottom-up, stopping where verification stops.
 
-    Each rung is evaluated once on ``p`` and handed to the rungs above it;
-    the single-rung functions are standalone entry points that derive
-    their own inputs.
+    This is the ladder's one entry point: each rung is evaluated once on
+    ``p`` and handed to the rungs above it.
     """
     premodel_report = verify_premodel(p)
     name = p.label

@@ -345,44 +345,46 @@ class _Parser:
         head = self.next()
         name = self.expect_name("an adjunction name")
         self.expect_punct("{")
-        left = right = None
-        unit, counit = [], []
+        adjoints, unit, counit = {}, [], []
         while not self.accept_punct("}"):
             label = self.expect_name("a field label")
             self.expect_punct(":")
-            if label.value == "left":
-                left = self.parse_functor_body()
-            elif label.value == "right":
-                right = self.parse_functor_body()
+            if label.value in adjoints:
+                self.fail("duplicate adjunction field %r" % label.value, label)
+            if label.value in ("left", "right"):
+                adjoints[label.value] = self.parse_functor_body()
             elif label.value in ("unit", "counit"):
                 pairs = unit if label.value == "unit" else counit
                 pairs.extend(self._items(self._maps_to))
             else:
                 self.fail("unknown adjunction field %r" % label.value, label)
-        if left is None or right is None:
+        if len(adjoints) < 2:
             self.fail("adjunction %s needs both adjoints" % name.value, head)
-        return AdjunctionDecl(name.value, left, right, unit, counit, head.line, head.col)
+        return AdjunctionDecl(
+            name.value, adjoints["left"], adjoints["right"], unit, counit, head.line, head.col
+        )
 
     def parse_cylinder(self):
         head = self.next()
         name = self.expect_name("a cylinder name")
         self.expect_punct("{")
-        cat_name = kind = None
+        expected = {"on": "a category name", "kind": "a cylinder kind"}
+        fields = {}
         while not self.accept_punct("}"):
             label = self.expect_name("a field label")
             self.expect_punct(":")
-            if label.value == "on":
-                cat_name = self.expect_name("a category name").value
-            elif label.value == "kind":
-                kind = self.expect_name("a cylinder kind").value
-            else:
+            if label.value not in expected:
                 self.fail("unknown cylinder field %r" % label.value, label)
+            if label.value in fields:
+                self.fail("duplicate cylinder field %r" % label.value, label)
+            fields[label.value] = self.expect_name(expected[label.value])
             self.expect_punct(";")
-        if cat_name is None or kind is None:
+        if len(fields) < 2:
             self.fail("cylinder %s needs 'on' and 'kind'" % name.value, head)
-        if kind != "identity":
-            raise ParseError("unsupported cylinder kind %r" % kind, head.line, head.col)
-        return CylinderDecl(name.value, cat_name, kind, head.line, head.col)
+        kind = fields["kind"]
+        if kind.value != "identity":
+            self.fail("unsupported cylinder kind %r" % kind.value, kind)
+        return CylinderDecl(name.value, fields["on"].value, kind.value, head.line, head.col)
 
     # ---- directives ----------------------------------------------------
 

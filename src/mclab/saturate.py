@@ -14,19 +14,15 @@ core (acyclic) cofibrations and fibrations all stay put — this is asserted,
 not assumed.
 """
 
-from typing import NamedTuple
-
 from .errors import InputError, VerificationError
 from .lifting import complement_rlp
 from .premodel import (
-    PremodelStructure,
     _rebuild_fibrations,
     acyclic_cofibrations,
     core_acyclic_cofibrations,
     core_acyclic_fibrations,
     core_cofibrations,
     core_fibrations,
-    same_classes,
     saturation_flags,
 )
 
@@ -68,24 +64,3 @@ def saturate(p, mode):
     if not saturation_flags(q).as_dict()[flag + "_saturated"]:
         raise VerificationError("saturation %s failed to set its flag" % mode)
     return q
-
-
-class BiSaturationReport(NamedTuple):
-    structure: PremodelStructure     # saturate R after saturate L
-    reversed_structure: PremodelStructure  # saturate L after saturate R
-    orders_agree: bool
-
-
-def bi_saturate(p):
-    """Saturate left then right; report whether the other order agrees.
-
-    The returned structure is the right-of-left composite.  Both orders are
-    computed because they need not agree in general; the report records the
-    comparison instead of asserting it.
-    """
-    rl = saturate(saturate(p, "L"), "R")
-    lr = saturate(saturate(p, "R"), "L")
-    flags = saturation_flags(rl)
-    if not flags.bi_saturated:
-        raise VerificationError("bi-saturation did not produce a bi-saturated structure")
-    return BiSaturationReport(rl, lr, same_classes(rl, lr))

@@ -15,12 +15,6 @@ from mclab.classify import (
     classify_full,
     compute_WL,
     compute_WR,
-    left_localization_object,
-    quillen_check,
-    recognize_left_semi,
-    recognize_right_semi,
-    right_localization_object,
-    two_sided_check,
 )
 from mclab.errors import InputError
 from mclab.fincat import pushout
@@ -41,15 +35,17 @@ from mclab.premodel import (
     PremodelStructure,
     acyclic_cofibrations,
     acyclic_fibrations,
+    cofibrant_replacement,
     core_acyclic_cofibrations,
     core_cofibrations,
     core_fibrations,
     dualize,
+    fibrant_replacement,
     same_classes,
     saturation_flags,
     verify_premodel,
 )
-from mclab.saturate import MODES, bi_saturate, saturate
+from mclab.saturate import MODES, saturate
 
 
 def _corpus():
@@ -95,16 +91,17 @@ def test_criterion_03_left_localization_classes():
 def test_criterion_04_localized_structure_is_two_sided_but_not_quillen():
     p0 = fixtures.barton_p0()
     loc = left_bousfield(p0, {"ac"}, mode="Lc")
-    q = bi_saturate(loc.structure).structure
-    assert two_sided_check(q).ok
-    report = quillen_check(q)
-    assert not report.ok
+    q = saturate(saturate(loc.structure, "L"), "R")
+    report = classify_full(q)
+    assert report.two_sided.ok
+    assert not report.quillen.ok
     wl, wr = compute_WL(q), compute_WR(q)
     assert "ab" in wl and "ab" not in wr
     assert "bd" in wr and "bd" not in wl
     assert "ad" not in wl and "ad" not in wr
-    assert left_localization_object(q, "b") == "c"
-    assert right_localization_object(q, "b") == "d"
+    # the left and right localization objects of b
+    assert fibrant_replacement(q, cofibrant_replacement(q, "b")[0])[0] == "c"
+    assert cofibrant_replacement(q, fibrant_replacement(q, "b")[0])[0] == "d"
 
 
 def test_criterion_05_duality_suite():
@@ -113,9 +110,11 @@ def test_criterion_05_duality_suite():
         assert verify_weak_model(p).ok == verify_weak_model(d).ok, p.name
         assert acyclic_cofibrations(p) == acyclic_fibrations(d), p.name
         assert acyclic_fibrations(p) == acyclic_cofibrations(d), p.name
-        left, mirrored = recognize_left_semi(p), recognize_right_semi(d)
-        assert left.fresse == mirrored.fresse, p.name
-        assert left.spitzweck == mirrored.spitzweck, p.name
+        left, mirrored = classify_full(p).left_semi, classify_full(d).right_semi
+        assert (left is None) == (mirrored is None), p.name
+        if left is not None:
+            assert left.fresse == mirrored.fresse, p.name
+            assert left.spitzweck == mirrored.spitzweck, p.name
         if verify_weak_model(p).ok:
             assert compute_WL(p) == compute_WR(d), p.name
             assert compute_WR(p) == compute_WL(d), p.name
@@ -195,7 +194,7 @@ def _rlp_core_in_wl_lemma(p, violations):
 
 
 def _fresse_intersection_lemma(p, violations):
-    left = recognize_left_semi(p)
+    left = classify_full(p).left_semi
     if not left.fresse:
         return
     wl = compute_WL(p)
@@ -249,8 +248,7 @@ def test_criterion_07_saturation_contracts():
                 "Rc": "core_right_saturated",
             }[mode]
             assert flags[key], (p.name, mode)
-        report = bi_saturate(p)
-        assert saturation_flags(report.structure).bi_saturated, p.name
+        assert saturation_flags(saturate(saturate(p, "L"), "R")).bi_saturated, p.name
 
 
 def test_criterion_08_localizations_keep_their_class():
@@ -263,8 +261,8 @@ def test_criterion_08_localizations_keep_their_class():
             if base.left_semi.fresse:
                 assert report.left_semi.fresse, (p.name, sorted(arrows))
             if base.two_sided.ok:
-                q = bi_saturate(loc.structure).structure
-                assert two_sided_check(q).ok, (p.name, sorted(arrows))
+                q = saturate(saturate(loc.structure, "L"), "R")
+                assert classify_full(q).two_sided.ok, (p.name, sorted(arrows))
 
 
 def _reversed_copy(p):
@@ -310,7 +308,7 @@ def test_criterion_10_cylinder_generation():
             and saturation_flags(p).bi_saturated
             and verify_weak_model(p).ok
         ):
-            assert two_sided_check(p).ok, p.name
+            assert classify_full(p).two_sided.ok, p.name
 
 
 def test_criterion_11_oracle_agreement():

@@ -10,19 +10,18 @@ from mclab.classify import (
     classify_full,
     compute_WL,
     compute_WR,
-    left_localization_object,
-    quillen_check,
-    recognize_left_semi,
-    recognize_right_semi,
-    right_localization_object,
     strong_cylinder_objects,
     strong_path_objects,
-    two_sided_check,
 )
-from mclab.errors import ConstructionError, InputError, VerificationError
+from mclab.errors import ConstructionError, VerificationError
 from mclab.fincat import poset_category
 from mclab.homotopy import is_equivalence
-from mclab.premodel import PremodelStructure, dualize, fibrant_replacement
+from mclab.premodel import (
+    PremodelStructure,
+    cofibrant_replacement,
+    dualize,
+    fibrant_replacement,
+)
 from mclab.saturate import MODES, saturate
 
 from conftest import categories_built
@@ -80,10 +79,12 @@ def test_wl_wr_membership_tells_the_two_localizations_apart(p1):
 
 
 def test_localization_objects(p1):
-    assert left_localization_object(p1, "b") == "c"
-    assert right_localization_object(p1, "b") == "d"
-    assert left_localization_object(p1, "a") == "c"
-    assert right_localization_object(p1, "d") == "d"
+    # left: the fibrant replacement of the cofibrant replacement; right: the
+    # cofibrant replacement of the fibrant replacement
+    assert fibrant_replacement(p1, cofibrant_replacement(p1, "b")[0])[0] == "c"
+    assert cofibrant_replacement(p1, fibrant_replacement(p1, "b")[0])[0] == "d"
+    assert fibrant_replacement(p1, cofibrant_replacement(p1, "a")[0])[0] == "c"
+    assert cofibrant_replacement(p1, fibrant_replacement(p1, "d")[0])[0] == "d"
 
 
 def test_a_missing_terminal_object_is_named_as_such():
@@ -94,7 +95,7 @@ def test_a_missing_terminal_object_is_named_as_such():
     w = poset_category("W", ["t", "x", "y"], [("t", "x"), ("t", "y")])
     saturations = [lambda p, mode=mode: saturate(p, mode) for mode in MODES]
     for cat, missing, checks in (
-        (v, "terminal", [compute_WR, lambda p: right_localization_object(p, "x"), *saturations]),
+        (v, "terminal", [compute_WR, lambda p: fibrant_replacement(p, "x"), *saturations]),
         (w, "initial", saturations),
     ):
         ids, every = frozenset(cat.identities.values()), frozenset(cat.morphisms)
@@ -151,25 +152,17 @@ def test_quillen_check_needs_two_sided_structure():
         anodyne_cofibrations=ids | {"ad", "bd", "cd"},
         fibrations=ids | {"ab", "ac"},
     )
-    with pytest.raises(InputError):
-        quillen_check(lopsided)
+    report = classify_full(lopsided)
+    assert report.premodel.ok and not report.two_sided.ok
+    assert report.quillen is None
 
 
 def test_semi_recognizers_on_corpus(premodel_corpus):
     for p in premodel_corpus:
-        left = recognize_left_semi(p)
-        right = recognize_right_semi(p)
-        assert left.spitzweck, (p.name, left.failures)
-        assert right.spitzweck, (p.name, right.failures)
-        assert two_sided_check(p).ok
-        # the ladder hands rungs up instead of recomputing them; the values
-        # must be exactly what the standalone entry points derive
         report = classify_full(p)
-        # reports are tuples, so a left and a right one with equal flags are equal
-        assert type(report.left_semi) is type(left) and report.left_semi == left
-        assert type(report.right_semi) is type(right) and report.right_semi == right
-        assert report.two_sided == two_sided_check(p)
-        assert report.quillen == quillen_check(p)
+        assert report.left_semi.spitzweck, (p.name, report.left_semi.failures)
+        assert report.right_semi.spitzweck, (p.name, report.right_semi.failures)
+        assert report.two_sided.ok
         assert report.wl == compute_WL(p)
         assert report.wr == compute_WR(p)
 
@@ -232,8 +225,8 @@ def test_right_semi_mirror_still_votes(monkeypatch):
 
 def test_recognizers_mirror_under_duality(premodel_corpus):
     for p in premodel_corpus:
-        left = recognize_left_semi(p)
-        mirrored = recognize_right_semi(dualize(p))
+        left = classify_full(p).left_semi
+        mirrored = classify_full(dualize(p)).right_semi
         assert left.fresse == mirrored.fresse
         assert left.spitzweck == mirrored.spitzweck
 

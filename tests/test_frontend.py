@@ -457,6 +457,15 @@ PARSE_ERRORS = [
     (PRE_P + "cylinder M { on: M; kind: identity; }", "duplicate name 'M'", 3, 1),
     ("poset result { x <= y; }\nrun { validate result; }", "reserved name 'result'", 1, 1),
     (CAT_M + CYL_C.replace("C", "result", 1), "reserved name 'result'", 2, 1),
+    # a single-valued field is given once, and a refused kind is named at its token
+    (CAT_M + "cylinder C { on: M; kind: identity; on: M; }",
+     "duplicate cylinder field 'on' (found 'on')", 2, 37),
+    (CAT_M + "cylinder C { kind: identity; on: M; kind: identity; }",
+     "duplicate cylinder field 'kind' (found 'kind')", 2, 37),
+    (CAT_M + "adjunction A {\n  left: M -> M { }\n  left: M -> M { }\n  right: M -> M { }\n}",
+     "duplicate adjunction field 'left' (found 'left')", 4, 3),
+    (CAT_M + "cylinder C {\n  on: M;\n  kind: strong;\n}",
+     "unsupported cylinder kind 'strong' (found 'strong')", 4, 9),
 ]
 
 

@@ -31,6 +31,7 @@ only returns a kept fact of its argument, each with the reason it stays.
 
 import ast
 import pathlib
+import re
 import types
 
 import mclab
@@ -270,8 +271,9 @@ def test_reader_check_finds_planted_readers(tmp_path):
 
 
 # Every public function of ``src/`` that nothing in ``src/`` reads, with the
-# reason it stays: the test that calls it, the bench/tracing.py counter that
-# names it, or the open ROADMAP.md item it waits on.
+# reason it stays: the fixture role it plays (``fixture: ...``), the open
+# ROADMAP.md item it waits on (``waits on ...``), or the test that calls it
+# (``test_<module>.test_<name>``, a test function of ``tests/<module>.py``).
 CALLER_LESS = {
     "barton_p0": "fixture: conftest.premodel_fixtures and bench/test_bench.py",
     "barton_p1": "fixture: conftest.premodel_fixtures and bench/test_bench.py",
@@ -280,15 +282,11 @@ CALLER_LESS = {
     "interval": "fixture: conftest.premodel_fixtures",
     "point": "fixture: conftest.premodel_fixtures",
     "trivial_premodel": "fixture: conftest.premodel_fixtures and bench/workloads.py",
-    "bi_saturate": "test_acceptance criterion 07",
-    "cell_closure": "test_properties.test_lifting_galois_connection",
+    "cell_closure": "test_theorems.test_small_object_identity",
+    "cofibrant_replacement": "test_premodel.test_replacements",
+    "fibrant_replacement": "test_classify.test_fibrant_replacements_on_bounded_monoids",
     "from_machine": "test_frontend.test_machine_report_round_trips",
     "generate_wfs": "waits on the census function of ROADMAP.md, which replaces it",
-    "quillen_check": "test_acceptance criterion 04",
-    "left_localization_object": "test_acceptance criterion 04",
-    "right_localization_object": "test_acceptance criterion 04",
-    "recognize_left_semi": "test_acceptance criterion 05",
-    "recognize_right_semi": "test_acceptance criterion 05",
     "weak_cylinder_theorem_harness": "test_olschok.test_weak_cylinder_theorem_harness",
     "weak_to_strong": "test_homotopy.test_weak_to_strong",
 }
@@ -307,6 +305,41 @@ def test_caller_less_functions_are_pinned():
         if not readers(statements, path.name, name)
     )
     assert found == sorted(CALLER_LESS)
+
+
+def resolves(reason, tests=ROOT / "tests"):
+    """Whether ``reason`` is of one of the three kinds ``CALLER_LESS`` allows;
+    a test reason must name a test function defined in its module."""
+    if reason.startswith(("fixture: ", "waits on ")):
+        return True
+    m = re.fullmatch(r"(test_\w+)\.(test_\w+)", reason)
+    if m is None:
+        return False
+    path = tests / ("%s.py" % m[1])
+    return path.exists() and any(
+        isinstance(node, ast.FunctionDef) and node.name == m[2]
+        for node in ast.parse(path.read_text(), str(path)).body
+    )
+
+
+def test_reason_check_rejects_planted_reasons(tmp_path):
+    (tmp_path / "test_probe.py").write_text("def test_here():\n    pass\n\nhelper = 1\n")
+    assert resolves("test_probe.test_here", tmp_path)
+    assert resolves("fixture: conftest.census", tmp_path)
+    assert resolves("waits on ROADMAP.md item 4", tmp_path)
+    for reason in (
+        "test_probe.test_gone",
+        "test_probe.helper",
+        "test_absent.test_here",
+        "test_probe criterion 07",
+        "test_probe.test_here and more",
+        "used somewhere",
+    ):
+        assert not resolves(reason, tmp_path), reason
+
+
+def test_caller_less_reasons_resolve():
+    assert [r for r in CALLER_LESS.values() if not resolves(r)] == []
 
 
 def fact_aliases(path):
@@ -424,15 +457,15 @@ def test_public_surface_is_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert exported == [
-        "AdjunctionData", "BiSaturationReport", "ClassificationReport", "Cone",
-        "ConstructionError", "CylinderReport", "CylinderWitness", "DiagramShape",
+        "AdjunctionData", "ClassificationReport", "Cone", "ConstructionError",
+        "CylinderReport", "CylinderWitness", "DiagramShape",
         "FiniteCategory", "FunctorData", "HomotopyCategory", "InputError",
         "LeftLocalization", "LeftSemiReport", "NatTrans", "OlschokReport", "ParseError",
         "PremodelReport", "PremodelStructure", "QuillenAdjunctionReport",
         "QuillenCylinderData", "QuillenReport", "RightLocalization", "RightSemiReport",
         "SaturationFlags", "TwoSidedReport", "Verdict", "VerificationError",
         "WeakModelReport", "WfsReport", "acyclic_cofibrations", "acyclic_fibrations",
-        "bi_saturate", "cell_closure", "check_adjunction", "check_cylinder_witness",
+        "cell_closure", "check_adjunction", "check_cylinder_witness",
         "check_functor", "check_nat_trans", "check_pre_cylinder",
         "check_quillen_adjunction", "classify_full", "cofibrant_replacement", "colimit",
         "complement_llp", "complement_rlp", "compute_WL", "compute_WR", "coproduct",
@@ -441,13 +474,10 @@ def test_public_surface_is_pinned():
         "factorizations", "fibrant_replacement", "find_cylinder", "generate_wfs",
         "has_lift", "homotopic", "homotopy_category", "identity_cylinder",
         "identity_functor", "is_equivalence", "isomorphisms", "iter_cylinder_witnesses",
-        "left_bousfield", "left_localization_object", "llp", "mediating_out",
+        "left_bousfield", "llp", "mediating_out",
         "nabla", "nt_is_anodyne", "nt_is_cofibration", "olschok_lambda", "olschok_model",
-        "pair_functor", "poset_category", "pushout",
-        "quillen_check", "recognize_left_semi", "recognize_right_semi",
-        "retract_closure", "right_bousfield", "right_localization_object",
-        "same_classes", "saturate", "saturation_flags", "two_sided_check",
-        "validate_category", "verify_premodel",
+        "pair_functor", "poset_category", "pushout", "retract_closure", "right_bousfield",
+        "same_classes", "saturate", "saturation_flags", "validate_category", "verify_premodel",
         "verify_quillen_cylinder", "verify_weak_model", "verify_wfs",
         "weak_cylinder_theorem_harness", "weak_to_strong",
     ]

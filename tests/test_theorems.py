@@ -8,7 +8,13 @@ from barton into chain2 whose right adjoint is right Quillen.  Extension: a weak
 left semi-model structure under left saturation and a right one under right
 saturation.  The counts are pinned, so a change in what the census holds or
 in how many localizations stay Quillen shows.
+
+Small objects: on every census category, the bounded monoids included, the
+class llp(rlp S) that a set S of arrows generates is the retract closure of
+S's cell closure, wherever the pushouts that closure needs exist.
 """
+
+import itertools
 
 import pytest
 
@@ -16,6 +22,7 @@ from mclab.classify import classify_full
 from mclab.errors import InputError
 from mclab.fincat import check_adjunction, poset_category
 from mclab.homotopy import verify_weak_model
+from mclab.lifting import cell_closure, complement_llp, complement_rlp, retract_closure
 from mclab.localize import left_bousfield, right_bousfield
 from mclab.saturate import saturate
 
@@ -76,3 +83,34 @@ def test_saturation_extends_every_weak_model_to_a_semi_model(census, name):
             assert classify_full(saturate(p, mode)).left_semi.fresse, mode
         for mode in ("R", "Rc"):
             assert classify_full(saturate(p, mode)).right_semi.fresse, mode
+
+
+# category -> (sets S of non-identity arrows, how many of them generate more
+# than the retract closure of their cell closure)
+SMALL_OBJECT = {
+    "chain3": (8, 0),
+    "barton": (32, 0),
+    "chain4": (64, 0),
+    "Z2": (16, 0),
+    "Z3": (32, 0),
+    # the pushouts the cell closure needs are absent (ROADMAP.md item 4)
+    "idempotent": (16, 5),
+    "left_zero": (32, 21),
+}
+
+
+def test_small_object_identity(census):
+    found = {}
+    for structures in census.values():
+        cat = structures[0].cat
+        arrows = [m for m in cat.morphisms if not cat.is_identity(m)]
+        sets = [S for k in range(len(arrows) + 1) for S in itertools.combinations(arrows, k)]
+        short = 0
+        for S in sets:
+            generated = complement_llp(cat, complement_rlp(cat, frozenset(S)))
+            cells = retract_closure(cat, cell_closure(cat, S))
+            # an llp class is closed under pushout, composition and retract
+            assert cells <= generated, (cat.name, S)
+            short += cells != generated
+        found[cat.name] = (len(sets), short)
+    assert found == SMALL_OBJECT
