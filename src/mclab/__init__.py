@@ -26,7 +26,6 @@ from .fincat import (
     validate_category,
 )
 from .lifting import (
-    WfsReport,
     cell_closure,
     complement_llp,
     complement_rlp,
@@ -39,7 +38,6 @@ from .lifting import (
     verify_wfs,
 )
 from .premodel import (
-    PremodelReport,
     PremodelStructure,
     QuillenAdjunctionReport,
     SaturationFlags,

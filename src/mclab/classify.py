@@ -16,6 +16,7 @@ strong cylinder and path objects read the kept verdicts of ``homotopy``.
 from typing import NamedTuple
 
 from .errors import VerificationError
+from .fincat import Verdict
 from .homotopy import (
     _cylinder_verdict,
     equivalences,
@@ -34,21 +35,19 @@ from .premodel import (
 
 def strong_cylinder_objects(p):
     """Strong cylinders on every cofibrant object (base 0 -> X)."""
-    failures = tuple(
+    return Verdict.from_violations(
         "no strong cylinder object for %s" % x
         for x in p.cat.objects
         if x in p.cofibrant and not _cylinder_verdict(p, p.cat.from_initial[x])[1]
     )
-    return not failures, failures
 
 
 def strong_path_objects(p):
-    failures = tuple(
+    return Verdict.from_violations(
         "no strong path object for %s" % x
         for x in p.cat.objects
         if x in p.fibrant and not _cylinder_verdict(p.dual, p.cat.to_terminal[x])[1]
     )
-    return not failures, failures
 
 
 class LeftSemiReport(NamedTuple):
@@ -291,7 +290,7 @@ def classify_full(p):
     paths = strong_path_objects(p)
     left = _left_semi(weak, cylinders, flags)
     right = _right_semi(p, weak, paths, flags)
-    two = TwoSidedReport(weak.ok, cylinders[0], paths[0], flags.bi_saturated)
+    two = TwoSidedReport(weak.ok, cylinders.ok, paths.ok, flags.bi_saturated)
     wl = compute_WL(p)
     wr = compute_WR(p)
     quillen = _quillen(p, wl, wr) if two.ok else None

@@ -36,9 +36,8 @@ from .fincat import FiniteCategory, Verdict, fold, validate_category
 from .premodel import (
     _cofibrant_replacement,
     _fibrant_replacement,
+    _require_object,
     acyclic_cofibrations,
-    arrow_from_initial,
-    arrow_to_terminal,
     dualize,
     factor_cof_afib,
     verify_premodel,
@@ -229,13 +228,8 @@ def weak_to_strong(p, w):
         raise ConstructionError(
             "cannot strengthen: %s is not fibrant" % b, witness=w.base
         )
-    r = has_lift(
-        cat,
-        w.anodyne_leg,
-        arrow_to_terminal(p, b),
-        cat.identity(b),
-        arrow_to_terminal(p, w.weak_target),
-    )
+    _require_object(p, w.weak_target)
+    r = has_lift(cat, w.anodyne_leg, cat.to_terminal[b], cat.identity(b), cat.to_terminal[w.weak_target])
     if r is None:
         # The anodyne leg is acyclic and B -> 1 is a fibration between
         # fibrant objects, so this lift is guaranteed; reaching here means
@@ -264,20 +258,17 @@ class WeakModelReport(NamedTuple):
     dual_alt_criterion: bool
     cylinder_failures: tuple[str, ...]
     path_failures: tuple[str, ...]
-    alt_failures: tuple[str, ...]
-    dual_alt_failures: tuple[str, ...]
 
 
 def _cylinder_axiom(p):
     """Strong cylinders for every cofibration from cofibrant to fibrant."""
     cat = p.cat
-    failures = tuple(
+    return Verdict.from_violations(
         "no strong cylinder for %s" % i
         for i in cat.morphisms
         if i in p.cofibrations and cat.source[i] in p.cofibrant and cat.target[i] in p.fibrant
         and not _cylinder_verdict(p, i)[1]
     )
-    return not failures, failures
 
 
 def _alt_criterion(p):
@@ -298,7 +289,7 @@ def _alt_criterion(p):
         for i in cat.arrows_from(cat.target[j]):
             if i in in_core and i not in acyclic and cat.compose_table[(i, j)] in acyclic:
                 failures.append("right cancellation fails at %s after %s" % (i, j))
-    return not failures, tuple(failures)
+    return Verdict.from_violations(failures)
 
 
 def verify_weak_model(p):
@@ -309,29 +300,14 @@ def verify_weak_model(p):
     raises, because that would falsify a theorem this package relies on.
     """
     dual = dualize(p)
-    cyl_ok, cyl_failures = _cylinder_axiom(p)
-    path_ok, path_failures = _cylinder_axiom(dual)
-    alt_ok, alt_failures = _alt_criterion(p)
-    dual_alt_ok, dual_alt_failures = _alt_criterion(dual)
-
-    main = cyl_ok and path_ok
-    alt = alt_ok and dual_alt_ok
-    if main != alt and verify_premodel(p).ok:
+    cyl, path = _cylinder_axiom(p), _cylinder_axiom(dual)
+    alt, dual_alt = _alt_criterion(p).ok, _alt_criterion(dual).ok
+    main, core = cyl.ok and path.ok, alt and dual_alt
+    if main != core and verify_premodel(p).ok:
         raise VerificationError(
-            "axioms (%s) and core criterion (%s) disagree on %s"
-            % (main, alt, p.label)
+            "axioms (%s) and core criterion (%s) disagree on %s" % (main, core, p.label)
         )
-    return WeakModelReport(
-        ok=main,
-        cylinder_axiom=cyl_ok,
-        path_axiom=path_ok,
-        alt_criterion=alt_ok,
-        dual_alt_criterion=dual_alt_ok,
-        cylinder_failures=cyl_failures,
-        path_failures=path_failures,
-        alt_failures=alt_failures,
-        dual_alt_failures=dual_alt_failures,
-    )
+    return WeakModelReport(main, cyl.ok, path.ok, alt, dual_alt, cyl.violations, path.violations)
 
 
 def homotopic(p, f, g):
@@ -351,7 +327,7 @@ def homotopic(p, f, g):
     if y not in p.fibrant:
         raise InputError("target %s is not fibrant" % y)
 
-    w = find_cylinder(p, arrow_from_initial(p, x))
+    w = find_cylinder(p, cat.from_initial[x])
     if w is None:
         raise ConstructionError("no weak cylinder on %s" % x, witness=x)
     e0 = cat.compose_table[(w.cylinder_cof, w.coproj0)]

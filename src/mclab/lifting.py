@@ -21,17 +21,16 @@ by the cylinder verdicts and the cylinder search.
 A weak factorization system is the pair (left, right) itself:
 ``verify_wfs(cat, left, right)`` checks one and ``generate_wfs`` returns one.
 Its own facts live in its category's per-WFS table, ``_system``: the
-``verify_wfs`` report, read off the two complements, for a pair (C, AF), its
+``verify_wfs`` verdict, read off the two complements, for a pair (C, AF), its
 first factorizations (the cofibrant replacements are read off them) and the
 arrows grouped by the arrow between replacements covering them; and the
 lifting meets behind the acyclic classes.  Every structure on the pair shares them.
 """
 
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from .errors import ConstructionError, InputError
-from .fincat import pushout
+from .fincat import Verdict, pushout
 
 
 def _require_morphisms(cat, ms):
@@ -225,15 +224,6 @@ def cell_closure(cat, generators):
             return frozenset(members)
 
 
-class WfsReport(NamedTuple):
-    ok: bool
-    lifting_ok: bool
-    left_is_complement: bool
-    right_is_complement: bool
-    factorization_ok: bool
-    failures: tuple[str, ...]
-
-
 def factorizations(cat, left, right, h):
     """Every factorization h = r ∘ l with l ∈ left, r ∈ right, as (l, r).
 
@@ -263,7 +253,7 @@ def require_factorizations(cat, left, right, message):
 
 def _system(cat, left, right):
     """The facts the pair (left, right) of frozensets determines on ``cat``, kept
-    there: its ``verify_wfs`` report once found and, for a pair (C, AF), each
+    there: its ``verify_wfs`` verdict once found and, for a pair (C, AF), each
     first factorization once found (a cofibrant replacement is read off the
     one of the arrow from the initial object) and the arrows grouped by the
     arrow between replacements that covers them (``classify._induced_groups``);
@@ -271,32 +261,32 @@ def _system(cat, left, right):
     facts = cat._systems.get((left, right))
     if facts is None:
         facts = cat._systems[left, right] = SimpleNamespace(
-            report=None, factors={}, induced=None, gates=[None, None]
+            verdict=None, factors={}, induced=None, gates=[None, None]
         )
     return facts
 
 
 def verify_wfs(cat, left, right):
-    """Check the three defining conditions on the pair, with counterexamples.
+    """Check the three defining conditions on the pair: a Verdict whose
+    violations are the counterexamples.
 
     1. every (left, right) pair lifts;
     2. left  = complement_llp(right);
     3. right = complement_rlp(left);
     plus: every morphism factors as right ∘ left.
 
-    The report depends on the two classes alone, so a category finds it once
+    The verdict depends on the two classes alone, so a category finds it once
     per pair and every structure built on that pair shares it.
     """
     left, right = frozenset(left), frozenset(right)
     facts = _system(cat, left, right)
-    if facts.report is not None:
-        return facts.report
+    if facts.verdict is not None:
+        return facts.verdict
     failures = []
     expected_right = complement_rlp(cat, left)
     expected_left = complement_llp(cat, right)
 
     # a left member lifts against all of right exactly when it is in llp(right)
-    lifting_ok = left <= expected_left
     for f in cat.sort_morphisms(left - expected_left):
         failures.extend(
             "no lift of %s against %s" % (f, g)
@@ -304,7 +294,6 @@ def verify_wfs(cat, left, right):
             if g in right and not llp(cat, f, g)
         )
 
-    left_ok, right_ok = expected_left == left, expected_right == right
     for side, members, expected in (("left", left, expected_left), ("right", right, expected_right)):
         extra = cat.sort_morphisms(members - expected)
         missing = cat.sort_morphisms(expected - members)
@@ -313,13 +302,10 @@ def verify_wfs(cat, left, right):
         if missing:
             failures.append("%s class misses lifting members: %s" % (side, ", ".join(missing)))
 
-    unfactored = [h for h in cat.morphisms if factor(cat, left, right, h) is None]
+    unfactored = (h for h in cat.morphisms if factor(cat, left, right, h) is None)
     failures.extend("no factorization of %s" % h for h in unfactored)
-    factorization_ok = not unfactored
-
-    ok = lifting_ok and left_ok and right_ok and factorization_ok
-    facts.report = WfsReport(ok, lifting_ok, left_ok, right_ok, factorization_ok, tuple(failures))
-    return facts.report
+    facts.verdict = Verdict.from_violations(failures)
+    return facts.verdict
 
 
 def generate_wfs(cat, generators):
@@ -335,5 +321,5 @@ def generate_wfs(cat, generators):
     report = verify_wfs(cat, left, right)
     if not report.ok:
         # Unreachable for the generated classes, kept as a loud invariant.
-        raise ConstructionError("generated system fails verification: %s" % (report.failures,))
+        raise ConstructionError("generated system fails verification: %s" % (report.violations,))
     return left, right

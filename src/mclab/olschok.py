@@ -155,22 +155,21 @@ def _corners_outside(lam, cat, members, into, text):
     return [text % i for i in cat.sort_morphisms(members) if corner_product(lam, i) not in into]
 
 
-def nt_is_cofibration(lam, p_src, p_tgt):
-    """Corners with cofibrations are cofibrations, with anodyne anodyne."""
-    cat, cof, ac = p_src.cat, p_src.cofibrations, p_src.anodyne_cofibrations
+def nt_is_cofibration(lam, p):
+    """Corners with cofibrations of p are cofibrations, with anodyne anodyne."""
+    cat, cof, ac = p.cat, p.cofibrations, p.anodyne_cofibrations
     not_cof = "corner with cofibration %s is not a cofibration"
     not_anodyne = "corner with anodyne %s is not anodyne"
     return Verdict.from_violations(
-        _corners_outside(lam, cat, cof, p_tgt.cofibrations, not_cof)
-        + _corners_outside(lam, cat, ac, p_tgt.anodyne_cofibrations, not_anodyne)
+        _corners_outside(lam, cat, cof, cof, not_cof) + _corners_outside(lam, cat, ac, ac, not_anodyne)
     )
 
 
-def nt_is_anodyne(lam, p_src, p_tgt):
-    """Corners with all cofibrations are anodyne cofibrations."""
+def nt_is_anodyne(lam, p):
+    """Corners with all cofibrations of p are anodyne cofibrations."""
     text = "corner with cofibration %s is not anodyne"
     return Verdict.from_violations(
-        _corners_outside(lam, p_src.cat, p_src.cofibrations, p_tgt.anodyne_cofibrations, text)
+        _corners_outside(lam, p.cat, p.cofibrations, p.anodyne_cofibrations, text)
     )
 
 
@@ -216,7 +215,8 @@ class CylinderReport(NamedTuple):
 
 def _structural_cylinder_check(cyl, cat):
     if cyl.pair.source != cat:
-        return ["cylinder lives on %s, not on %s" % (cyl.pair.source.name, cat.name)]
+        text = "cylinder lives on %s, not on %s" % (cyl.pair.source.name, cat.name)
+        return Verdict.from_violations([text])
     v = []
     for fun in (cyl.pair, cyl.cylinder, cyl.weak_target):
         verdict = check_functor(fun)
@@ -225,13 +225,13 @@ def _structural_cylinder_check(cyl, cat):
         verdict = check_nat_trans(nt)
         v.extend("transformation %s: %s" % (nt.name, x) for x in verdict.violations)
     if v:
-        return v
+        return Verdict.from_violations(v)
     for x in cat.objects:
         lhs = cat.compose_table[(cyl.comparison.at(x), cyl.inclusion.at(x))]
         rhs = cat.compose_table[(cyl.leg.at(x), cyl.fold.at(x))]
         if lhs != rhs:
             v.append("factorization square fails at %r" % x)
-    return v
+    return Verdict.from_violations(v)
 
 
 def _cylinder_is_strong(cyl, cat):
@@ -246,16 +246,12 @@ def _cylinder_is_strong(cyl, cat):
 def verify_quillen_cylinder(cyl, p):
     """Full check against a premodel: structure, classes, and the square."""
     cat = p.cat
-    failures = _structural_cylinder_check(cyl, cat)
+    failures = list(_structural_cylinder_check(cyl, cat).violations)
     if not failures:
-        failures.extend(
-            "inclusion: %s" % x for x in nt_is_cofibration(cyl.inclusion, p, p).violations
-        )
-        failures.extend("leg: %s" % x for x in nt_is_anodyne(cyl.leg, p, p).violations)
+        failures.extend("inclusion: %s" % x for x in nt_is_cofibration(cyl.inclusion, p).violations)
+        failures.extend("leg: %s" % x for x in nt_is_anodyne(cyl.leg, p).violations)
         first = compose_nt(cyl.inclusion, cyl.inl)
-        failures.extend(
-            "first inclusion: %s" % x for x in nt_is_anodyne(first, p, p).violations
-        )
+        failures.extend("first inclusion: %s" % x for x in nt_is_anodyne(first, p).violations)
     ok = not failures
     return CylinderReport(ok, ok and _cylinder_is_strong(cyl, cat), tuple(failures))
 
@@ -319,7 +315,7 @@ def check_pre_cylinder(cyl, p):
     inclusion with cofibrations are cofibrations (plus all structural checks)."""
     text = "corner of inclusion with %s leaves the cofibrations"
     return Verdict.from_violations(
-        _structural_cylinder_check(cyl, p.cat)
+        _structural_cylinder_check(cyl, p.cat).violations
         or _corners_outside(cyl.inclusion, p.cat, p.cofibrations, p.cofibrations, text)
     )
 
@@ -383,7 +379,7 @@ def olschok_model(p, cyl, seeds=()):
     system_report = verify_wfs(cat, p.cofibrations, p.anodyne_fibrations)
     if not system_report.ok:
         raise InputError(
-            "olschok needs a verified marked system: %s" % "; ".join(system_report.failures)
+            "olschok needs a verified marked system: %s" % "; ".join(system_report.violations)
         )
     pre = check_pre_cylinder(cyl, p)
     if not pre.ok:

@@ -104,16 +104,16 @@ class PremodelDecl(NamedTuple):
 class FunctorDecl(NamedTuple):
     src: str
     tgt: str
-    objects: list       # (from, to)
-    arrows: list        # (from, to)
+    objects: dict       # from -> to
+    arrows: dict        # from -> to
 
 
 class AdjunctionDecl(NamedTuple):
     name: str
     left: FunctorDecl
     right: FunctorDecl
-    unit: list          # (object, morphism)
-    counit: list
+    unit: dict          # object -> morphism
+    counit: dict
     line: int
     col: int
 
@@ -268,12 +268,16 @@ class _Parser:
         h = self.expect_name("an arrow name")
         return g.value, f.value, h.value
 
-    def _maps_to(self):
-        """``a -> b`` as (a, b)."""
-        a = self.expect_name()
-        self.expect_punct("->")
-        b = self.expect_name()
-        return a.value, b.value
+    def _maps_into(self, images):
+        """``a -> b, ...;`` into ``images``; a second image for one source
+        fails at that source, also under a repeated field label."""
+        def one():
+            a = self.expect_name()
+            if a.value in images:
+                self.fail("duplicate image for %r" % a.value, a)
+            self.expect_punct("->")
+            images[a.value] = self.expect_name().value
+        self._items(one)
 
     def parse_poset(self):
         head = self.next()
@@ -331,21 +335,20 @@ class _Parser:
         self.expect_punct("->")
         tgt = self.expect_name("a target category")
         self.expect_punct("{")
-        objects, arrows = [], []
+        objects, arrows = {}, {}
         while not self.accept_punct("}"):
             label = self.expect_name("a field label")
             self.expect_punct(":")
             if label.value not in ("objects", "arrows"):
                 self.fail("unknown functor field %r" % label.value, label)
-            pairs = objects if label.value == "objects" else arrows
-            pairs.extend(self._items(self._maps_to))
+            self._maps_into(objects if label.value == "objects" else arrows)
         return FunctorDecl(src.value, tgt.value, objects, arrows)
 
     def parse_adjunction(self):
         head = self.next()
         name = self.expect_name("an adjunction name")
         self.expect_punct("{")
-        adjoints, unit, counit = {}, [], []
+        adjoints, unit, counit = {}, {}, {}
         while not self.accept_punct("}"):
             label = self.expect_name("a field label")
             self.expect_punct(":")
@@ -354,8 +357,7 @@ class _Parser:
             if label.value in ("left", "right"):
                 adjoints[label.value] = self.parse_functor_body()
             elif label.value in ("unit", "counit"):
-                pairs = unit if label.value == "unit" else counit
-                pairs.extend(self._items(self._maps_to))
+                self._maps_into(unit if label.value == "unit" else counit)
             else:
                 self.fail("unknown adjunction field %r" % label.value, label)
         if len(adjoints) < 2:

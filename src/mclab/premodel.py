@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, VerificationError
-from .fincat import FiniteCategory, _fact, check_adjunction, involution, validate_category
+from .fincat import FiniteCategory, Verdict, _fact, check_adjunction, involution, validate_category
 from .lifting import (
     _mask,
     _members,
@@ -43,7 +43,7 @@ class PremodelStructure:
     equivalence verdict and each cofibration's cylinder verdict) is computed
     once on first use; the acyclic classes are ANDs of lifting masks.  The
     first (C, AF) factorizations, which the replacements are read off, the WL
-    grouping, lifting meets and the two systems' ``verify_wfs`` reports live in
+    grouping, lifting meets and the two systems' ``verify_wfs`` verdicts live in
     the category's per-WFS table, ``lifting._system``, shared by every
     structure on that system; the cylinder verdicts read ``homotopy._fold_masks``."""
 
@@ -150,17 +150,6 @@ def _endpoint_arrows(cat, arrows, end):
     return arrows
 
 
-def arrow_from_initial(p, x):
-    """The unique morphism from the initial object to x."""
-    _require_object(p, x)
-    return _endpoint_arrows(p.cat, p.cat.from_initial, "initial")[x]
-
-
-def arrow_to_terminal(p, x):
-    _require_object(p, x)
-    return _endpoint_arrows(p.cat, p.cat.to_terminal, "terminal")[x]
-
-
 def core_cofibrations(p):
     """Cofibrations whose source is cofibrant (their target then is too)."""
     return frozenset(f for f in p.cofibrations if p.cat.source[f] in p.cofibrant)
@@ -234,51 +223,29 @@ def saturation_flags(p):
     )
 
 
-class PremodelReport(NamedTuple):
-    ok: bool
-    category_ok: bool
-    cof_system_ok: bool
-    fib_system_ok: bool
-    nesting_ok: bool
-    endpoints_ok: bool
-    failures: tuple[str, ...]
-
-
 def verify_premodel(p):
-    """Both systems verified, AC ⊆ C and AF ⊆ F, initial and terminal exist."""
-    failures = []
-    cat_verdict = validate_category(p.cat)
-    if not cat_verdict.ok:
-        failures.extend("category: %s" % x for x in cat_verdict.violations)
-
-    cof_report = verify_wfs(p.cat, p.cofibrations, p.anodyne_fibrations)
-    fib_report = verify_wfs(p.cat, p.anodyne_cofibrations, p.fibrations)
-    failures.extend("(C, AF): %s" % x for x in cof_report.failures)
-    failures.extend("(AC, F): %s" % x for x in fib_report.failures)
-
-    nesting_ok = True
+    """Both systems verified, AC ⊆ C and AF ⊆ F, initial and terminal exist:
+    a Verdict naming each failure."""
+    failures = ["category: %s" % x for x in validate_category(p.cat).violations]
+    cof = verify_wfs(p.cat, p.cofibrations, p.anodyne_fibrations)
+    fib = verify_wfs(p.cat, p.anodyne_cofibrations, p.fibrations)
+    failures.extend("(C, AF): %s" % x for x in cof.violations)
+    failures.extend("(AC, F): %s" % x for x in fib.violations)
     for name, inner, outer in (
         ("cofibrations", p.anodyne_cofibrations, p.cofibrations),
         ("fibrations", p.anodyne_fibrations, p.fibrations),
     ):
         bad = p.cat.sort_morphisms(inner - outer)
         if bad:
-            nesting_ok = False
             failures.append("anodyne %s outside %s: %s" % (name, name, ", ".join(bad)))
-    missing = [end for end in ("initial", "terminal") if getattr(p.cat, end) is None]
-    failures.extend("no %s object" % end for end in missing)
-    endpoints_ok = not missing
-
-    ok = cat_verdict.ok and cof_report.ok and fib_report.ok and nesting_ok and endpoints_ok
-    return PremodelReport(
-        ok, cat_verdict.ok, cof_report.ok, fib_report.ok, nesting_ok, endpoints_ok, tuple(failures)
-    )
+    failures.extend("no %s object" % end for end in ("initial", "terminal") if getattr(p.cat, end) is None)
+    return Verdict.from_violations(failures)
 
 
 def _assert_premodel(q, context):
     report = verify_premodel(q)
     if not report.ok:
-        raise VerificationError("%s is not a premodel: %s" % (context, "; ".join(report.failures)))
+        raise VerificationError("%s is not a premodel: %s" % (context, "; ".join(report.violations)))
 
 
 def _rebuild_fibrations(p, fibrations, what, name=None):

@@ -208,7 +208,7 @@ def _verified_premodel(session, name):
     p = session.lookup("premodel", name)
     rep = verify_premodel(p)
     if not rep.ok:
-        raise InputError("%s is not a premodel: %s" % (name, rep.failures[0]))
+        raise InputError("%s is not a premodel: %s" % (name, rep.violations[0]))
     return p
 
 
@@ -217,18 +217,15 @@ def _do_validate(session, name, tree):
     kind = session.latest if name == "result" else session.kind_of.get(name)
     if kind is None:
         raise InputError("unknown name %r" % name)
-    found = session.lookup(kind, name)
-    if kind == "premodel":
-        rep = verify_premodel(found)
-        ok, violations = rep.ok, rep.failures
-    elif kind == "cylinder":
-        violations = _structural_cylinder_check(found, found.pair.source)
-        ok = not violations
-    else:
-        verdict = (validate_category if kind == "category" else check_adjunction)(found)
-        ok, violations = verdict.ok, verdict.violations
-    tree.update(kind=kind, ok=ok, violations=list(violations))
-    return tree, ok
+    check = {
+        "premodel": verify_premodel,
+        "category": validate_category,
+        "adjunction": check_adjunction,
+        "cylinder": lambda cyl: _structural_cylinder_check(cyl, cyl.pair.source),
+    }[kind]
+    verdict = check(session.lookup(kind, name))
+    tree.update(kind=kind, ok=verdict.ok, violations=list(verdict.violations))
+    return tree, verdict.ok
 
 
 def _do_check(session, what, name, tree):
@@ -237,15 +234,15 @@ def _do_check(session, what, name, tree):
     if what == "wfs":
         cof = verify_wfs(p.cat, p.cofibrations, p.anodyne_fibrations)
         fib = verify_wfs(p.cat, p.anodyne_cofibrations, p.fibrations)
-        tree["cofibration_system"] = {"ok": cof.ok, "failures": list(cof.failures)}
-        tree["fibration_system"] = {"ok": fib.ok, "failures": list(fib.failures)}
+        tree["cofibration_system"] = {"ok": cof.ok, "failures": list(cof.violations)}
+        tree["fibration_system"] = {"ok": fib.ok, "failures": list(fib.violations)}
         ok = cof.ok and fib.ok
         tree["ok"] = ok
         return tree, ok
     if what == "premodel":
         rep = verify_premodel(p)
         tree["ok"] = rep.ok
-        tree["failures"] = list(rep.failures)
+        tree["failures"] = list(rep.violations)
         if rep.ok:
             tree["saturation"] = saturation_flags(p).as_dict()
         derived = session.env.derived_classes.get(name)
@@ -281,7 +278,7 @@ def _do_classify(session, p, name, tree):
     rep = classify_full(p)
     tree["target"] = name
     tree["summary"] = rep.summary
-    tree["premodel"] = {"ok": rep.premodel.ok, "failures": list(rep.premodel.failures)}
+    tree["premodel"] = {"ok": rep.premodel.ok, "failures": list(rep.premodel.violations)}
     derived = session.env.derived_classes.get(name)
     if derived:
         tree["derived_classes"] = list(derived)

@@ -15,6 +15,7 @@ from mclab.fincat import (
     poset_category,
     pushout,
 )
+from mclab.olschok import NatTrans, QuillenCylinderData, pair_functor
 from mclab.premodel import PremodelStructure, verify_premodel
 from monoids import bounded_monoids
 
@@ -116,39 +117,76 @@ def census():
     return {cat.name: oracle_premodels(cat) for cat in cats}
 
 
+def _le(cat, x, y):
+    """x ≤ y in a thin category: ``hom(y, x)`` is non-empty (arrows run downward)."""
+    return bool(cat.hom(y, x))
+
+
+def _thin_functor(name, src, tgt, obj):
+    """The functor with object map ``obj`` between thin categories, each arrow
+    sent to the unique one between the images."""
+    arrows = {m: tgt.hom(obj[src.source[m]], obj[src.target[m]])[0] for m in src.morphisms}
+    return FunctorData(name, src, tgt, obj, arrows)
+
+
 def poset_adjunctions(P, Q):
     """Every adjunction L ⊣ R with R: P -> Q between thin categories, R's
     object maps in ``itertools.product`` order over Q's objects.
 
-    x ≤ y exactly when ``hom(y, x)`` is non-empty (arrows run downward).  R
-    is a monotone object map with, for each q, an object l such that
+    R is a monotone object map with, for each q, an object l such that
     x ≤ l ⟺ R x ≤ q for every x; L q is the first such l in object order,
     and each functor, unit and counit arrow is the unique one.
     """
-    le = lambda cat, x, y: bool(cat.hom(y, x))
-
-    def functor(name, src, tgt, obj):
-        arrows = {m: tgt.hom(obj[src.source[m]], obj[src.target[m]])[0] for m in src.morphisms}
-        return FunctorData(name, src, tgt, obj, arrows)
-
     found = []
     for images in itertools.product(Q.objects, repeat=len(P.objects)):
         r = dict(zip(P.objects, images))
-        if not all(le(Q, r[x], r[y]) for x in P.objects for y in P.objects if le(P, x, y)):
+        if not all(_le(Q, r[x], r[y]) for x in P.objects for y in P.objects if _le(P, x, y)):
             continue
         left = {}
         for q in Q.objects:
-            fits = [l for l in P.objects if all(le(P, x, l) == le(Q, r[x], q) for x in P.objects)]
+            fits = [l for l in P.objects if all(_le(P, x, l) == _le(Q, r[x], q) for x in P.objects)]
             if fits:
                 left[q] = fits[0]
         if len(left) == len(Q.objects):
             name = "adj%d" % len(found)
             found.append(AdjunctionData(
-                name, functor(name + "_L", Q, P, left), functor(name + "_R", P, Q, r),
+                name, _thin_functor(name + "_L", Q, P, left), _thin_functor(name + "_R", P, Q, r),
                 {q: Q.hom(q, r[left[q]])[0] for q in Q.objects},
                 {x: P.hom(left[r[x]], x)[0] for x in P.objects},
             ))
     return found
+
+
+def poset_cylinders(cat):
+    """Every Quillen cylinder datum on the thin category ``cat`` whose I and D
+    are monotone endomaps with D(x) ≤ I(x) ≤ x, I's maps in
+    ``itertools.product`` order over the objects, then D's.
+
+    The pair data are ``pair_functor(cat)``'s.  Each functor arrow, and each
+    component of the inclusion X ⊔ X = X -> I(X), the leg X -> D(X) and the
+    comparison I(X) -> D(X), is the unique arrow.
+    """
+    objs = cat.objects
+    maps = [dict(zip(objs, images)) for images in itertools.product(objs, repeat=len(objs))]
+    maps = [
+        m for m in maps
+        if all(_le(cat, m[x], x) for x in objs)
+        and all(_le(cat, m[x], m[y]) for x in objs for y in objs if _le(cat, x, y))
+    ]
+    pair, inl, inr, fold = pair_functor(cat)
+    ident = identity_functor(cat)
+
+    def nt(name, src, tgt):
+        return NatTrans(name, src, tgt, {x: cat.hom(src.on_object(x), tgt.on_object(x))[0] for x in objs})
+
+    for k, (i, d) in enumerate(
+        (i, d) for i in maps for d in maps if all(_le(cat, d[x], i[x]) for x in objs)
+    ):
+        cyl, weak = _thin_functor("I%d" % k, cat, cat, i), _thin_functor("D%d" % k, cat, cat, d)
+        yield QuillenCylinderData(
+            "cyl%d" % k, pair, inl, inr, fold, cyl, weak,
+            nt("i", pair, cyl), nt("j", ident, weak), nt("e", cyl, weak),
+        )
 
 
 def fresh_fold(cat, i):

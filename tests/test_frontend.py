@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -317,6 +320,59 @@ def test_hocat_and_equiv_need_a_premodel(tmp_path, capsys):
     assert "not a premodel" in capsys.readouterr().out
 
 
+# Every kind of check failing, or passing on a failing structure: P is not a
+# premodel, T lives on a category without endpoints, A leaves most arrows
+# unmapped and C is a cylinder on that category.
+FAILING_CHECKS = NOT_A_PREMODEL + """
+category two thin { objects: u, v; }
+premodel T on two { cofibrations: all; anodyne_cofibrations: {ids}; }
+adjunction A {
+  left: barton -> barton { objects: a -> a, b -> b, c -> c, d -> d; arrows: ab -> ab; }
+  right: barton -> barton { objects: a -> a, b -> b, c -> c, d -> d; }
+}
+cylinder C { on: two; kind: identity; }
+run {
+  check wfs P; check premodel P; check weakmodel P;
+  validate P; validate T; validate A; validate C;
+  classify P; classify T;
+}
+"""
+# sha256 of its ``mclab run`` output, as (text, --json)
+FAILING_CHECKS_DIGESTS = (
+    "a5e944b75d370384b2b5508d843d8e33cb469f6079deda871634856918e46939",
+    "4ace1ad1bce7743d257db26361b1a22051e12b82e6cb84fbc095d915216e4581",
+)
+
+
+def test_failing_check_reports_are_pinned(tmp_path, capsys):
+    """The failure and violation lists of the checks, byte for byte, exit code
+    1; a subprocess under each of two hash seeds prints the same digests."""
+    doc = tmp_path / "failing.mcl"
+    doc.write_text(FAILING_CHECKS)
+    for flag, digest in zip(([], ["--json"]), FAILING_CHECKS_DIGESTS):
+        assert main(["run", str(doc)] + flag) == CHECK_FAILED
+        out = capsys.readouterr().out
+        assert _sha256(out) == digest, flag
+    for tree in json.loads(out):
+        check_tree(tree)
+    code = (
+        "import contextlib, hashlib, io, sys\n"
+        "from mclab.cli import main\n"
+        "for flag in ([], ['--json']):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(['run', sys.argv[1]] + flag)\n"
+        "    print(code, hashlib.sha256(out.getvalue().encode('utf-8')).hexdigest())\n"
+    )
+    expected = "".join("%d %s\n" % (CHECK_FAILED, digest) for digest in FAILING_CHECKS_DIGESTS)
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(DATA.parent.parent))
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(doc)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (0, expected, ""), seed
+
+
 def test_a_cylinder_without_coproducts_is_bad_input(tmp_path, capsys):
     # x ⊔ x does not exist in the one-object category with an idempotent
     doc = tmp_path / "idempotent.mcl"
@@ -466,6 +522,12 @@ PARSE_ERRORS = [
      "duplicate adjunction field 'left' (found 'left')", 4, 3),
     (CAT_M + "cylinder C {\n  on: M;\n  kind: strong;\n}",
      "unsupported cylinder kind 'strong' (found 'strong')", 4, 9),
+    # a source is mapped once, also across a repeated field label
+    (CAT_M + "adjunction A {\n  left: M -> M { objects: x -> x, x -> y, y -> y; }\n  right: M -> M { }\n}",
+     "duplicate image for 'x' (found 'x')", 3, 35),
+    (CAT_M + "adjunction A {\n  left: M -> M { } right: M -> M { }\n"
+     "  unit: x -> id_x, y -> id_y;\n  unit: x -> f;\n}",
+     "duplicate image for 'x' (found 'x')", 5, 9),
 ]
 
 

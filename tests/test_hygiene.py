@@ -24,6 +24,9 @@ The brute-force oracle ``tests/bruteforce.py`` stays independent of the
 engine: it imports nothing from ``mclab`` and reads only the raw tables of a
 category and the four marked classes of a structure, never a cached fact.
 
+A check answers a ``fincat.Verdict``: a record of ``src/`` with an ``ok``
+field of its own is pinned with the reader of its other fields.
+
 The public surface of ``mclab`` is a pinned list of names, and so is every
 public function of ``src/`` that nothing in ``src/`` reads, and every one that
 only returns a kept fact of its argument, each with the reason it stays.
@@ -448,6 +451,54 @@ def test_records_are_named_tuples():
     }
 
 
+def ok_records(path):
+    """Names of the ``NamedTuple`` classes in ``path`` with an ``ok`` field."""
+    tree = ast.parse(path.read_text(), str(path))
+    return sorted(
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any((getattr(b, "id", None) or getattr(b, "attr", None)) == "NamedTuple" for b in node.bases)
+        and any(
+            isinstance(stmt, ast.AnnAssign) and getattr(stmt.target, "id", None) == "ok"
+            for stmt in node.body
+        )
+    )
+
+
+def test_ok_record_check_finds_planted_records(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import typing\n"
+        "from typing import NamedTuple\n\n"
+        "class A(NamedTuple):\n    ok: bool\n    extra: bool\n\n"
+        "class B(typing.NamedTuple):\n    ok: bool = True\n\n"
+        "class C(NamedTuple):\n    okay: bool\n\n"
+        "class D(NamedTuple):\n    x: int\n\n    @property\n    def ok(self):\n        return True\n\n"
+        "class E:\n    ok: bool\n"
+    )
+    assert ok_records(probe) == ["A", "B"]
+
+
+# Every record of ``src/`` with an ``ok`` field other than ``fincat.Verdict``,
+# with the reader of the fields it adds to ``ok`` and the failure texts.
+FLAGGED_REPORTS = {
+    "CylinderReport": "strong: test_olschok.test_identity_cylinder_verifies_everywhere",
+    "QuillenAdjunctionReport": "the preservation flags: test_premodel.test_quillen_adjunction_check",
+    "QuillenReport": "the detector flags: run._quillen_tree",
+    "WeakModelReport": "the four axiom flags: bench/workloads.classification_verdict; "
+    "the cylinder and path failures: run._weak_model_tree",
+}
+
+
+def test_checks_answer_a_verdict():
+    """A check answers a ``Verdict(ok, violations)``.  A record of its own with
+    an ``ok`` field stays only while its other fields have a reader, pinned in
+    ``FLAGGED_REPORTS``; a new one, or a pinned one that went away, updates the pin."""
+    found = sorted(name for path in ENGINE for name in ok_records(path))
+    assert found == sorted(["Verdict", *FLAGGED_REPORTS])
+
+
 def test_public_surface_is_pinned():
     """The public names ``mclab`` exports, modules left out.  A change that adds
     or removes an export updates this list and names the change in CHANGES.md,
@@ -461,10 +512,10 @@ def test_public_surface_is_pinned():
         "CylinderReport", "CylinderWitness", "DiagramShape",
         "FiniteCategory", "FunctorData", "HomotopyCategory", "InputError",
         "LeftLocalization", "LeftSemiReport", "NatTrans", "OlschokReport", "ParseError",
-        "PremodelReport", "PremodelStructure", "QuillenAdjunctionReport",
+        "PremodelStructure", "QuillenAdjunctionReport",
         "QuillenCylinderData", "QuillenReport", "RightLocalization", "RightSemiReport",
         "SaturationFlags", "TwoSidedReport", "Verdict", "VerificationError",
-        "WeakModelReport", "WfsReport", "acyclic_cofibrations", "acyclic_fibrations",
+        "WeakModelReport", "acyclic_cofibrations", "acyclic_fibrations",
         "cell_closure", "check_adjunction", "check_cylinder_witness",
         "check_functor", "check_nat_trans", "check_pre_cylinder",
         "check_quillen_adjunction", "classify_full", "cofibrant_replacement", "colimit",

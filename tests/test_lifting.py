@@ -208,23 +208,23 @@ def test_factor_deterministic(barton):
 def test_verify_wfs_accepts_trivial_system(barton):
     everything = frozenset(barton.morphisms)
     ids = frozenset(barton.identities.values())
-    report = verify_wfs(barton, everything, ids)
-    assert report.ok, report.failures
-    report = verify_wfs(barton, ids, everything)
-    assert report.ok, report.failures
+    verdict = verify_wfs(barton, everything, ids)
+    assert verdict.ok, verdict.violations
+    verdict = verify_wfs(barton, ids, everything)
+    assert verdict.ok, verdict.violations
 
 
 def test_verify_wfs_reports_each_failure_kind(barton):
     ids = frozenset(barton.identities.values())
     # left class too small: factorization of ab fails, complements disagree
-    report = verify_wfs(barton, ids, ids)
-    assert not report.ok
-    assert not report.factorization_ok
-    assert not report.right_is_complement
-    assert report.failures
+    verdict = verify_wfs(barton, ids, ids)
+    assert not verdict.ok
+    assert "no factorization of ab" in verdict.violations
+    assert "right class misses lifting members: ab, ac, ad, bd, cd" in verdict.violations
     # lifting itself can fail: ab against cd has an unliftable square
-    report = verify_wfs(barton, frozenset({"ab"}) | ids, frozenset({"cd"}) | ids)
-    assert not report.lifting_ok
+    verdict = verify_wfs(barton, frozenset({"ab"}) | ids, frozenset({"cd"}) | ids)
+    assert not verdict.ok
+    assert "no lift of ab against cd" in verdict.violations
 
 
 def test_kept_reports_equal_fresh_ones():

@@ -17,8 +17,6 @@ from mclab.lifting import factor, factorizations, llp, verify_wfs
 from mclab.premodel import (
     acyclic_cofibrations,
     acyclic_fibrations,
-    arrow_from_initial,
-    arrow_to_terminal,
     check_quillen_adjunction,
     cofibrant_replacement,
     core_acyclic_cofibrations,
@@ -47,8 +45,8 @@ def p1():
 
 def test_corpus_verifies(premodel_corpus):
     for p in premodel_corpus:
-        report = verify_premodel(p)
-        assert report.ok, (p.name, report.failures)
+        verdict = verify_premodel(p)
+        assert verdict.ok, (p.name, verdict.violations)
 
 
 def test_p0_classes_frozen(p0):
@@ -71,8 +69,11 @@ def test_object_status(p0, p1):
     assert p1.cofibrant == {"a", "c", "d"}
     assert p1.fibrant == {"c", "d"}
     assert "b" not in p1.cofibrant and "b" not in p1.fibrant
-    assert arrow_from_initial(p1, "b") == "ab"
-    assert arrow_to_terminal(p1, "b") == "bd"
+    assert p1.cat.from_initial["b"] == "ab"
+    assert p1.cat.to_terminal["b"] == "bd"
+    # b is neither, so each replacement factors its endpoint arrow
+    assert cofibrant_replacement(p1, "b") == ("a", "ab")
+    assert fibrant_replacement(p1, "b") == ("d", "bd")
 
 
 def test_core_classes(p1):
@@ -284,22 +285,23 @@ def test_factoring_an_unknown_arrow_names_it(p0):
 
 def test_verify_premodel_failure_flags(p0):
     broken = p0.with_classes(anodyne_cofibrations=IDS | {"ab"})
-    report = verify_premodel(broken)
-    assert not report.ok
-    assert not report.nesting_ok
+    verdict = verify_premodel(broken)
+    assert not verdict.ok
+    assert "anodyne cofibrations outside cofibrations: ab" in verdict.violations
     broken = p0.with_classes(anodyne_cofibrations=IDS | {"cd"})
-    report = verify_premodel(broken)
-    assert not report.ok
-    assert report.nesting_ok
-    assert not report.fib_system_ok
-    assert report.cof_system_ok
+    verdict = verify_premodel(broken)
+    assert not verdict.ok
+    assert not any(v.startswith("anodyne ") for v in verdict.violations)
+    assert any(v.startswith("(AC, F): ") for v in verdict.violations)
+    assert not any(v.startswith("(C, AF): ") for v in verdict.violations)
 
 
 def test_premodel_requires_endpoints():
     p = fixtures.trivial_premodel(fixtures.discrete2())
-    report = verify_premodel(p)
-    assert not report.ok
-    assert not report.endpoints_ok
+    verdict = verify_premodel(p)
+    assert not verdict.ok
+    assert "no initial object" in verdict.violations
+    assert "no terminal object" in verdict.violations
 
 
 def test_quillen_adjunction_check(collapse_setup, p0, p1):
@@ -326,7 +328,7 @@ def test_quillen_adjunction_rejects_wrong_categories(p0):
 
 
 def test_arrow_lookup_rejects_unknown_object(p0):
-    lookups = (arrow_from_initial, arrow_to_terminal)
+    lookups = (cofibrant_replacement, fibrant_replacement)
     for lookup in lookups:
         with pytest.raises(InputError):
             lookup(p0, "z")
@@ -338,6 +340,8 @@ def test_arrow_lookup_rejects_unknown_object(p0):
     for lookup, end in zip(lookups, ("initial", "terminal")):
         with pytest.raises(ConstructionError, match="no %s object" % end):
             lookup(p, "u")
+    # the tables hold no arrow where the endpoint is missing
+    assert p.cat.from_initial is None and p.cat.to_terminal is None
     # the object status itself needs the endpoint
     for status, end in (("cofibrant", "initial"), ("fibrant", "terminal")):
         with pytest.raises(ConstructionError, match="no %s object" % end):
