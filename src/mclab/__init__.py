@@ -102,7 +102,6 @@ from .olschok import (
     olschok_model,
     pair_functor,
     verify_quillen_cylinder,
-    weak_cylinder_theorem_harness,
 )
 from . import fixtures
 

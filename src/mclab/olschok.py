@@ -13,10 +13,8 @@ with cofibrations are anodyne.
 A weak Quillen cylinder is a functorial factorization of the fold map:
 Id ⊔ Id --i--> I --e--> D <--j-- Id with e∘i = j∘fold, i a cofibration
 transformation, j and i∘inl anodyne ones.  Strong means D = Id and j the
-identity.  Such a cylinder forces relative weak cylinders on every core
-cofibration — the harness below materializes them and checks each one — and
-a whole model structure can be generated from a localizer through the Λ
-construction.
+identity.  A whole model structure can be generated from a localizer and
+such a cylinder through the Λ construction.
 """
 
 from typing import NamedTuple
@@ -33,14 +31,8 @@ from .fincat import (
     mediating_out,
     pushout,
 )
-from .homotopy import _witness, check_cylinder_witness, fold_cone, verify_weak_model
 from .lifting import _require_morphisms, _unknown_morphism, complement_rlp, verify_wfs
-from .premodel import (
-    PremodelStructure,
-    _assert_premodel,
-    _rebuild_fibrations,
-    verify_premodel,
-)
+from .premodel import PremodelStructure, _assert_premodel, _rebuild_fibrations
 from .saturate import saturate
 
 
@@ -254,60 +246,6 @@ def verify_quillen_cylinder(cyl, p):
         failures.extend("first inclusion: %s" % x for x in nt_is_anodyne(first, p).violations)
     ok = not failures
     return CylinderReport(ok, ok and _cylinder_is_strong(cyl, cat), tuple(failures))
-
-
-def weak_cylinder_theorem_harness(p, cyl):
-    """Materialize a relative weak cylinder for every core cofibration.
-
-    For f: A -> B the cylinder object is the pushout I(B) ⊔_{I(A)} D(A); the
-    inclusion from B ⊔_A B and the comparison to D(B) are mediating maps.
-    Each witness is rechecked from scratch, and the premodel must then pass
-    the weak model axioms — a failure of either raises, since this is the
-    package's executable form of the cylinder-to-weak-model implication.
-    Returns ``{core cofibration: CylinderWitness}``.
-    """
-    if not verify_premodel(p).ok:
-        raise InputError("harness needs a verified premodel")
-    cyl_report = verify_quillen_cylinder(cyl, p)
-    if not cyl_report.ok:
-        raise InputError(
-            "harness needs a verified Quillen cylinder: %s" % "; ".join(cyl_report.failures)
-        )
-    cat = p.cat
-    witnesses = {}
-    failures = []
-    for f in cat.morphisms:
-        a, b = cat.source[f], cat.target[f]
-        if f not in p.cofibrations or a not in p.cofibrant:
-            continue
-        cone, _ = fold_cone(p, f)
-        i_f = cyl.cylinder.on_morphism(f)
-        e_a = cyl.comparison.at(a)
-        side = pushout(cat, i_f, e_a)
-        if side is None:
-            raise ConstructionError(
-                "cylinder pushout for %s is absent" % f, witness=f
-            )
-        z_ib, z_da = side.legs
-        through_ib = cat.compose_table[(z_ib, cyl.inclusion.at(b))]
-        c0 = cat.compose_table[(through_ib, cyl.inl.at(b))]
-        c1 = cat.compose_table[(through_ib, cyl.inr.at(b))]
-        m = mediating_out(cat, cone, (c0, c1))
-        r = mediating_out(
-            cat, side, (cyl.comparison.at(b), cyl.weak_target.on_morphism(f))
-        )
-        witness = _witness(cat, f, m, cyl.leg.at(b), r)
-        verdict = check_cylinder_witness(p, witness)
-        if not verdict.ok:
-            failures.append("witness for %s: %s" % (f, "; ".join(verdict.violations)))
-        witnesses[f] = witness
-
-    if failures or not verify_weak_model(p).ok:
-        raise VerificationError(
-            "cylinder-to-weak-model implication failed on %s: %s"
-            % (p.label, failures or "weak model axioms fail")
-        )
-    return witnesses
 
 
 def check_pre_cylinder(cyl, p):

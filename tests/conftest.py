@@ -10,6 +10,7 @@ from mclab.fincat import (
     AdjunctionData,
     FiniteCategory,
     FunctorData,
+    check_functor,
     identity_functor,
     mediating_out,
     poset_category,
@@ -187,6 +188,25 @@ def poset_cylinders(cat):
             "cyl%d" % k, pair, inl, inr, fold, cyl, weak,
             nt("i", pair, cyl), nt("j", ident, weak), nt("e", cyl, weak),
         )
+
+
+def transport(p, arrow_map):
+    """p moved along an automorphism of its category, given by the images of
+    the arrows it moves; each arrow it leaves out is fixed.  The map must be
+    a bijective functor."""
+    cat = p.cat
+    arrows = {m: arrow_map.get(m, m) for m in cat.morphisms}
+    objects = {x: cat.source[arrows[i]] for x, i in cat.identities.items()}
+    assert sorted(arrows.values()) == sorted(cat.morphisms), arrow_map
+    assert check_functor(FunctorData("move", cat, cat, objects, arrows)).ok, arrow_map
+
+    def move(arrow_set):
+        return frozenset(arrows[m] for m in arrow_set)
+
+    return PremodelStructure(
+        cat, move(p.cofibrations), move(p.anodyne_fibrations),
+        move(p.anodyne_cofibrations), move(p.fibrations), name=p.name,
+    )
 
 
 def fresh_fold(cat, i):

@@ -21,10 +21,11 @@ from mclab.premodel import (
     cofibrant_replacement,
     dualize,
     fibrant_replacement,
+    same_classes,
 )
 from mclab.saturate import MODES, saturate
 
-from conftest import categories_built
+from conftest import categories_built, transport
 from monoids import bounded_monoids
 
 IDS = frozenset({"id_a", "id_b", "id_c", "id_d"})
@@ -291,3 +292,25 @@ def _mirror(summary):
 def test_census_summaries_mirror_under_duality(census, name):
     for p in census[name]:
         assert _mirror(classify_full(p).summary) == classify_full(p.dual).summary, p
+
+
+# barton's automorphism: b and c trade places, a and d stay
+BARTON_SWAP = {"id_b": "id_c", "id_c": "id_b", "ab": "ac", "ac": "ab", "bd": "cd", "cd": "bd"}
+
+
+def test_census_classifications_are_invariant_under_barton_swap(census):
+    """The first slice of transport invariance: moving a barton premodel along
+    its automorphism moves its equivalences, WL and WR, and keeps its summary,
+    saturation flags and weak-model flags."""
+    structures = census["barton"]
+    assert len(structures) == 44
+
+    def move(arrows):
+        return frozenset(BARTON_SWAP.get(m, m) for m in arrows)
+
+    for p in structures:
+        q = transport(p, BARTON_SWAP)
+        assert any(same_classes(q, other) for other in structures), p
+        r, m = classify_full(p), classify_full(q)
+        assert (m.summary, m.flags, m.weak_model[:5]) == (r.summary, r.flags, r.weak_model[:5]), p
+        assert (m.equivalences, m.wl, m.wr) == (move(r.equivalences), move(r.wl), move(r.wr)), p

@@ -13,8 +13,8 @@ place: ``require_factorizations`` is called only by the rebuild step
 builds a system from a generating set alone.  Likewise the cylinder search
 runs only to build witnesses: ``_cylinder_search`` is called only by
 ``homotopy.iter_cylinder_witnesses``, and whether a witness exists is a mask
-test on a kept verdict, ``homotopy._cylinder_verdict``.  Every witness, the
-search's and the Olschok harness's, is built by ``homotopy._witness``.
+test on a kept verdict, ``homotopy._cylinder_verdict``.  Every witness is
+built by ``homotopy._witness``.
 
 No engine module reads or writes an instance's ``__dict__``: a derived fact
 is a ``fincat._fact`` (a ``cached_property`` without its lock) or an attribute
@@ -290,7 +290,6 @@ CALLER_LESS = {
     "fibrant_replacement": "test_classify.test_fibrant_replacements_on_bounded_monoids",
     "from_machine": "test_frontend.test_machine_report_round_trips",
     "generate_wfs": "waits on the census function of ROADMAP.md, which replaces it",
-    "weak_cylinder_theorem_harness": "test_olschok.test_weak_cylinder_theorem_harness",
     "weak_to_strong": "test_homotopy.test_weak_to_strong",
 }
 
@@ -529,6 +528,5 @@ def test_public_surface_is_pinned():
         "nabla", "nt_is_anodyne", "nt_is_cofibration", "olschok_lambda", "olschok_model",
         "pair_functor", "poset_category", "pushout", "retract_closure", "right_bousfield",
         "same_classes", "saturate", "saturation_flags", "validate_category", "verify_premodel",
-        "verify_quillen_cylinder", "verify_weak_model", "verify_wfs",
-        "weak_cylinder_theorem_harness", "weak_to_strong",
+        "verify_quillen_cylinder", "verify_weak_model", "verify_wfs", "weak_to_strong",
     ]

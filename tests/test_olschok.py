@@ -1,9 +1,10 @@
 import pytest
 
-from conftest import poset_cylinders
+from conftest import oracle_premodels, poset_cylinders
 from mclab import fixtures
 from mclab.errors import ConstructionError, InputError, VerificationError
 from mclab.fincat import identity_functor
+from mclab.homotopy import verify_weak_model
 from mclab.olschok import (
     CylinderReport,
     NatTrans,
@@ -20,7 +21,6 @@ from mclab.olschok import (
     olschok_model,
     pair_functor,
     verify_quillen_cylinder,
-    weak_cylinder_theorem_harness,
 )
 from mclab.premodel import dualize, same_classes
 
@@ -85,21 +85,6 @@ def test_identity_cylinder_verifies_everywhere(premodel_corpus):
         assert report.strong
         dual = dualize(p)
         assert verify_quillen_cylinder(identity_cylinder(dual.cat), dual).ok
-
-
-def test_weak_cylinder_theorem_harness(p0, p1):
-    for p in (p0, p1):
-        cyl = identity_cylinder(p.cat)
-        witnesses = weak_cylinder_theorem_harness(p, cyl)
-        assert set(witnesses) == {"ac", "ad", "cd", "id_a", "id_c", "id_d"}
-        for w in witnesses.values():
-            assert w.strong
-
-
-def test_harness_rejects_unverified_input(p0):
-    broken = p0.with_classes(anodyne_cofibrations=IDS | {"ab"})
-    with pytest.raises(InputError):
-        weak_cylinder_theorem_harness(broken, identity_cylinder(p0.cat))
 
 
 def test_olschok_on_fully_cofibrant_chain():
@@ -172,6 +157,11 @@ def test_cisinski_olschok_census(census):
         assert olschok_counts((p, identity_cylinder(p.cat)) for p in census[name]) == want, name
 
 
+def verified_pairs(premodels, cylinders):
+    """The (premodel, cylinder) pairs that pass ``verify_quillen_cylinder``."""
+    return [(p, cyl) for p in premodels for cyl in cylinders if verify_quillen_cylinder(cyl, p).ok]
+
+
 @pytest.fixture(scope="module")
 def chain3_cylinder_pairs(census):
     """(all pairs, verified pairs) of a chain3 census premodel and a cylinder
@@ -179,7 +169,7 @@ def chain3_cylinder_pairs(census):
     cylinders = list(poset_cylinders(census["chain3"][0].cat))
     assert len(cylinders) == 14
     pairs = [(p, cyl) for p in census["chain3"] for cyl in cylinders]
-    return pairs, [(p, cyl) for p, cyl in pairs if verify_quillen_cylinder(cyl, p).ok]
+    return pairs, verified_pairs(census["chain3"], cylinders)
 
 
 def test_cisinski_olschok_on_poset_cylinders(chain3_cylinder_pairs):
@@ -189,24 +179,31 @@ def test_cisinski_olschok_on_poset_cylinders(chain3_cylinder_pairs):
     assert olschok_counts(verified) == (886, 378, 508)
 
 
-def test_weak_cylinder_harness_on_poset_cylinders(chain3_cylinder_pairs):
-    """The harness holds on every verified pair whose I and D fix the initial
-    object.  On 88 of the 119 others it raises: whether the implication lacks
-    a hypothesis there or the harness builds a wrong witness is open (ROADMAP
-    item 16), so the raise stays loud and its count is pinned."""
-    _, verified = chain3_cylinder_pairs
-    fixing, raised = 0, 0
-    for p, cyl in verified:
-        a = p.cat.initial
-        if cyl.cylinder.on_object(a) == cyl.weak_target.on_object(a) == a:
-            weak_cylinder_theorem_harness(p, cyl)
-            fixing += 1
-            continue
-        try:
-            weak_cylinder_theorem_harness(p, cyl)
-        except VerificationError:
-            raised += 1
-    assert (fixing, len(verified) - fixing, raised) == (31, 119, 88)
+def test_verified_poset_cylinders_give_weak_models(census, chain3_cylinder_pairs):
+    """The cylinder-to-weak-model implication, tested at its conclusion: every
+    premodel of a verified (premodel, poset cylinder) pair passes
+    ``verify_weak_model``, on chain3 and on barton.  A failing pair is a
+    finding, not a pair to filter out."""
+    _, chain3 = chain3_cylinder_pairs
+    barton = verified_pairs(census["barton"], list(poset_cylinders(census["barton"][0].cat)))
+    assert (len(chain3), len(barton)) == (150, 1269)
+    failing = [(p.label, cyl.name) for p, cyl in chain3 + barton if not verify_weak_model(p).ok]
+    assert failing == []
+
+
+def test_cisinski_olschok_on_the_dual_of_chain3(census):
+    """The dual side: chain3ᵒᵖ's premodels are chain3's duals and its poset
+    cylinders are chain3's path objects; they generate with chain3's counts."""
+    cat = census["chain3"][0].cat.op
+    premodels, cylinders = oracle_premodels(cat), list(poset_cylinders(cat))
+    def classes(structures):
+        return sorted(tuple(map(sorted, p.classes().values())) for p in structures)
+
+    assert classes(premodels) == classes(p.dual for p in census["chain3"])
+    assert len(cylinders) == 14
+    verified = verified_pairs(premodels, cylinders)
+    assert len(verified) == 150
+    assert olschok_counts(verified) == (886, 378, 508)
 
 
 def test_bounded_monoids_have_no_identity_cylinder(census):
@@ -245,5 +242,3 @@ def test_a_foreign_cylinder_is_bad_input(p0):
     assert check_pre_cylinder(cyl, p0).violations == (text,)
     with pytest.raises(InputError, match="^olschok needs a verified cylinder: %s$" % text):
         olschok_model(p0, cyl)
-    with pytest.raises(InputError, match="^harness needs a verified Quillen cylinder: %s$" % text):
-        weak_cylinder_theorem_harness(p0, cyl)
