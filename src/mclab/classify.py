@@ -229,13 +229,14 @@ def _quillen(p, wl, wr):
     )
 
     # v passes when some wy∘v, with wy in WL into a fibrant object, factors
-    # through such a wx: its ``left_factors`` mask meets theirs
-    mask = sum(1 << cat.morphism_index(w) for w in wl if cat.target[w] in p.fibrant)
+    # through such a wx, the first half of one of its ``factor_pairs``
+    into_fibrant = {w for w in wl if cat.target[w] in p.fibrant}
     square_ok = all(
         any(
-            cat.left_factors[cat.compose_table[(wy, v)]] & mask
+            wx in into_fibrant
             for wy in cat.arrows_from(cat.target[v])
-            if mask >> cat.morphism_index(wy) & 1
+            if wy in into_fibrant
+            for wx, _ in cat.factor_pairs[cat.compose_table[(wy, v)]]
         )
         for v in cat.morphisms
     )

@@ -22,9 +22,7 @@ Conventions
   complements decoded from them and, in ``_complements``, the complement of
   each frozenset class asked for, per side.
 * The factorization index ``factor_pairs`` lists each arrow's factorizations
-  in scan order, and every factorization search walks it; its bitmask form
-  ``left_factors`` decides cylinder existence, through the masks kept next
-  to each fold (``_fold_masks``, see ``homotopy._fold_masks``).
+  in scan order, and every factorization search walks it.
 * Its per-WFS table ``_systems`` keeps what one (left, right) pair decides,
   shared by every structure on that pair (see ``lifting._system``).
 * The arrows leaving each object are indexed once, in enumeration order;
@@ -133,7 +131,6 @@ class FiniteCategory:
             self._out.setdefault(self.source[m], []).append(m)
         self._colimits = {}  # (shape kind, legs) -> Cone or None, filled by ``colimit``
         self._folds = {}  # arrow -> (pushout of it along itself, codiagonal) or None, by ``fold``
-        self._fold_masks = {}  # arrow with a fold -> its cylinder masks, see ``homotopy._fold_masks``
         self._classes = {}  # bitmask -> frozenset of ids, see ``lifting._members``
         self._masks = {}  # frozenset of ids -> bitmask, see ``lifting._mask``
         self._complements = ({}, {})  # per ``lifting_rows`` side: frozenset -> its complement
@@ -234,16 +231,6 @@ class FiniteCategory:
                 for r in self.arrows_from(z):
                     pairs[self.compose_table[(r, l)]].append((l, r))
         return pairs
-
-    @_fact
-    def left_factors(self):
-        """``{h: mask}``: the bit of c, at its morphism index, is set when h = e∘c
-        for some e, that is, when c is the first half of a pair in ``factor_pairs[h]``."""
-        masks = dict.fromkeys(self.morphisms, 0)
-        for h, pairs in self.factor_pairs.items():
-            for l, _ in pairs:
-                masks[h] |= 1 << self._morphism_index[l]
-        return masks
 
     @_fact
     def lifting_rows(self):

@@ -21,11 +21,14 @@ diagonal.  So ``find_cylinder(p.dual, g)`` finds one and
 objects (or dually), computed fresh from the marked classes — see the
 premodel module.
 
-Whether a witness exists is a mask test on data each category keeps next to
-its folds (``_cylinder_verdict``); each structure keeps the (weak, strong)
-answer per cofibration in ``cylinder_verdicts``, read by the axioms, the core
-criterion and the strong cylinder and path objects.  Only
-``iter_cylinder_witnesses`` runs the search; ``_witness`` builds each witness.
+One search, ``_cylinder_search``, walks the witnesses in enumeration order.
+``iter_cylinder_witnesses`` builds each one it finds with ``_witness``;
+``_cylinder_verdict`` stops at the first witness whose leg is the identity of B
+and keeps the (weak, strong) answer per cofibration in ``cylinder_verdicts``,
+read by the axioms, the core criterion and the strong cylinder and path
+objects.  The parser and ``poset_category`` list the identities before every
+other arrow, and ``cat.op`` keeps that order, so on their categories the
+trivial witness (id_Q, id_B, ∇), when it exists, is the first one found.
 """
 
 from dataclasses import dataclass, replace
@@ -102,64 +105,34 @@ def find_cylinder(p, i):
 
 
 def _cylinder_search(p, i):
-    """The search that builds witnesses: (c, l, e) in enumeration order.
-
-    It walks the kept candidates c of ``_fold_masks`` and tries a leg (l, mask)
-    on c only when c's bit is set in cand and in mask: ``_cylinder_verdict``'s
-    rule."""
-    cat = p.cat
-    cand, legs = _cylinder_masks(p, i)
-    codiag, table = fold(cat, i)[1], cat.compose_table
-    for c, _, bit in _fold_masks(cat, i)[0]:
-        for l, mask in legs:
-            if cand & mask & bit:
-                rhs = table[(l, codiag)]
-                for e in cat.hom(cat.target[c], cat.target[l]):
-                    if table[(e, c)] == rhs:
-                        yield c, l, e
-
-
-def _fold_masks(cat, i):
-    """What the cylinders on an arrow i with a fold are decided from, found once
-    per category next to the fold: (c, c∘q0, bit of c) for each c leaving Q,
-    and (l, ``left_factors[l∘∇]``) for each l leaving B.  The identity of B is
-    one such l, with ``left_factors[∇]``: the strong witnesses are its."""
-    masks = cat._fold_masks.get(i)
-    if masks is None:
-        (apex, (q0, _)), codiag = fold(cat, i)
-        table, index, factors = cat.compose_table, cat._morphism_index, cat.left_factors
-        masks = cat._fold_masks[i] = (
-            tuple((c, table[(c, q0)], 1 << index[c]) for c in cat.arrows_from(apex)),
-            tuple((l, factors[table[(l, codiag)]]) for l in cat.arrows_from(cat.target[i])),
-        )
-    return masks
-
-
-def _cylinder_masks(p, i):
-    """(cand, legs) for the cofibration i: cand masks the candidates, the
-    cofibrations c leaving Q whose first leg c∘q0 is acyclic, and legs pairs
-    each acyclic l leaving B with ``left_factors[l∘∇]``.  A witness with leg l
-    and candidate c exists exactly when c's bit is set in cand and in l's
-    mask.  ``fold_cone`` raises first."""
-    fold_cone(p, i)
-    cands, legs = _fold_masks(p.cat, i)
-    acyclic = p.acyclic_cofibrations
-    cand = 0
-    for c, first, bit in cands:
-        if c in p.cofibrations and first in acyclic:
-            cand |= bit
-    return cand, [(l, mask) for l, mask in legs if l in acyclic]
+    """The witnesses (c, l, e) on the cofibration i, in enumeration order: each
+    cofibration c leaving Q whose first leg c∘q0 is acyclic, then each acyclic l
+    leaving B, then each e: Z -> D with e∘c = l∘∇.  ``fold_cone`` raises first."""
+    (apex, (q0, _)), codiag = fold_cone(p, i)
+    cat, acyclic = p.cat, p.acyclic_cofibrations
+    table = cat.compose_table
+    for c in cat.arrows_from(apex):
+        if c in p.cofibrations and table[(c, q0)] in acyclic:
+            for l in cat.arrows_from(cat.target[i]):
+                if l in acyclic:
+                    rhs = table[(l, codiag)]
+                    for e in cat.hom(cat.target[c], cat.target[l]):
+                        if table[(e, c)] == rhs:
+                            yield c, l, e
 
 
 def _cylinder_verdict(p, i):
-    """(weak, strong): has the cofibration i a weak witness, some acyclic leg
-    l with cand meeting ``left_factors[l∘∇]``, and a strong one, that leg
-    being the identity of B?  Kept in ``p.cylinder_verdicts``."""
+    """(weak, strong): has the cofibration i a witness, and one whose leg is the
+    identity of B?  The search stops at the first such witness; the answer is
+    kept in ``p.cylinder_verdicts``."""
     verdict = p.cylinder_verdicts.get(i)
     if verdict is None:
-        cand, legs = _cylinder_masks(p, i)
-        hits = [l for l, mask in legs if cand & mask]
-        verdict = p.cylinder_verdicts[i] = (bool(hits), p.cat.identity(p.cat.target[i]) in hits)
+        ident, weak = p.cat.identity(p.cat.target[i]), False
+        for _, l, _ in _cylinder_search(p, i):
+            weak = True
+            if l == ident:
+                break
+        verdict = p.cylinder_verdicts[i] = (weak, weak and l == ident)
     return verdict
 
 

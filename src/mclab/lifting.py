@@ -15,8 +15,7 @@ frozenset class is answered once per category and side: its complement
 table, ``FiniteCategory._complements``, keeps the answer, so llp(rlp S) costs
 one AND loop and one table hit.  Any other iterable runs the AND loop.
 Factorization searches walk the category's index
-``FiniteCategory.factor_pairs``; ``left_factors`` is its bitmask form, read
-by the cylinder verdicts and the cylinder search.
+``FiniteCategory.factor_pairs``.
 
 A weak factorization system is the pair (left, right) itself:
 ``verify_wfs(cat, left, right)`` checks one and ``generate_wfs`` returns one.

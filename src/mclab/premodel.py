@@ -45,7 +45,7 @@ class PremodelStructure:
     first (C, AF) factorizations, which the replacements are read off, the WL
     grouping, lifting meets and the two systems' ``verify_wfs`` verdicts live in
     the category's per-WFS table, ``lifting._system``, shared by every
-    structure on that system; the cylinder verdicts read ``homotopy._fold_masks``."""
+    structure on that system; the cylinder verdicts are ``homotopy._cylinder_verdict``'s."""
 
     cat: FiniteCategory
     cofibrations: frozenset

@@ -249,7 +249,7 @@ def _do_check(session, what, name, tree):
         if derived:
             tree["derived_classes"] = list(derived)
         return tree, rep.ok
-    rep = verify_weak_model(p)
+    rep = verify_weak_model(_verified_premodel(session, name))
     tree.update(_weak_model_tree(rep))
     return tree, rep.ok
 

@@ -1,5 +1,5 @@
-"""Small non-thin categories for the test suite: bounded monoids and the
-finite sets of size at most n.
+"""Small non-thin categories for the test suite: bounded monoids, every
+monoid of a small order bounded, and the finite sets of size at most n.
 
 A bounded monoid has one object x whose endomorphisms form a monoid M, plus
 an initial object 0 and a terminal object 1 adjoined.  Its arrows are the
@@ -45,6 +45,30 @@ def bounded_monoids():
         bounded_monoid("idempotent", ["e"], {("e", "e"): "e"}),
         bounded_monoid("left_zero", ["p", "q"], {(g, f): g for g in "pq" for f in "pq"}),
     ]
+
+
+def monoids(n):
+    """Every monoid of order n up to isomorphism, bounded, named "M<n>_<k>".
+
+    A brute force over the multiplication tables on {1, m1, ..., m(n-1)} with
+    1 the identity: it keeps the associative ones that no relabelling of m1,
+    ..., m(n-1) turns into a table earlier in enumeration order, so one per
+    isomorphism class.  Orders 1 to 4 give 1, 2, 7 and 35 (OEIS A058129)."""
+    rest = range(1, n)
+    pairs = list(itertools.product(rest, repeat=2))
+    relabellings = [dict(zip(range(n), (0, *perm))) for perm in itertools.permutations(rest)]
+    name = lambda k: "m%d" % k if k else "id_x"
+    found = []
+    for values in itertools.product(range(n), repeat=len(pairs)):
+        table = dict(zip(pairs, values))
+        mul = lambda g, f: f if g == 0 else g if f == 0 else table[(g, f)]
+        if any(mul(mul(h, g), f) != mul(h, mul(g, f)) for h in rest for g in rest for f in rest):
+            continue
+        moved = ({(s[g], s[f]): s[v] for (g, f), v in table.items()} for s in relabellings)
+        if all(values <= tuple(t[gf] for gf in pairs) for t in moved):
+            product = {(name(g), name(f)): name(v) for (g, f), v in table.items()}
+            found.append(bounded_monoid("M%d_%d" % (n, len(found) + 1), [name(k) for k in rest], product))
+    return found
 
 
 def finite_sets(n):

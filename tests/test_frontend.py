@@ -305,24 +305,36 @@ def test_internal_error_exit_code(tmp_path, capsys):
 
 
 def test_hocat_and_equiv_need_a_premodel(tmp_path, capsys):
+    # and so does check weakmodel: its axioms are asked of premodels only
     doc = tmp_path / "broken.mcl"
-    doc.write_text(NOT_A_PREMODEL + "run { hocat P; }\n")
-    assert main(["run", str(doc), "--json"]) == BAD_INPUT
-    hocat = json.loads(capsys.readouterr().out)
-    assert hocat["error"] == {
-        "kind": "input",
-        "message": "P is not a premodel: (C, AF): no lift of ab against ad",
-    }
+    for directive in ("hocat P", "check weakmodel P"):
+        doc.write_text(NOT_A_PREMODEL + "run { %s; }\n" % directive)
+        assert main(["run", str(doc), "--json"]) == BAD_INPUT
+        assert json.loads(capsys.readouterr().out) == {
+            "directive": directive,
+            "error": {"kind": "input", "message": "P is not a premodel: (C, AF): no lift of ab against ad"},
+        }
     env = load(NOT_A_PREMODEL + "run { equiv P ab; }\n")
     assert run_directives(env, env.directives).code == BAD_INPUT
     assert main(["hocat", str(doc), "P"]) == BAD_INPUT
     assert main(["equiv", str(doc), "P", "ab"]) == BAD_INPUT
-    assert "not a premodel" in capsys.readouterr().out
+    assert main(["check", "weakmodel", str(doc), "P"]) == BAD_INPUT
+    assert capsys.readouterr().out.count("not a premodel") == 3
+    # a premodel on a category without an initial object is no premodel either
+    doc.write_text(
+        "category two thin { objects: u, v; }\n"
+        "premodel T on two { cofibrations: all; anodyne_cofibrations: {ids}; }\n"
+    )
+    assert main(["check", "weakmodel", str(doc), "T", "--json"]) == BAD_INPUT
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "input", "message": "T is not a premodel: no initial object",
+    }
 
 
-# Every kind of check failing, or passing on a failing structure: P is not a
-# premodel, T lives on a category without endpoints, A leaves most arrows
-# unmapped and C is a cylinder on that category.
+# Every kind of check failing, or passing on a failing structure, but check
+# weakmodel, which refuses a non-premodel (see above): P is not a premodel,
+# T lives on a category without endpoints, A leaves most arrows unmapped and
+# C is a cylinder on that category.
 FAILING_CHECKS = NOT_A_PREMODEL + """
 category two thin { objects: u, v; }
 premodel T on two { cofibrations: all; anodyne_cofibrations: {ids}; }
@@ -332,15 +344,15 @@ adjunction A {
 }
 cylinder C { on: two; kind: identity; }
 run {
-  check wfs P; check premodel P; check weakmodel P;
+  check wfs P; check premodel P;
   validate P; validate T; validate A; validate C;
   classify P; classify T;
 }
 """
 # sha256 of its ``mclab run`` output, as (text, --json)
 FAILING_CHECKS_DIGESTS = (
-    "a5e944b75d370384b2b5508d843d8e33cb469f6079deda871634856918e46939",
-    "4ace1ad1bce7743d257db26361b1a22051e12b82e6cb84fbc095d915216e4581",
+    "d20cee69585040e8ba68f15e321177632fc1efa3a90602a94973acf980ecf87a",
+    "52dd9eaf84926f62f63e105ecb77ba8e3908ae644b03388187d2b91718bbcf5e",
 )
 
 

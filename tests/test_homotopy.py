@@ -26,8 +26,8 @@ from mclab.premodel import (
     fibrant_replacement,
     verify_premodel,
 )
-from conftest import premodel_fixtures
-from monoids import bounded_monoids, finite_sets
+from conftest import oracle_premodels, premodel_fixtures
+from monoids import bounded_monoids, finite_sets, monoids
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +147,43 @@ def test_pruned_search_is_complete_and_in_order(census):
             assert got == sorted(want, key=order), (p.name, i, strong)
             seen += len(got)
     assert (pairs, seen) == (2567, 8328)
+
+
+def test_search_and_verdicts_agree_with_the_oracle_on_every_small_monoid():
+    # every monoid of order ≤ 3 (OEIS A058129: 1, 2, 7), bounded, with its
+    # verified premodels.  On each structure and its dual the search finds the
+    # oracle's witnesses on the engine's fold cone, in (c, l, e) morphism
+    # order, and the kept verdict says whether a weak and a strong one exist.
+    # Every fold here that exists is an identity, so the trivial witness comes
+    # first and the verdicts stop there; the witness lists run past it
+    counts, pairs, seen = [], Counter(), 0
+    for n in (1, 2, 3):
+        cats = monoids(n)
+        structures = [p for cat in cats for p in oracle_premodels(cat)]
+        counts.append((len(cats), len(structures)))
+        for p in structures:
+            for q in (p, p.dual):
+                cat, acyclic = q.cat, bf.acyclic_cofibrations(q)
+                order = lambda t: [cat.morphism_index(m) for m in t]
+                for i in cat.sort_morphisms(q.cofibrations):
+                    if fold(cat, i) is None:
+                        continue
+                    cone, codiag = fold(cat, i)
+                    oracle = [
+                        w for w in bf.cylinder_witnesses(q, i, acyclic)
+                        if w[1:5] == (cone.apex, *cone.legs, codiag)
+                    ]
+                    got = [
+                        (w.cylinder_cof, w.anodyne_leg, w.comparison)
+                        for w in iter_cylinder_witnesses(q, i)
+                    ]
+                    assert got == sorted((w[6:] for w in oracle), key=order), (cat.name, i)
+                    verdict = _cylinder_verdict(q, i)
+                    assert verdict == (bool(oracle), any(w[0] for w in oracle)), (cat.name, i)
+                    pairs[verdict] += 1
+                    seen += len(got)
+    assert counts == [(1, 13), (2, 33), (7, 133)]
+    assert (pairs, seen) == ({(True, True): 1776}, 5496)
 
 
 def test_kept_cylinder_verdicts_say_no_where_the_oracle_does(census):

@@ -10,11 +10,11 @@ The engine imports at module level.  The one function-local import left is
 A rebuilt weak factorization system is checked for factorization in one
 place: ``require_factorizations`` is called only by the rebuild step
 ``premodel._rebuild_fibrations`` and by ``lifting.generate_wfs``, which
-builds a system from a generating set alone.  Likewise the cylinder search
-runs only to build witnesses: ``_cylinder_search`` is called only by
-``homotopy.iter_cylinder_witnesses``, and whether a witness exists is a mask
-test on a kept verdict, ``homotopy._cylinder_verdict``.  Every witness is
-built by ``homotopy._witness``.
+builds a system from a generating set alone.  Likewise there is one cylinder
+search: ``_cylinder_search`` is called only by
+``homotopy.iter_cylinder_witnesses``, which builds witnesses, and by
+``homotopy._cylinder_verdict``, which keeps whether one exists.  Every witness
+is built by ``homotopy._witness``.
 
 No engine module reads or writes an instance's ``__dict__``: a derived fact
 is a ``fincat._fact`` (a ``cached_property`` without its lock) or an attribute
@@ -207,7 +207,7 @@ def test_factorization_is_required_in_one_rebuild_step():
 
 def test_only_witness_builders_run_the_cylinder_search():
     found = sorted(hit for p in ENGINE for hit in callers(p, "_cylinder_search"))
-    assert found == [("homotopy.py", "iter_cylinder_witnesses")]
+    assert found == [("homotopy.py", "_cylinder_verdict"), ("homotopy.py", "iter_cylinder_witnesses")]
 
 
 def test_only_one_function_builds_cylinder_witnesses():

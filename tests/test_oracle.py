@@ -60,21 +60,6 @@ def test_diagonals_agree(category_corpus):
                     assert (got is not None) == want
 
 
-def test_left_factors_agree(category_corpus):
-    # bit c of left_factors[h] is set exactly when h = e∘c for some e
-    for base in category_corpus + bounded_monoids():
-        for cat in (base, base.op):
-            for h in cat.morphisms:
-                want = {
-                    c
-                    for c in cat.morphisms
-                    for e in bf.hom(cat, cat.target[c], cat.target[h])
-                    if cat.source[c] == cat.source[h] and bf.comp(cat, e, c) == h
-                }
-                got = {c for c in cat.morphisms if cat.left_factors[h] >> cat.morphism_index(c) & 1}
-                assert got == want, (cat.name, h)
-
-
 def test_complements_agree(premodel_corpus):
     for p in premodel_corpus:
         cat = p.cat
