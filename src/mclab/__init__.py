@@ -39,7 +39,6 @@ from .lifting import (
 )
 from .premodel import (
     PremodelStructure,
-    QuillenAdjunctionReport,
     SaturationFlags,
     acyclic_cofibrations,
     acyclic_fibrations,
@@ -88,7 +87,6 @@ from .classify import (
     compute_WR,
 )
 from .olschok import (
-    CylinderReport,
     NatTrans,
     OlschokReport,
     QuillenCylinderData,

@@ -86,27 +86,21 @@ def _left_semi(weak, cylinders, flags):
     """Weak model + strong cylinders on cofibrant objects + core left
     saturation; the stronger convention additionally wants right saturation.
     """
-    cyl_ok, cyl_failures = cylinders
-    failures = list(cyl_failures)
-    if not weak.ok:
-        failures.append("weak model axioms fail")
+    failures = list(cylinders.violations)
     if not flags.core_left_saturated:
         failures.append("not core left saturated")
     return LeftSemiReport(
-        weak.ok, cyl_ok, flags.core_left_saturated, flags.right_saturated, tuple(failures)
+        weak.ok, cylinders.ok, flags.core_left_saturated, flags.right_saturated, tuple(failures)
     )
 
 
 def _right_semi(p, weak, paths, flags):
     """Mirror image of ``_left_semi``, cross-checked through duality."""
-    path_ok, path_failures = paths
-    failures = list(path_failures)
-    if not weak.ok:
-        failures.append("weak model axioms fail")
+    failures = list(paths.violations)
     if not flags.core_right_saturated:
         failures.append("not core right saturated")
     report = RightSemiReport(
-        weak.ok, path_ok, flags.core_right_saturated, flags.left_saturated, tuple(failures)
+        weak.ok, paths.ok, flags.core_right_saturated, flags.left_saturated, tuple(failures)
     )
     # The left-semi recognizer on the dual. Its weak-model report and strong
     # cylinders are ``weak`` and ``paths``, which were already searched on the
@@ -191,8 +185,6 @@ class QuillenReport(NamedTuple):
     replacement_composite_canonical: bool    # the canonical choices work
     square_condition: bool                   # informational
     square_condition_vacuous: bool
-    wl: frozenset
-    wr: frozenset
 
 
 def _quillen(p, wl, wr):
@@ -249,7 +241,7 @@ def _quillen(p, wl, wr):
             "composite-exists %s, composite-canonical %s"
             % ((p.label,) + verdicts)
         )
-    return QuillenReport(cond1, cond1, cond3, cond5, cond6, square_ok, vacuous, wl, wr)
+    return QuillenReport(cond1, cond1, cond3, cond5, cond6, square_ok, vacuous)
 
 
 class ClassificationReport(NamedTuple):

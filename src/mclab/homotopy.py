@@ -229,8 +229,7 @@ class WeakModelReport(NamedTuple):
     path_axiom: bool
     alt_criterion: bool
     dual_alt_criterion: bool
-    cylinder_failures: tuple[str, ...]
-    path_failures: tuple[str, ...]
+    failures: tuple[str, ...]
 
 
 def _cylinder_axiom(p):
@@ -280,7 +279,7 @@ def verify_weak_model(p):
         raise VerificationError(
             "axioms (%s) and core criterion (%s) disagree on %s" % (main, core, p.label)
         )
-    return WeakModelReport(main, cyl.ok, path.ok, alt, dual_alt, cyl.violations, path.violations)
+    return WeakModelReport(main, cyl.ok, path.ok, alt, dual_alt, cyl.violations + path.violations)
 
 
 def homotopic(p, f, g):
@@ -313,7 +312,6 @@ def homotopic(p, f, g):
 
 class HomotopyCategory(NamedTuple):
     category: FiniteCategory
-    class_of: dict      # morphism id (bifibrant endpoints) -> representative id
     classes: dict       # representative id -> tuple of members
 
 
@@ -369,9 +367,7 @@ def homotopy_category(p):
     verdict = validate_category(quotient)
     if not verdict.ok:
         raise VerificationError("homotopy category is not a category: %s" % (verdict.violations,))
-    return HomotopyCategory(
-        quotient, class_of, {r: tuple(ms) for r, ms in classes.items()}
-    )
+    return HomotopyCategory(quotient, {r: tuple(ms) for r, ms in classes.items()})
 
 
 def core_cofibration_representative(p, s):

@@ -123,7 +123,7 @@ def right_bousfield(p, adj, target, mode="Rc"):
     quillen = check_quillen_adjunction(adj, target, p)
     if not quillen.ok:
         raise InputError(
-            "right localization needs a right Quillen functor: %s" % "; ".join(quillen.failures)
+            "right localization needs a right Quillen functor: %s" % "; ".join(quillen.violations)
         )
 
     cat = p.cat

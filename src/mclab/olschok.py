@@ -12,9 +12,10 @@ with cofibrations are anodyne.
 
 A weak Quillen cylinder is a functorial factorization of the fold map:
 Id ⊔ Id --i--> I --e--> D <--j-- Id with e∘i = j∘fold, i a cofibration
-transformation, j and i∘inl anodyne ones.  Strong means D = Id and j the
-identity.  A whole model structure can be generated from a localizer and
-such a cylinder through the Λ construction.
+transformation, j and i∘inl anodyne ones; ``verify_quillen_cylinder``
+answers a ``fincat.Verdict`` naming each failed condition.  Strong means
+D = Id and j the identity.  A whole model structure can be generated from a
+localizer and such a cylinder through the Λ construction.
 """
 
 from typing import NamedTuple
@@ -199,12 +200,6 @@ def identity_cylinder(cat):
     )
 
 
-class CylinderReport(NamedTuple):
-    ok: bool
-    strong: bool
-    failures: tuple[str, ...]
-
-
 def _structural_cylinder_check(cyl, cat):
     if cyl.pair.source != cat:
         text = "cylinder lives on %s, not on %s" % (cyl.pair.source.name, cat.name)
@@ -226,26 +221,15 @@ def _structural_cylinder_check(cyl, cat):
     return Verdict.from_violations(v)
 
 
-def _cylinder_is_strong(cyl, cat):
-    d = cyl.weak_target
-    return (
-        d.object_map == {x: x for x in cat.objects}
-        and d.morphism_map == {m: m for m in cat.morphisms}
-        and all(cat.is_identity(cyl.leg.at(x)) for x in cat.objects)
-    )
-
-
 def verify_quillen_cylinder(cyl, p):
     """Full check against a premodel: structure, classes, and the square."""
-    cat = p.cat
-    failures = list(_structural_cylinder_check(cyl, cat).violations)
+    failures = list(_structural_cylinder_check(cyl, p.cat).violations)
     if not failures:
         failures.extend("inclusion: %s" % x for x in nt_is_cofibration(cyl.inclusion, p).violations)
         failures.extend("leg: %s" % x for x in nt_is_anodyne(cyl.leg, p).violations)
         first = compose_nt(cyl.inclusion, cyl.inl)
         failures.extend("first inclusion: %s" % x for x in nt_is_anodyne(first, p).violations)
-    ok = not failures
-    return CylinderReport(ok, ok and _cylinder_is_strong(cyl, cat), tuple(failures))
+    return Verdict.from_violations(failures)
 
 
 def check_pre_cylinder(cyl, p):

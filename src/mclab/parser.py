@@ -121,7 +121,6 @@ class AdjunctionDecl(NamedTuple):
 class CylinderDecl(NamedTuple):
     name: str
     cat_name: str
-    kind: str
     line: int
     col: int
 
@@ -386,7 +385,7 @@ class _Parser:
         kind = fields["kind"]
         if kind.value != "identity":
             self.fail("unsupported cylinder kind %r" % kind.value, kind)
-        return CylinderDecl(name.value, fields["on"].value, kind.value, head.line, head.col)
+        return CylinderDecl(name.value, fields["on"].value, head.line, head.col)
 
     # ---- directives ----------------------------------------------------
 

@@ -16,10 +16,12 @@ replacement of x is its cofibrant replacement in the dual, kept there.  So is
 a rebuild: every construction (saturation, localization, Olschok generation)
 replaces one system by the system a new fibration class F' determines,
 ``_rebuild_fibrations``, and rebuilds (C, AF) as that step on the dual.
+
+The checks, ``verify_premodel`` and ``check_quillen_adjunction``, answer a
+``fincat.Verdict``: ok exactly when the list of failures is empty.
 """
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, VerificationError
 from .fincat import FiniteCategory, Verdict, _fact, check_adjunction, involution, validate_category
@@ -324,50 +326,26 @@ def _fibrant_replacement(p, x):
     return (x, p.cat.identity(x)) if x in p.fibrant else _cofibrant_replacement(p.dual, x)
 
 
-class QuillenAdjunctionReport(NamedTuple):
-    ok: bool
-    left_preserves_cofibrations: bool
-    right_preserves_fibrations: bool
-    # informational only; both follow from ok for verified premodels,
-    # and the suite checks that they do.
-    left_preserves_anodyne_cofibrations: bool
-    left_preserves_acyclic_cofibrations: bool
-    failures: tuple[str, ...]
-
-
 def check_quillen_adjunction(adj, p_src, p_tgt):
     """Is adj.left ⊣ adj.right a Quillen adjunction p_src -> p_tgt?
 
     adj.left must run p_src.cat -> p_tgt.cat.  Decision: left preserves
-    cofibrations and right preserves fibrations.
+    cofibrations and right preserves fibrations; a Verdict naming each arrow
+    that is not preserved.
     """
-    base = check_adjunction(adj)
-    failures = list(base.violations)
+    failures = list(check_adjunction(adj).violations)
     if adj.left.source != p_src.cat or adj.left.target != p_tgt.cat:
         failures.append("left adjoint does not run between the given premodel categories")
     if failures:
-        return QuillenAdjunctionReport(False, False, False, False, False, tuple(failures))
-
-    left_cof = True
-    for f in p_src.cat.morphisms:
-        if f in p_src.cofibrations and adj.left.on_morphism(f) not in p_tgt.cofibrations:
-            left_cof = False
-            failures.append("left adjoint sends cofibration %s outside cofibrations" % f)
-    right_fib = True
-    for g in p_tgt.cat.morphisms:
-        if g in p_tgt.fibrations and adj.right.on_morphism(g) not in p_src.fibrations:
-            right_fib = False
-            failures.append("right adjoint sends fibration %s outside fibrations" % g)
-
-    left_anodyne = all(
-        adj.left.on_morphism(f) in p_tgt.anodyne_cofibrations
-        for f in p_src.anodyne_cofibrations
+        return Verdict.from_violations(failures)
+    failures.extend(
+        "left adjoint sends cofibration %s outside cofibrations" % f
+        for f in p_src.cat.morphisms
+        if f in p_src.cofibrations and adj.left.on_morphism(f) not in p_tgt.cofibrations
     )
-    left_acyclic = all(
-        adj.left.on_morphism(f) in acyclic_cofibrations(p_tgt)
-        for f in acyclic_cofibrations(p_src)
+    failures.extend(
+        "right adjoint sends fibration %s outside fibrations" % g
+        for g in p_tgt.cat.morphisms
+        if g in p_tgt.fibrations and adj.right.on_morphism(g) not in p_src.fibrations
     )
-    ok = left_cof and right_fib
-    return QuillenAdjunctionReport(
-        ok, left_cof, right_fib, left_anodyne, left_acyclic, tuple(failures)
-    )
+    return Verdict.from_violations(failures)

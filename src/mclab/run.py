@@ -86,32 +86,19 @@ def _kept(session, tree, q):
     tree["saturation"] = saturation_flags(q).as_dict()
 
 
-def _weak_model_tree(r):
-    return {
-        "ok": r.ok,
-        "cylinder_axiom": r.cylinder_axiom,
-        "path_axiom": r.path_axiom,
-        "alt_criterion": r.alt_criterion,
-        "dual_alt_criterion": r.dual_alt_criterion,
-        "failures": list(r.cylinder_failures + r.path_failures),
-    }
-
-
 def _fields(r, skip=()):
-    """A report's fields in declaration order, less ``skip``."""
-    return {k: v for k, v in r._asdict().items() if k not in skip}
+    """A report's fields in declaration order, less ``skip``; None for no
+    report, and a tuple of texts as a list."""
+    if r is None:
+        return None
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in r._asdict().items() if k not in skip}
 
 
 def _semi_tree(r):
-    if r is None:
-        return None
     tree = _fields(r, skip=("failures",))
-    tree.update(fresse=r.fresse, spitzweck=r.spitzweck, failures=list(r.failures))
+    if tree is not None:
+        tree.update(fresse=r.fresse, spitzweck=r.spitzweck, failures=list(r.failures))
     return tree
-
-
-def _quillen_tree(q):
-    return None if q is None else _fields(q, skip=("wl", "wr"))
 
 
 def _category_tree(cat):
@@ -250,7 +237,7 @@ def _do_check(session, what, name, tree):
             tree["derived_classes"] = list(derived)
         return tree, rep.ok
     rep = verify_weak_model(_verified_premodel(session, name))
-    tree.update(_weak_model_tree(rep))
+    tree.update(_fields(rep))
     return tree, rep.ok
 
 
@@ -283,12 +270,12 @@ def _do_classify(session, p, name, tree):
     if derived:
         tree["derived_classes"] = list(derived)
     tree["saturation"] = rep.flags.as_dict() if rep.flags else None
-    tree["weak_model"] = _weak_model_tree(rep.weak_model) if rep.weak_model else None
+    tree["weak_model"] = _fields(rep.weak_model)
     tree["left_semi"] = _semi_tree(rep.left_semi)
     tree["right_semi"] = _semi_tree(rep.right_semi)
     two = rep.two_sided
     tree["two_sided"] = None if two is None else {"ok": two.ok, **_fields(two)}
-    tree["quillen"] = _quillen_tree(rep.quillen)
+    tree["quillen"] = _fields(rep.quillen)
     for key, arrows in (("equivalences", rep.equivalences), ("wl", rep.wl), ("wr", rep.wr)):
         tree[key] = None if arrows is None else p.cat.sort_morphisms(arrows)
     return tree, rep.premodel.ok

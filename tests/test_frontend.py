@@ -21,6 +21,7 @@ from mclab.run import (
     BAD_INPUT,
     CHECK_FAILED,
     INTERNAL,
+    NO_CONSTRUCTION,
     OK,
     run_directives,
 )
@@ -267,6 +268,68 @@ def test_exit_codes():
     )
     outcome = run_directives(env, env.directives)
     assert outcome.code == CHECK_FAILED  # endpoints are missing, verdict false
+
+
+# barton.mcl's poset and P0, without its run block
+BARTON_P0 = (DATA / "barton.mcl").read_text().split("\nrun {")[0] + "\n"
+
+
+def test_dualize_swaps_the_sides_and_back(tmp_path, capsys):
+    doc = tmp_path / "dual.mcl"
+    doc.write_text(BARTON_P0 + "run { dualize P0; dualize result; }\n")
+    assert main(["run", str(doc), "--json"]) == OK
+    once, twice = json.loads(capsys.readouterr().out)
+    p0 = load(BARTON_P0).premodels["P0"]
+    classes = {name: p0.cat.sort_morphisms(members) for name, members in p0.classes().items()}
+    assert once["classes"] == {
+        "cofibrations": classes["fibrations"],
+        "anodyne_fibrations": classes["anodyne_cofibrations"],
+        "anodyne_cofibrations": classes["anodyne_fibrations"],
+        "fibrations": classes["cofibrations"],
+    }
+    assert twice["classes"] == classes
+
+
+def test_check_weakmodel_on_a_premodel(tmp_path, capsys):
+    doc = tmp_path / "weak.mcl"
+    doc.write_text(BARTON_P0 + "run { check weakmodel P0; }\n")
+    assert main(["run", str(doc), "--json"]) == OK
+    tree = json.loads(capsys.readouterr().out)
+    assert list(tree.items()) == [
+        ("directive", "check weakmodel P0"), ("target", "P0"), ("ok", True),
+        ("cylinder_axiom", True), ("path_axiom", True), ("alt_criterion", True),
+        ("dual_alt_criterion", True), ("failures", []),
+    ]
+    assert main(["run", str(doc)]) == OK
+    assert capsys.readouterr().out == (
+        "directive: check weakmodel P0\ntarget: P0\nok: yes\ncylinder_axiom: yes\n"
+        "path_axiom: yes\nalt_criterion: yes\ndual_alt_criterion: yes\nfailures: []\n"
+    )
+
+
+# A premodel on a non-thin category where z ⊔_0 z does not exist
+ABSENT_FOLD = """
+category Z2 {
+  objects: 0, x, 1;
+  arrows: s: x -> x, z: 0 -> x, t: x -> 1, zt: 0 -> 1;
+  relations: s . s = id_x, s . z = z, t . s = t, t . z = zt;
+}
+premodel P on Z2 { cofibrations: {ids, s, z}; anodyne_cofibrations: {ids, s}; }
+run { check premodel P; hocat P; }
+"""
+
+
+def test_an_absent_construction_exits_3(tmp_path, capsys):
+    doc = tmp_path / "z2.mcl"
+    doc.write_text(ABSENT_FOLD)
+    assert main(["run", str(doc), "--json"]) == NO_CONSTRUCTION
+    check, hocat = json.loads(capsys.readouterr().out)
+    assert check["ok"] is True
+    assert hocat["directive"] == "hocat P"
+    # the message ("pushout of z along itself is absent") is not pinned:
+    # ROADMAP.md item 4 may turn this raise into a verdict or reword it
+    assert hocat["error"]["kind"] == "construction" and hocat["error"]["message"]
+    assert hocat["error"]["witness"] == "z"
 
 
 @pytest.mark.parametrize(

@@ -482,11 +482,9 @@ def test_ok_record_check_finds_planted_records(tmp_path):
 # Every record of ``src/`` with an ``ok`` field other than ``fincat.Verdict``,
 # with the reader of the fields it adds to ``ok`` and the failure texts.
 FLAGGED_REPORTS = {
-    "CylinderReport": "strong: test_olschok.test_identity_cylinder_verifies_everywhere",
-    "QuillenAdjunctionReport": "the preservation flags: test_premodel.test_quillen_adjunction_check",
-    "QuillenReport": "the detector flags: run._quillen_tree",
+    "QuillenReport": "the detector flags: run._do_classify",
     "WeakModelReport": "the four axiom flags: bench/workloads.classification_verdict; "
-    "the cylinder and path failures: run._weak_model_tree",
+    "the failures: run._do_check and run._do_classify",
 }
 
 
@@ -508,10 +506,9 @@ def test_public_surface_is_pinned():
     )
     assert exported == [
         "AdjunctionData", "ClassificationReport", "Cone", "ConstructionError",
-        "CylinderReport", "CylinderWitness", "DiagramShape",
-        "FiniteCategory", "FunctorData", "HomotopyCategory", "InputError",
-        "LeftLocalization", "LeftSemiReport", "NatTrans", "OlschokReport", "ParseError",
-        "PremodelStructure", "QuillenAdjunctionReport",
+        "CylinderWitness", "DiagramShape", "FiniteCategory", "FunctorData",
+        "HomotopyCategory", "InputError", "LeftLocalization", "LeftSemiReport",
+        "NatTrans", "OlschokReport", "ParseError", "PremodelStructure",
         "QuillenCylinderData", "QuillenReport", "RightLocalization", "RightSemiReport",
         "SaturationFlags", "TwoSidedReport", "Verdict", "VerificationError",
         "WeakModelReport", "acyclic_cofibrations", "acyclic_fibrations",

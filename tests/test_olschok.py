@@ -3,10 +3,9 @@ import pytest
 from conftest import oracle_premodels, poset_cylinders
 from mclab import fixtures
 from mclab.errors import ConstructionError, InputError, VerificationError
-from mclab.fincat import identity_functor
+from mclab.fincat import Verdict, identity_functor
 from mclab.homotopy import verify_weak_model
 from mclab.olschok import (
-    CylinderReport,
     NatTrans,
     _structural_cylinder_check,
     check_nat_trans,
@@ -80,9 +79,11 @@ def test_nt_class_checks(p0):
 def test_identity_cylinder_verifies_everywhere(premodel_corpus):
     for p in premodel_corpus:
         cyl = identity_cylinder(p.cat)
-        report = verify_quillen_cylinder(cyl, p)
-        assert report.ok, (p.name, report.failures)
-        assert report.strong
+        verdict = verify_quillen_cylinder(cyl, p)
+        assert verdict.ok, (p.name, verdict.violations)
+        # strong: D = Id and the leg j is the identity
+        assert cyl.weak_target == identity_functor(p.cat)
+        assert all(p.cat.is_identity(cyl.leg.at(x)) for x in p.cat.objects)
         dual = dualize(p)
         assert verify_quillen_cylinder(identity_cylinder(dual.cat), dual).ok
 
@@ -238,7 +239,7 @@ def test_a_foreign_cylinder_is_bad_input(p0):
     cyl = identity_cylinder(fixtures.chain3())
     text = "cylinder lives on chain3, not on barton"
     assert _structural_cylinder_check(cyl, p0.cat).violations == (text,)
-    assert verify_quillen_cylinder(cyl, p0) == CylinderReport(False, False, (text,))
+    assert verify_quillen_cylinder(cyl, p0) == Verdict(False, (text,))
     assert check_pre_cylinder(cyl, p0).violations == (text,)
     with pytest.raises(InputError, match="^olschok needs a verified cylinder: %s$" % text):
         olschok_model(p0, cyl)
