@@ -245,7 +245,6 @@ def _quillen(p, wl, wr):
 
 
 class ClassificationReport(NamedTuple):
-    name: str
     premodel: object
     flags: object
     weak_model: object
@@ -266,17 +265,16 @@ def classify_full(p):
     ``p`` and handed to the rungs above it.
     """
     premodel_report = verify_premodel(p)
-    name = p.label
     if not premodel_report.ok:
         return ClassificationReport(
-            name, premodel_report, None, None, None, None, None, None, None, None, None,
+            premodel_report, None, None, None, None, None, None, None, None, None,
             "not a premodel",
         )
     flags = saturation_flags(p)
     weak = verify_weak_model(p)
     if not weak.ok:
         return ClassificationReport(
-            name, premodel_report, flags, weak, None, None, None, None, None, None, None,
+            premodel_report, flags, weak, None, None, None, None, None, None, None,
             "premodel (weak model axioms fail)",
         )
     cylinders = strong_cylinder_objects(p)
@@ -311,5 +309,5 @@ def classify_full(p):
     else:
         summary = "weak model"
     return ClassificationReport(
-        name, premodel_report, flags, weak, left, right, two, quillen, eqs, wl, wr, summary
+        premodel_report, flags, weak, left, right, two, quillen, eqs, wl, wr, summary
     )

@@ -2,27 +2,28 @@
 
 The central object is a *relative weak cylinder witness* for a cofibration
 i: A -> B.  Write Q for the pushout B ⊔_A B with coprojections q0, q1 and
-codiagonal ∇: Q -> B.  A witness consists of
+codiagonal ∇: Q -> B.  A witness is its base i and three arrows
 
     c: Q -> Z      a cofibration (the cylinder inclusion),
     l: B -> D      an acyclic cofibration (the anodyne leg),
     e: Z -> D      a comparison morphism,
 
 such that e∘c = l∘∇ and the first leg c∘q0: B -> Z is an acyclic
-cofibration.  The witness is *strong* when D = B and l is the identity, in
-which case e∘c = ∇ on the nose; that identity is an anodyne leg like any
-other, so it too must be an acyclic cofibration.  A path witness for a
-fibration is a cylinder witness of the dual structure: the same morphism
-ids, read in the opposite category, where the pushout is a pullback and ∇ a
-diagonal.  So ``find_cylinder(p.dual, g)`` finds one and
-``check_cylinder_witness(p.dual, w)`` checks it.
+cofibration.  The rest is the category's: Q, q0, q1 and ∇ are
+``fold(cat, i)``, Z and D the targets of c and l.  The witness is *strong*
+when l is the identity of B, in which case e∘c = ∇ on the nose; that
+identity is an anodyne leg like any other, so it too must be an acyclic
+cofibration.  A path witness for a fibration is a cylinder witness of the
+dual structure: the same morphism ids, read in the opposite category, where
+the pushout is a pullback and ∇ a diagonal.  So ``find_cylinder(p.dual, g)``
+finds one and ``check_cylinder_witness(p.dual, w)`` checks it.
 
 "Acyclic" always means: lifts against every fibration between fibrant
 objects (or dually), computed fresh from the marked classes — see the
 premodel module.
 
 One search, ``_cylinder_search``, walks the witnesses in enumeration order.
-``iter_cylinder_witnesses`` builds each one it finds with ``_witness``;
+``iter_cylinder_witnesses`` builds each one it finds;
 ``_cylinder_verdict`` stops at the first witness whose leg is the identity of B
 and keeps the (weak, strong) answer per cofibration in ``cylinder_verdicts``,
 read by the axioms, the core criterion and the strong cylinder and path
@@ -31,7 +32,6 @@ other arrow, and ``cat.op`` keeps that order, so on their categories the
 trivial witness (id_Q, id_B, ∇), when it exists, is the first one found.
 """
 
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, VerificationError
@@ -39,7 +39,6 @@ from .fincat import FiniteCategory, Verdict, fold, validate_category
 from .premodel import (
     _cofibrant_replacement,
     _fibrant_replacement,
-    _require_object,
     acyclic_cofibrations,
     dualize,
     factor_cof_afib,
@@ -48,19 +47,11 @@ from .premodel import (
 from .lifting import _require_morphisms, _unknown_morphism, has_lift
 
 
-@dataclass(frozen=True)
-class CylinderWitness:
+class CylinderWitness(NamedTuple):
     base: str            # the cofibration i: A -> B
-    fold_apex: str       # Q = B ⊔_A B
-    coproj0: str         # q0: B -> Q
-    coproj1: str         # q1: B -> Q
-    codiagonal: str      # ∇: Q -> B
-    cylinder_obj: str    # Z
     cylinder_cof: str    # c: Q -> Z, a cofibration
-    weak_target: str     # D
     anodyne_leg: str     # l: B -> D, an acyclic cofibration
     comparison: str      # e: Z -> D with e∘c = l∘∇
-    strong: bool
 
 
 _BASES = "a cylinder needs a cofibration, a path a fibration"
@@ -83,20 +74,10 @@ def fold_cone(p, i):
 
 
 def iter_cylinder_witnesses(p, i):
-    """All witnesses for i in enumeration order; the strong ones have ``w.strong``."""
+    """All witnesses for i in enumeration order; the strong ones are those whose
+    anodyne leg is the identity of B."""
     for c, l, e in _cylinder_search(p, i):
-        yield _witness(p.cat, i, c, l, e)
-
-
-def _witness(cat, i, c, l, e):
-    """The witness (c, l, e) on i: the fold fields are ``fold(cat, i)``'s, Z and
-    D the targets of c and l, and it is strong exactly when l is the identity."""
-    (apex, (q0, q1)), codiag = fold(cat, i)
-    return CylinderWitness(
-        base=i, fold_apex=apex, coproj0=q0, coproj1=q1, codiagonal=codiag,
-        cylinder_obj=cat.target[c], cylinder_cof=c, weak_target=cat.target[l],
-        anodyne_leg=l, comparison=e, strong=l == cat.identity(cat.target[i]),
-    )
+        yield CylinderWitness(i, c, l, e)
 
 
 def find_cylinder(p, i):
@@ -137,52 +118,34 @@ def _cylinder_verdict(p, i):
 
 
 def check_cylinder_witness(p, w):
-    """Recheck every defining condition of a witness against the tables.
-
-    The fold data must match the canonical pushout (all witnesses built by
-    this package do).
-    """
+    """Recheck every defining condition of a witness against the tables: Q, q0
+    and ∇ are read off the fold of the base, Z and D are the targets of c and l."""
     cat = p.cat
-    v = []
-    for m in (w.base, w.coproj0, w.coproj1, w.codiagonal, w.cylinder_cof, w.anodyne_leg, w.comparison):
-        if not cat.has_morphism(m):
-            v.append("unknown morphism %r" % m)
+    v = ["unknown morphism %r" % m for m in w if not cat.has_morphism(m)]
     if v:
         return Verdict.from_violations(v)
-
-    if w.base not in p.cofibrations:
-        v.append("base %s does not fit this search: %s" % (w.base, _BASES))
-        return Verdict.from_violations(v)
-    cone, codiag = fold_cone(p, w.base)
-    if (w.fold_apex, w.coproj0, w.coproj1, w.codiagonal) != (cone.apex, cone.legs[0], cone.legs[1], codiag):
-        v.append("fold data does not match the canonical pushout")
-        return Verdict.from_violations(v)
-
-    b = cat.target[w.base]
-    acyclic = acyclic_cofibrations(p)
-    if w.cylinder_cof not in p.cofibrations:
-        v.append("cylinder inclusion %s does not fit this search: %s" % (w.cylinder_cof, _BASES))
-    if cat.source.get(w.cylinder_cof) != w.fold_apex or cat.target.get(w.cylinder_cof) != w.cylinder_obj:
+    i, c, l, e = w
+    if i not in p.cofibrations:
+        return Verdict.from_violations(["base %s does not fit this search: %s" % (i, _BASES)])
+    (apex, (q0, _)), codiag = fold_cone(p, i)
+    table, acyclic = cat.compose_table, acyclic_cofibrations(p)
+    if c not in p.cofibrations:
+        v.append("cylinder inclusion %s does not fit this search: %s" % (c, _BASES))
+    if cat.source[c] != apex:
         v.append("cylinder inclusion endpoints are wrong")
-    first_leg = cat.compose_table.get((w.cylinder_cof, w.coproj0))
+    first_leg = table.get((c, q0))
     if first_leg is not None and first_leg not in acyclic:
         v.append("first leg %s does not fit this search: %s" % (first_leg, _LEGS))
-    if w.anodyne_leg not in acyclic:
-        v.append("anodyne leg %s does not fit this search: %s" % (w.anodyne_leg, _LEGS))
-    if cat.source.get(w.anodyne_leg) != b or cat.target.get(w.anodyne_leg) != w.weak_target:
+    if l not in acyclic:
+        v.append("anodyne leg %s does not fit this search: %s" % (l, _LEGS))
+    if cat.source[l] != cat.target[i]:
         v.append("anodyne leg endpoints are wrong")
-    if cat.source.get(w.comparison) != w.cylinder_obj or cat.target.get(w.comparison) != w.weak_target:
+    if (cat.source[e], cat.target[e]) != (cat.target[c], cat.target[l]):
         v.append("comparison endpoints are wrong")
     if not v:
-        lhs = cat.compose_table[(w.comparison, w.cylinder_cof)]
-        rhs = cat.compose_table[(w.anodyne_leg, w.codiagonal)]
+        lhs, rhs = table[(e, c)], table[(l, codiag)]
         if lhs != rhs:
             v.append("square fails: e∘c = %s but l∘∇ = %s" % (lhs, rhs))
-    if w.strong:
-        if w.weak_target != b:
-            v.append("strong witness must target the base's codomain")
-        if w.anodyne_leg != cat.identity(b):
-            v.append("strong witness must have an identity anodyne leg")
     return Verdict.from_violations(v)
 
 
@@ -191,30 +154,29 @@ def weak_to_strong(p, w):
 
     Lifting the identity through the anodyne leg against B -> 1 yields a
     retraction r of l; composing the comparison with r gives a strong
-    witness with the same cylinder object.
+    witness with the same cylinder object.  A witness that fails
+    ``check_cylinder_witness`` raises InputError naming its first violation.
     """
-    if w.strong:
-        return w
+    verdict = check_cylinder_witness(p, w)
+    if not verdict.ok:
+        raise InputError("cannot strengthen an invalid witness: %s" % verdict.violations[0])
     cat = p.cat
     b = cat.target[w.base]
+    ident = cat.identity(b)
+    if w.anodyne_leg == ident:
+        return w
     if b not in p.fibrant:
         raise ConstructionError(
             "cannot strengthen: %s is not fibrant" % b, witness=w.base
         )
-    _require_object(p, w.weak_target)
-    r = has_lift(cat, w.anodyne_leg, cat.to_terminal[b], cat.identity(b), cat.to_terminal[w.weak_target])
+    d = cat.target[w.anodyne_leg]
+    r = has_lift(cat, w.anodyne_leg, cat.to_terminal[b], ident, cat.to_terminal[d])
     if r is None:
         # The anodyne leg is acyclic and B -> 1 is a fibration between
-        # fibrant objects, so this lift is guaranteed; reaching here means
-        # the input was not a valid witness.
+        # fibrant objects, so this lift is guaranteed for a witness that
+        # passed the check above; reaching here means the tables disagree.
         raise VerificationError("no retraction of the anodyne leg %s" % w.anodyne_leg)
-    upgraded = replace(
-        w,
-        comparison=cat.compose_table[(r, w.comparison)],
-        weak_target=b,
-        anodyne_leg=cat.identity(b),
-        strong=True,
-    )
+    upgraded = w._replace(comparison=cat.compose_table[(r, w.comparison)], anodyne_leg=ident)
     verdict = check_cylinder_witness(p, upgraded)
     if not verdict.ok:
         raise VerificationError(
@@ -302,12 +264,10 @@ def homotopic(p, f, g):
     w = find_cylinder(p, cat.from_initial[x])
     if w is None:
         raise ConstructionError("no weak cylinder on %s" % x, witness=x)
-    e0 = cat.compose_table[(w.cylinder_cof, w.coproj0)]
-    e1 = cat.compose_table[(w.cylinder_cof, w.coproj1)]
-    return any(
-        cat.compose_table[(h, e0)] == f and cat.compose_table[(h, e1)] == g
-        for h in cat.hom(w.cylinder_obj, y)
-    )
+    (_, (q0, q1)), _ = fold(cat, w.base)
+    c, table = w.cylinder_cof, cat.compose_table
+    e0, e1 = table[(c, q0)], table[(c, q1)]
+    return any(table[(h, e0)] == f and table[(h, e1)] == g for h in cat.hom(cat.target[c], y))
 
 
 class HomotopyCategory(NamedTuple):

@@ -270,7 +270,6 @@ def olschok_lambda(p, cyl, seeds, include_second=True):
 class OlschokReport(NamedTuple):
     lambda_set: frozenset
     lambda_without_second: frozenset
-    second_corner_matters: bool
     premodel: PremodelStructure
     saturated: PremodelStructure
     classification: object
@@ -329,7 +328,6 @@ def olschok_model(p, cyl, seeds=()):
     return OlschokReport(
         lambda_set=lam,
         lambda_without_second=lam_first_only,
-        second_corner_matters=lam != lam_first_only,
         premodel=generated,
         saturated=saturated,
         classification=classification,

@@ -289,7 +289,7 @@ def _do_olschok(session, args, tree):
     cat = p.cat
     tree["lambda"] = cat.sort_morphisms(rep.lambda_set)
     tree["lambda_without_second"] = cat.sort_morphisms(rep.lambda_without_second)
-    tree["second_corner_matters"] = rep.second_corner_matters
+    tree["second_corner_matters"] = rep.lambda_set != rep.lambda_without_second
     tree["generated_classes"] = _classes_tree(rep.premodel)
     _kept(session, tree, rep.saturated)
     tree["all_cofibrant"] = rep.all_cofibrant

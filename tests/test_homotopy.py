@@ -75,8 +75,7 @@ def test_a_wrong_base_is_named_truly_on_both_sides(p1):
             find_cylinder(q, g)
         assert str(err.value) == "%s does not fit this search in P1: %s" % (g, bases)
     w = find_cylinder(p1.dual, "cd")
-    bad = type(w)(**{**w.__dict__, "base": "bd"})
-    assert check_cylinder_witness(p1.dual, bad).violations == (
+    assert check_cylinder_witness(p1.dual, w._replace(base="bd")).violations == (
         "base bd does not fit this search: %s" % bases,
     )
 
@@ -89,21 +88,23 @@ def test_path_witness_violations_hold_on_both_sides(p1):
     w = find_cylinder(p1.dual, "cd")
 
     def violations(**changes):
-        return check_cylinder_witness(p1.dual, type(w)(**{**w.__dict__, **changes})).violations
+        return check_cylinder_witness(p1.dual, w._replace(**changes)).violations
 
+    # Z and D are the targets of c and l, so a swapped c or l moves them and
+    # the comparison id_c no longer runs Z -> D
     assert violations(cylinder_cof="bd") == (
         "cylinder inclusion bd does not fit this search: %s" % bases,
         "cylinder inclusion endpoints are wrong",
+        "comparison endpoints are wrong",
     )
     assert violations(cylinder_cof="ac") == (
         "cylinder inclusion ac does not fit this search: %s" % bases,
-        "cylinder inclusion endpoints are wrong",
         "first leg ac does not fit this search: %s" % legs,
+        "comparison endpoints are wrong",
     )
     assert violations(anodyne_leg="ac") == (
         "anodyne leg ac does not fit this search: %s" % legs,
-        "anodyne leg endpoints are wrong",
-        "strong witness must have an identity anodyne leg",
+        "comparison endpoints are wrong",
     )
 
 
@@ -135,14 +136,16 @@ def test_pruned_search_is_complete_and_in_order(census):
         witnesses = list(iter_cylinder_witnesses(p, i))
         first = find_cylinder(p, i)
         assert first == (witnesses[0] if witnesses else None)
-        # the strong witnesses are the weak ones with w.strong, in the same order
+        # the strong witnesses are the weak ones whose leg is the identity of B,
+        # in the same order
+        ident = cat.identity(cat.target[i])
         for strong in (False, True):
             want = {(c, l, e) for s, *_, c, l, e in oracle if s or not strong}
             assert _cylinder_verdict(p, i) is p.cylinder_verdicts[i]
             assert p.cylinder_verdicts[i][strong] == bool(want), (p.name, i, strong)
             got = [
                 (w.cylinder_cof, w.anodyne_leg, w.comparison)
-                for w in witnesses if w.strong or not strong
+                for w in witnesses if w.anodyne_leg == ident or not strong
             ]
             assert got == sorted(want, key=order), (p.name, i, strong)
             seen += len(got)
@@ -240,8 +243,10 @@ def test_kept_cylinder_verdicts_read_the_first_leg():
 def test_find_cylinder_on_identity_like_data(p1):
     w = find_cylinder(p1, "ac")
     assert w is not None
-    assert w.strong
-    assert (w.fold_apex, w.codiagonal, w.cylinder_obj) == ("c", "id_c", "c")
+    cat = p1.cat
+    assert w.anodyne_leg == cat.identity(cat.target[w.base])
+    (apex, _), codiag = fold(cat, w.base)
+    assert (apex, codiag, cat.target[w.cylinder_cof]) == ("c", "id_c", "c")
     assert check_cylinder_witness(p1, w).ok
     # every enumerated witness must itself check out
     for w in iter_cylinder_witnesses(p1, "ac"):
@@ -251,8 +256,66 @@ def test_find_cylinder_on_identity_like_data(p1):
 def test_witness_check_rejects_tampering(p1):
     w = find_cylinder(p1, "cd")
     assert w is not None
-    bad = type(w)(**{**w.__dict__, "anodyne_leg": "cd"})
-    assert not check_cylinder_witness(p1, bad).ok
+    assert not check_cylinder_witness(p1, w._replace(anodyne_leg="cd")).ok
+
+
+def test_witness_check_reads_a_fold_that_is_not_an_identity():
+    # among finite sets the fold of 0 -> 1 is 1 ⊔ 1 = 2 with q0 = 1>2:0 and
+    # ∇ = 2>1:00, so the check must read Q, q0 and ∇ off the fold, not off
+    # the witness.  On the trivial premodel only the bijections are acyclic.
+    # With every map an anodyne cofibration and only the bijections
+    # fibrations, 1 is the one fibrant object, so every map is acyclic and
+    # 0 -> 1 has witnesses through Z = D = 2 as well
+    cat = finite_sets(2)
+    isos = frozenset({"0>0:", "1>1:0", "2>2:01", "2>2:10"})
+    every = frozenset(cat.morphisms)
+    trivial = fixtures.trivial_premodel(cat)
+    all_acyclic = PremodelStructure(cat, every, isos, every, isos, name="all acyclic")
+    assert fold(cat, "0>1:")[0].apex == "2"
+    counts = []
+    for p in (trivial, all_acyclic):
+        assert verify_premodel(p).ok
+        witnesses = list(iter_cylinder_witnesses(p, "0>1:"))
+        counts.append(len(witnesses))
+        for w in witnesses:
+            assert check_cylinder_witness(p, w).ok, (p.name, w)
+    assert counts == [1, 19]
+
+    legs = "a cylinder needs an acyclic cofibration, a path an acyclic fibration"
+    w = find_cylinder(trivial, "0>1:")
+    assert w == ("0>1:", "2>1:00", "1>1:0", "1>1:0")
+
+    def violations(p, w, **changes):
+        return check_cylinder_witness(p, w._replace(**changes)).violations
+
+    assert violations(trivial, w, cylinder_cof="1>1:0") == ("cylinder inclusion endpoints are wrong",)
+    # the swap leaves Q, but its first leg 1>2:1 is no bijection
+    assert violations(trivial, w, cylinder_cof="2>2:10", comparison="2>1:00") == (
+        "first leg 1>2:1 does not fit this search: %s" % legs,
+    )
+    assert violations(trivial, w, comparison="1>2:0") == ("comparison endpoints are wrong",)
+    w = w._replace(cylinder_cof="2>2:01", anodyne_leg="1>2:0", comparison="2>2:00")
+    assert check_cylinder_witness(all_acyclic, w).ok
+    assert violations(all_acyclic, w, comparison="2>2:11") == (
+        "square fails: e∘c = 2>2:11 but l∘∇ = 2>2:00",
+    )
+
+
+def test_weak_to_strong_checks_its_input(p1):
+    # an unknown base, or a leg that is no acyclic cofibration, is bad input
+    # named by the witness check's first violation, whatever the leg is
+    w = find_cylinder(p1, "cd")
+    assert w.anodyne_leg == "id_d"
+    with pytest.raises(InputError) as err:
+        weak_to_strong(p1, w._replace(base="zz"))
+    assert str(err.value) == "cannot strengthen an invalid witness: unknown morphism 'zz'"
+    with pytest.raises(InputError) as err:
+        weak_to_strong(p1, w._replace(anodyne_leg="ab"))
+    assert str(err.value) == (
+        "cannot strengthen an invalid witness: anodyne leg ab does not fit this search: "
+        "a cylinder needs an acyclic cofibration, a path an acyclic fibration"
+    )
+    assert weak_to_strong(p1, w) is w
 
 
 def _upgrades(structures):
@@ -263,11 +326,12 @@ def _upgrades(structures):
         for i in p.cat.sort_morphisms(p.cofibrations):
             if p.cat.target[i] not in p.fibrant or fold(p.cat, i) is None:
                 continue
+            ident = p.cat.identity(p.cat.target[i])
             for w in iter_cylinder_witnesses(p, i):
                 s = weak_to_strong(p, w)
-                assert s.strong and s.cylinder_cof == w.cylinder_cof
+                assert s.anodyne_leg == ident and s.cylinder_cof == w.cylinder_cof
                 assert check_cylinder_witness(p, s).ok
-                seen, strong = seen + 1, strong + w.strong
+                seen, strong = seen + 1, strong + (w.anodyne_leg == ident)
     return seen, strong
 
 
@@ -299,7 +363,8 @@ def test_path_witnesses_mirror_cylinders(p1):
     w = find_cylinder(p1.dual, g)
     assert w is not None and w == find_cylinder(dualize(p1), g)
     assert check_cylinder_witness(p1.dual, w).ok
-    legs = {w.coproj0, w.codiagonal, w.cylinder_cof, w.anodyne_leg, w.comparison}
+    (_, (q0, _)), codiag = fold(p1.dual.cat, g)
+    legs = {q0, codiag, w.cylinder_cof, w.anodyne_leg, w.comparison}
     assert w.base == g and legs <= set(p1.cat.morphisms)
 
 

@@ -14,7 +14,7 @@ builds a system from a generating set alone.  Likewise there is one cylinder
 search: ``_cylinder_search`` is called only by
 ``homotopy.iter_cylinder_witnesses``, which builds witnesses, and by
 ``homotopy._cylinder_verdict``, which keeps whether one exists.  Every witness
-is built by ``homotopy._witness``.
+is built by ``homotopy.iter_cylinder_witnesses``.
 
 No engine module reads or writes an instance's ``__dict__``: a derived fact
 is a ``fincat._fact`` (a ``cached_property`` without its lock) or an attribute
@@ -212,7 +212,7 @@ def test_only_witness_builders_run_the_cylinder_search():
 
 def test_only_one_function_builds_cylinder_witnesses():
     found = sorted(hit for p in ENGINE for hit in callers(p, "CylinderWitness"))
-    assert found == [("homotopy.py", "_witness")]
+    assert found == [("homotopy.py", "iter_cylinder_witnesses")]
 
 
 def public_functions(path):
@@ -433,19 +433,16 @@ def test_dataclass_check_finds_planted_records(tmp_path):
 
 def test_records_are_named_tuples():
     """A record type is a ``typing.NamedTuple``: each generated dataclass
-    costs about a millisecond of every import.  Three stay dataclasses:
+    costs about a millisecond of every import.  Two stay dataclasses:
 
     * ``PremodelStructure`` keeps its ``fincat._fact`` facts in an instance
       ``__dict__``, ``with_classes`` is ``dataclasses.replace``, and setting a
       class raises ``FrozenInstanceError``;
     * ``SaturationFlags`` is read with ``dataclasses.asdict`` by the
-      benchmark's ``classification_verdict``;
-    * ``CylinderWitness`` is rebuilt from its ``__dict__`` by the tests that
-      tamper with a witness.
+      benchmark's ``classification_verdict``.
     """
     found = {p.name: names for p in ENGINE if (names := dataclasses_in(p))}
     assert found == {
-        "homotopy.py": ["CylinderWitness"],
         "premodel.py": ["PremodelStructure", "SaturationFlags"],
     }
 

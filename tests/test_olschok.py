@@ -93,7 +93,6 @@ def test_olschok_on_fully_cofibrant_chain():
     report = olschok_model(triv, identity_cylinder(triv.cat))
     assert report.lambda_set == frozenset({"id_a", "id_c", "id_d"})
     assert report.lambda_set == report.lambda_without_second
-    assert not report.second_corner_matters
     assert report.all_cofibrant
     assert report.quillen_asserted
     assert not report.left_semi_asserted
