@@ -23,7 +23,7 @@ from .homotopy import (
     is_equivalence,
     verify_weak_model,
 )
-from .lifting import _members, factorizations
+from .lifting import factorizations
 from .premodel import (
     _cofibrant_replacement,
     _fibrant_replacement,
@@ -129,8 +129,8 @@ class TwoSidedReport(NamedTuple):
 
 
 def _induced_groups(q):
-    """``{d: mask}``: the arrows f, as a mask, that the arrow d between q's
-    cofibrant replacements covers, kept per (C, AF) in ``lifting._system``.
+    """``{d: arrows}``: the arrows f that the arrow d between q's cofibrant
+    replacements covers, kept per (C, AF) in ``lifting._system``.
 
     d is the first diagonal, in morphism order, of the square the target's
     replacement (an anodyne fibration) makes with the source's cofibrant
@@ -140,14 +140,14 @@ def _induced_groups(q):
     facts = q._cof_system
     if facts.induced is None:
         cat, table, groups = q.cat, q.cat.compose_table, {}
-        for bit, f in enumerate(cat.morphisms):
+        for f in cat.morphisms:
             xc, r_x = _cofibrant_replacement(q, cat.source[f])
             yc, r_y = _cofibrant_replacement(q, cat.target[f])
             bottom = table[(f, r_x)]
             d = next((d for d in cat.hom(xc, yc) if table[(r_y, d)] == bottom), None)
             if d is None:
                 raise VerificationError("no arrow between replacements covers %s" % f)
-            groups[d] = groups.get(d, 0) | 1 << bit
+            groups.setdefault(d, []).append(f)
         facts.induced = groups
     return facts.induced
 
@@ -155,11 +155,8 @@ def _induced_groups(q):
 def _covered_equivalences(p, q):
     """The arrows whose covering arrow between q's cofibrant replacements is an
     equivalence of p: one ``is_equivalence`` per distinct covering arrow."""
-    mask = 0
-    for d, arrows in _induced_groups(q).items():
-        if is_equivalence(p, d):
-            mask |= arrows
-    return _members(p.cat, mask)
+    groups = _induced_groups(q).items()
+    return frozenset().union(*[arrows for d, arrows in groups if is_equivalence(p, d)])
 
 
 def compute_WL(p):

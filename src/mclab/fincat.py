@@ -131,8 +131,7 @@ class FiniteCategory:
             self._out.setdefault(self.source[m], []).append(m)
         self._colimits = {}  # (shape kind, legs) -> Cone or None, filled by ``colimit``
         self._folds = {}  # arrow -> (pushout of it along itself, codiagonal) or None, by ``fold``
-        self._classes = {}  # bitmask -> frozenset of ids, see ``lifting._members``
-        self._masks = {}  # frozenset of ids -> bitmask, see ``lifting._mask``
+        self._classes = {}  # bitmask -> frozenset of ids, decoded by ``lifting._meet``
         self._complements = ({}, {})  # per ``lifting_rows`` side: frozenset -> its complement
         self._systems = {}  # (left, right) -> their facts, see ``lifting._system``
         self._opposite = self._base = None  # kept by ``op``, see ``involution``

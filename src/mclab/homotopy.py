@@ -119,7 +119,8 @@ def _cylinder_verdict(p, i):
 
 def check_cylinder_witness(p, w):
     """Recheck every defining condition of a witness against the tables: Q, q0
-    and ∇ are read off the fold of the base, Z and D are the targets of c and l."""
+    and ∇ are read off the fold of the base, Z and D are the targets of c and l.
+    A base with no fold has no witness, and the verdict says so."""
     cat = p.cat
     v = ["unknown morphism %r" % m for m in w if not cat.has_morphism(m)]
     if v:
@@ -127,7 +128,10 @@ def check_cylinder_witness(p, w):
     i, c, l, e = w
     if i not in p.cofibrations:
         return Verdict.from_violations(["base %s does not fit this search: %s" % (i, _BASES)])
-    (apex, (q0, _)), codiag = fold_cone(p, i)
+    folded = fold(cat, i)
+    if folded is None:
+        return Verdict.from_violations(["base %s has no fold: pushout of %s along itself is absent" % (i, i)])
+    (apex, (q0, _)), codiag = folded
     table, acyclic = cat.compose_table, acyclic_cofibrations(p)
     if c not in p.cofibrations:
         v.append("cylinder inclusion %s does not fit this search: %s" % (c, _BASES))

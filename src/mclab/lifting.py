@@ -9,13 +9,16 @@ criterion, and decides the squares with at most one diagonal without building
 a set); the opposite category runs its own.  A lifting query is one bit
 test; a whole-class complement ANDs the rows (or columns) of the class,
 looking each id up only there, and decodes each resulting mask to a frozenset
-of morphism ids once per category (``_members``); ``_mask`` encodes a
-frozenset class once per category, so class comparisons are int tests.  A
-frozenset class is answered once per category and side: its complement
-table, ``FiniteCategory._complements``, keeps the answer, so llp(rlp S) costs
-one AND loop and one table hit.  Any other iterable runs the AND loop.
-Factorization searches walk the category's index
-``FiniteCategory.factor_pairs``.
+of morphism ids once per category (``_classes``).  A frozenset class is
+answered once per category and side: its complement table,
+``FiniteCategory._complements``, keeps the answer, so llp(rlp S) costs one AND
+loop and one table hit.  Any other iterable runs the AND loop.  Factorization
+searches walk the category's index ``FiniteCategory.factor_pairs``.
+
+Masks stay inside this module.  Every other module hands it classes as
+iterables of morphism ids and reads frozensets back, and no other module reads
+``lifting_rows`` or ``_classes``; ``fincat`` only builds the rows (through
+``_lifting_rows``) and declares the tables.
 
 A weak factorization system is the pair (left, right) itself:
 ``verify_wfs(cat, left, right)`` checks one and ``generate_wfs`` returns one.
@@ -23,7 +26,8 @@ Its own facts live in its category's per-WFS table, ``_system``: the
 ``verify_wfs`` verdict, read off the two complements, for a pair (C, AF), its
 first factorizations (the cofibrant replacements are read off them) and the
 arrows grouped by the arrow between replacements covering them; and the
-lifting meets behind the acyclic classes.  Every structure on the pair shares them.
+complements the acyclic classes are cut from.  Every structure on the pair
+shares them.
 """
 
 from types import SimpleNamespace
@@ -106,8 +110,9 @@ def llp(cat, f, g):
 
 def _meet(cat, side, ms):
     """The morphisms whose bit is set in side ``side`` of ``lifting_rows`` for
-    every member of ``ms``; an unknown id fails the mask lookup, each result is
-    decoded once, and a frozenset ``ms`` is answered once, from ``_complements``."""
+    every member of ``ms``; an unknown id fails the mask lookup.  Each resulting
+    mask is decoded once per category, in ``_classes``, and a frozenset ``ms``
+    is answered once, from ``_complements``."""
     frozen = isinstance(ms, frozenset)
     if frozen:
         members = cat._complements[side].get(ms)
@@ -120,30 +125,12 @@ def _meet(cat, side, ms):
             meet &= masks[m]
     except KeyError as err:
         raise _unknown_morphism(cat, err.args[0]) from None
-    members = _members(cat, meet)
+    members = cat._classes.get(meet)
+    if members is None:
+        members = cat._classes[meet] = frozenset(m for i, m in enumerate(cat.morphisms) if meet >> i & 1)
     if frozen:
         cat._complements[side][ms] = members
     return members
-
-
-def _members(cat, mask):
-    """The frozenset of the morphisms whose bits ``mask`` sets, decoded once per
-    category and mask; ``_mask`` of it is then a table hit."""
-    members = cat._classes.get(mask)
-    if members is None:
-        members = cat._classes[mask] = frozenset(m for i, m in enumerate(cat.morphisms) if mask >> i & 1)
-        cat._masks[members] = mask
-    return members
-
-
-def _mask(cat, members):
-    """The int mask of a frozenset class, bit i for the arrow at morphism index
-    i, found once per category and class."""
-    mask = cat._masks.get(members)
-    if mask is None:
-        index = cat._morphism_index
-        mask = cat._masks[members] = sum(1 << index[m] for m in members)
-    return mask
 
 
 def complement_llp(cat, right):
@@ -256,7 +243,8 @@ def _system(cat, left, right):
     first factorization once found (a cofibrant replacement is read off the
     one of the arrow from the initial object) and the arrows grouped by the
     arrow between replacements that covers them (``classify._induced_groups``);
-    ``gates`` keeps the meets behind ``premodel``'s acyclic classes."""
+    ``gates`` keeps, per side, the complement ``premodel``'s acyclic classes are
+    cut from."""
     facts = cat._systems.get((left, right))
     if facts is None:
         facts = cat._systems[left, right] = SimpleNamespace(

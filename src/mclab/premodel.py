@@ -26,10 +26,9 @@ from dataclasses import dataclass, replace
 from .errors import ConstructionError, InputError, VerificationError
 from .fincat import FiniteCategory, Verdict, _fact, check_adjunction, involution, validate_category
 from .lifting import (
-    _mask,
-    _members,
     _system,
     complement_llp,
+    complement_rlp,
     factor,
     require_factorizations,
     verify_wfs,
@@ -43,9 +42,9 @@ class PremodelStructure:
     """Four marked classes on one category; immutable, so each derived fact
     (the dual, the cofibrant and fibrant objects, the acyclic classes, each
     equivalence verdict and each cofibration's cylinder verdict) is computed
-    once on first use; the acyclic classes are ANDs of lifting masks.  The
-    first (C, AF) factorizations, which the replacements are read off, the WL
-    grouping, lifting meets and the two systems' ``verify_wfs`` verdicts live in
+    once on first use; the acyclic classes are cut from lifting complements.
+    The first (C, AF) factorizations, which the replacements are read off, the
+    WL grouping, those complements and the two systems' ``verify_wfs`` verdicts live in
     the category's per-WFS table, ``lifting._system``, shared by every
     structure on that system; the cylinder verdicts are ``homotopy._cylinder_verdict``'s."""
 
@@ -123,17 +122,17 @@ class PremodelStructure:
 
 def _acyclic(cat, members, pair, ends, side):
     """The members that lift against each gate: each arrow of ``pair[side]``
-    between objects of ``ends``, those that class makes bifibrant.  Their
-    ``lifting_rows[side]`` masks are ANDed once per system ``pair`` and kept in
-    its ``gates``; the result is the members' mask ANDed with that meet."""
+    between objects of ``ends``, those that class makes bifibrant.  The gates'
+    lifting complement (``complement_rlp`` on side 0, ``complement_llp`` on
+    side 1) is found once per system ``pair`` and kept in its ``gates``.  When
+    the complement or ``members`` holds the other, that set is the answer, so
+    structures share it instead of each keeping an equal copy."""
     system = _system(cat, *pair)
     if system.gates[side] is None:
-        masks, meet = cat.lifting_rows[side], (1 << len(cat.morphisms)) - 1
-        for g in pair[side]:
-            if cat.source[g] in ends and cat.target[g] in ends:
-                meet &= masks[g]
-        system.gates[side] = meet
-    return _members(cat, _mask(cat, members) & system.gates[side])
+        gate = frozenset(g for g in pair[side] if cat.source[g] in ends and cat.target[g] in ends)
+        system.gates[side] = (complement_rlp, complement_llp)[side](cat, gate)
+    gate = system.gates[side]
+    return gate if gate <= members else members if members <= gate else members & gate
 
 
 def same_classes(p, q):
@@ -215,13 +214,13 @@ def saturation_flags(p):
     flags are genuine containments.
     """
     cat = p.cat
-    acyclic_cof, acyclic_fib = _mask(cat, acyclic_cofibrations(p)), _mask(cat, acyclic_fibrations(p))
-    ac, af = _mask(cat, p.anodyne_cofibrations), _mask(cat, p.anodyne_fibrations)
+    acyclic_cof, acyclic_fib = acyclic_cofibrations(p), acyclic_fibrations(p)
+    ac, af = p.anodyne_cofibrations, p.anodyne_fibrations
     return SaturationFlags(
         left_saturated=ac == acyclic_cof,
-        core_left_saturated=not any(cat.source[f] in p.cofibrant for f in _members(cat, acyclic_cof & ~ac)),
+        core_left_saturated=not any(cat.source[f] in p.cofibrant for f in acyclic_cof - ac),
         right_saturated=af == acyclic_fib,
-        core_right_saturated=not any(cat.target[g] in p.fibrant for g in _members(cat, acyclic_fib & ~af)),
+        core_right_saturated=not any(cat.target[g] in p.fibrant for g in acyclic_fib - af),
     )
 
 

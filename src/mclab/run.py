@@ -10,8 +10,9 @@ premodels; hocat for a category), so pipelines can chain:
 
 Exit-code conventions live here as small integers on the outcome:
 0 all verdicts hold, 1 some checked property is false (the report carries
-the witnesses), 2 bad input (also ``hocat``/``equiv`` on a structure that
-fails ``check premodel``), 3 a required construction does not exist,
+the witnesses), 2 bad input (also ``saturate``, ``localize``, ``hocat``,
+``equiv`` and ``check weakmodel`` on a structure that fails ``check
+premodel``), 3 a required construction does not exist,
 4 an internal cross-check failed (a ``VerificationError``: the input broke
 an unchecked precondition, or the engine has a bug).
 """
@@ -153,7 +154,7 @@ def execute(session, directive):
     if kind == "check":
         return _do_check(session, args["what"], args["target"], tree)
     if kind == "saturate":
-        p = session.lookup("premodel", args["target"])
+        p = _verified_premodel(session, args["target"])
         out = saturate(p, args["mode"])
         tree.update(mode=args["mode"], changed=not same_classes(p, out))
         _kept(session, tree, out)
@@ -242,7 +243,7 @@ def _do_check(session, what, name, tree):
 
 
 def _do_localize(session, args, tree):
-    p = session.lookup("premodel", args["target"])
+    p = _verified_premodel(session, args["target"])
     if args["side"] == "left":
         arrows = session.arrows_of(p, args["arrows"])
         loc = left_bousfield(p, arrows, mode=args["mode"])
@@ -252,7 +253,7 @@ def _do_localize(session, args, tree):
         tree["anodyne_closure"] = p.cat.sort_morphisms(loc.nabla_closure)
     else:
         adj = session.lookup("adjunction", args["adjunction"])
-        target_p = session.lookup("premodel", args["into"])
+        target_p = _verified_premodel(session, args["into"])
         loc = right_bousfield(p, adj, target_p, mode=args["mode"])
         tree["localizer"] = p.cat.sort_morphisms(loc.localizer)
     tree["mode"] = args["mode"]

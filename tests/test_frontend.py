@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mclab.parser
+import mclab.run
 from conftest import same_presentation
 from mclab import fixtures
 from mclab.cli import main
-from mclab.errors import ParseError
+from mclab.errors import ParseError, VerificationError
 from mclab.parser import Environment, load, parse
 from mclab.premodel import same_classes
 from mclab.report import check_tree, from_machine, to_machine, to_text
@@ -354,23 +355,35 @@ premodel P on barton {
 """
 
 
-def test_internal_error_exit_code(tmp_path, capsys):
-    # not a premodel: saturation breaks an internal cross-check
-    doc = tmp_path / "broken.mcl"
-    doc.write_text(NOT_A_PREMODEL + "run { check premodel P; saturate P mode L; }\n")
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    # No document is known to reach a failing cross-check: saturating,
+    # localizing, classifying and taking the homotopy category of every
+    # verified premodel of the small test categories raises none.  So the
+    # failure is planted in saturation, on a genuine premodel.
+    def broken(p, mode):
+        raise VerificationError("saturation %s moved the bifibrant core of %s" % (mode, p.label))
+
+    monkeypatch.setattr(mclab.run, "saturate", broken)
+    doc = tmp_path / "planted.mcl"
+    doc.write_text(BARTON_POSET + PREMODEL + "run { check premodel P0; saturate P0 mode L; }\n")
     assert main(["run", str(doc), "--json"]) == INTERNAL
     check, saturate = json.loads(capsys.readouterr().out)
-    assert check["directive"] == "check premodel P" and check["ok"] is False
-    assert saturate["directive"] == "saturate P mode L"
-    assert saturate["error"]["kind"] == "internal"
-    assert saturate["error"]["message"]
-    assert main(["saturate", str(doc), "P", "--mode", "L"]) == INTERNAL
+    assert check["directive"] == "check premodel P0" and check["ok"] is True
+    assert saturate == {
+        "directive": "saturate P0 mode L",
+        "error": {"kind": "internal", "message": "saturation L moved the bifibrant core of P0"},
+    }
+    assert main(["saturate", str(doc), "P0", "--mode", "L"]) == INTERNAL
 
 
 def test_hocat_and_equiv_need_a_premodel(tmp_path, capsys):
-    # and so does check weakmodel: its axioms are asked of premodels only
+    # and so do check weakmodel, saturate and localize: each is asked of
+    # premodels only
     doc = tmp_path / "broken.mcl"
-    for directive in ("hocat P", "check weakmodel P"):
+    for directive in (
+        "hocat P", "check weakmodel P", "saturate P mode L", "saturate P mode Rc",
+        "localize left P at {ab} mode Lc",
+    ):
         doc.write_text(NOT_A_PREMODEL + "run { %s; }\n" % directive)
         assert main(["run", str(doc), "--json"]) == BAD_INPUT
         assert json.loads(capsys.readouterr().out) == {
@@ -383,6 +396,18 @@ def test_hocat_and_equiv_need_a_premodel(tmp_path, capsys):
     assert main(["equiv", str(doc), "P", "ab"]) == BAD_INPUT
     assert main(["check", "weakmodel", str(doc), "P"]) == BAD_INPUT
     assert capsys.readouterr().out.count("not a premodel") == 3
+    # localize right verifies the premodel it maps into as well
+    doc.write_text(NOT_A_PREMODEL + PREMODEL + """
+adjunction A {
+  left: barton -> barton { objects: a -> a, b -> b, c -> c, d -> d; }
+  right: barton -> barton { objects: a -> a, b -> b, c -> c, d -> d; }
+}
+run { localize right P0 by A into P mode Rc; }
+""")
+    assert main(["run", str(doc), "--json"]) == BAD_INPUT
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "input", "message": "P is not a premodel: (C, AF): no lift of ab against ad",
+    }
     # a premodel on a category without an initial object is no premodel either
     doc.write_text(
         "category two thin { objects: u, v; }\n"

@@ -7,6 +7,7 @@ from mclab import fixtures
 from mclab.errors import ConstructionError, InputError
 from mclab.fincat import fold, validate_category
 from mclab.homotopy import (
+    CylinderWitness,
     _cylinder_verdict,
     check_cylinder_witness,
     equivalences,
@@ -316,6 +317,31 @@ def test_weak_to_strong_checks_its_input(p1):
         "a cylinder needs an acyclic cofibration, a path an acyclic fibration"
     )
     assert weak_to_strong(p1, w) is w
+
+
+def test_a_base_without_a_fold_is_a_violation():
+    # seven cofibrations of the trivial bounded monoids have no pushout along
+    # themselves: the witness check answers a verdict naming the base, so
+    # weak_to_strong refuses the witness as bad input, while the searches raise
+    checked = []
+    for cat in bounded_monoids():
+        p = fixtures.trivial_premodel(cat)
+        for i in cat.morphisms:
+            if fold(cat, i) is not None:
+                continue
+            text = "base %s has no fold: pushout of %s along itself is absent" % (i, i)
+            w = CylinderWitness(i, i, i, i)
+            assert check_cylinder_witness(p, w) == (False, (text,))
+            with pytest.raises(InputError) as err:
+                weak_to_strong(p, w)
+            assert str(err.value) == "cannot strengthen an invalid witness: " + text
+            with pytest.raises(ConstructionError, match="along itself is absent"):
+                find_cylinder(p, i)
+            checked.append((cat.name, i))
+    assert checked == [
+        ("Z2", "z"), ("Z3", "z"), ("idempotent", "e"), ("idempotent", "z"),
+        ("left_zero", "p"), ("left_zero", "q"), ("left_zero", "z"),
+    ]
 
 
 def _upgrades(structures):

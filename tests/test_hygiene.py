@@ -7,6 +7,13 @@ appears only in a comment or a docstring counts as unread.
 The engine imports at module level.  The one function-local import left is
 ``fincat``'s of ``lifting._lifting_rows``: ``lifting`` imports ``fincat``.
 
+Masks stay inside ``lifting``.  The lifting relation is a table of int
+masks, ``lifting_rows``, and the complements are decoded from them once per
+category, in ``_classes``; every other module passes classes in and reads
+frozensets back.  So only statements of ``lifting.py`` read those names (or a
+``_members`` decoder), except ``fincat``'s ``lifting_rows`` fact, which builds
+the rows, and its constructor, which declares the table.
+
 A rebuilt weak factorization system is checked for factorization in one
 place: ``require_factorizations`` is called only by the rebuild step
 ``premodel._rebuild_fibrations`` and by ``lifting.generate_wfs``, which
@@ -224,17 +231,21 @@ def public_functions(path):
     ]
 
 
-def reads(path):
+def reads(path, within=None):
     """{(module, statement): names} for each top-level statement of ``path``,
     named by its definition or line, with every name it reads as a bare name
     or an attribute: a call, a decorator or a table entry.  An attribute of a
     module bound by ``import X`` in ``path`` (``itertools.product``) is that
-    module's, so it is no read."""
+    module's, so it is no read.  With ``within``, the name of a top-level
+    class, the statements are those of that class's body."""
     tree = ast.parse(path.read_text(), str(path))
     modules = {
         alias.asname or alias.name.split(".")[0]
         for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
     }
+    body = tree.body if within is None else next(
+        top.body for top in tree.body if getattr(top, "name", None) == within
+    )
     return {
         (path.name, getattr(top, "name", top.lineno)): {
             node.id if isinstance(node, ast.Name) else node.attr
@@ -242,7 +253,7 @@ def reads(path):
             if (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) not in modules)
             or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
         }
-        for top in tree.body
+        for top in body
     }
 
 
@@ -271,6 +282,47 @@ def test_reader_check_finds_planted_readers(tmp_path):
     assert readers(statements, "probe.py", "g") == []
     # an attribute of an imported module names that module's function
     assert readers(statements, "probe.py", "product") == []
+    probe.write_text(
+        "class C:\n    def __init__(self):\n        self._t = {}\n\n"
+        "    def get(self, k):\n        return self._t.get(k)\n\n"
+        "    limit = 3\n"
+    )
+    assert reads(probe)[("probe.py", "C")] >= {"_t", "get"}
+    assert reads(probe, "C") == {
+        ("probe.py", "__init__"): {"self", "_t"},
+        ("probe.py", "get"): {"self", "_t", "get", "k"},
+        ("probe.py", 8): set(),
+    }
+
+
+# The names that hold a category's lifting masks, build them or decode them.
+MASK_NAMES = {"lifting_rows", "_lifting_rows", "_members", "_classes"}
+
+
+def mask_reads(path, within=None):
+    """{statement: sorted mask names it reads} over ``reads(path, within)``."""
+    return {
+        stmt: sorted(names & MASK_NAMES)
+        for stmt, names in reads(path, within).items()
+        if names & MASK_NAMES
+    }
+
+
+def test_masks_stay_inside_lifting():
+    """Masks stay inside ``lifting``: every other module hands it classes and
+    reads frozensets back.  Outside ``lifting.py`` only ``fincat``'s category
+    reads a mask name, in two places: its ``lifting_rows`` fact, which builds
+    the rows, and its constructor, which declares the decode table."""
+    found = {
+        stmt: names
+        for path in ENGINE if path.name != "lifting.py"
+        for stmt, names in mask_reads(path).items()
+    }
+    assert found == {("fincat.py", "FiniteCategory"): ["_classes", "_lifting_rows"]}
+    assert mask_reads(ROOT / "src" / "mclab" / "fincat.py", "FiniteCategory") == {
+        ("fincat.py", "__init__"): ["_classes"],
+        ("fincat.py", "lifting_rows"): ["_lifting_rows"],
+    }
 
 
 # Every public function of ``src/`` that nothing in ``src/`` reads, with the

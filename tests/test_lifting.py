@@ -4,6 +4,7 @@ import pytest
 
 import bruteforce as bf
 from mclab import fixtures
+from mclab.classify import classify_full
 from mclab.errors import InputError
 from mclab.fincat import poset_category, validate_category
 from mclab.lifting import (
@@ -17,6 +18,7 @@ from mclab.lifting import (
     retract_closure,
     verify_wfs,
 )
+from mclab.premodel import PremodelStructure
 from monoids import bounded_monoids
 
 
@@ -160,6 +162,20 @@ def test_the_opposite_keeps_its_own_complement_table():
         for right, left in cat._complements[1].items():
             assert complement_rlp(op, right) == left
         assert op._complements[0] and op._complements[1] == {}
+
+
+def test_a_category_decodes_only_the_complements_asked_for(census):
+    """Classifying every census structure leaves no decoded class behind but the
+    answered complements: each value of ``_classes``, on the category and on its
+    opposite, is a value of that category's ``_complements``.  The acyclic
+    classes are kept by each structure, and WL and WR are only returned."""
+    chain4 = poset_category("chain4", "abcd", [("b", "a"), ("c", "b"), ("d", "c")])
+    for cat in (fixtures.chain3(), fixtures.barton(), chain4):
+        for p in census[cat.name]:
+            classify_full(PremodelStructure(cat, **p.classes(), name=p.name))
+        for side in (cat, cat.op):
+            answered = {members for table in side._complements for members in table.values()}
+            assert side._classes and set(side._classes.values()) <= answered, side.name
 
 
 def test_complements_are_galois(barton):
