@@ -128,10 +128,10 @@ def check_cylinder_witness(p, w):
     i, c, l, e = w
     if i not in p.cofibrations:
         return Verdict.from_violations(["base %s does not fit this search: %s" % (i, _BASES)])
-    folded = fold(cat, i)
-    if folded is None:
-        return Verdict.from_violations(["base %s has no fold: pushout of %s along itself is absent" % (i, i)])
-    (apex, (q0, _)), codiag = folded
+    try:
+        (apex, (q0, _)), codiag = fold_cone(p, i)
+    except ConstructionError as err:
+        return Verdict.from_violations(["base %s has no fold: %s" % (i, err)])
     table, acyclic = cat.compose_table, acyclic_cofibrations(p)
     if c not in p.cofibrations:
         v.append("cylinder inclusion %s does not fit this search: %s" % (c, _BASES))

@@ -124,15 +124,12 @@ def _acyclic(cat, members, pair, ends, side):
     """The members that lift against each gate: each arrow of ``pair[side]``
     between objects of ``ends``, those that class makes bifibrant.  The gates'
     lifting complement (``complement_rlp`` on side 0, ``complement_llp`` on
-    side 1) is found once per system ``pair`` and kept in its ``gates``.  When
-    the complement or ``members`` holds the other, that set is the answer, so
-    structures share it instead of each keeping an equal copy."""
+    side 1) is found once per system ``pair`` and kept in its ``gates``."""
     system = _system(cat, *pair)
     if system.gates[side] is None:
         gate = frozenset(g for g in pair[side] if cat.source[g] in ends and cat.target[g] in ends)
         system.gates[side] = (complement_rlp, complement_llp)[side](cat, gate)
-    gate = system.gates[side]
-    return gate if gate <= members else members if members <= gate else members & gate
+    return members & system.gates[side]
 
 
 def same_classes(p, q):

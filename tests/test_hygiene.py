@@ -10,9 +10,9 @@ The engine imports at module level.  The one function-local import left is
 Masks stay inside ``lifting``.  The lifting relation is a table of int
 masks, ``lifting_rows``, and the complements are decoded from them once per
 category, in ``_classes``; every other module passes classes in and reads
-frozensets back.  So only statements of ``lifting.py`` read those names (or a
-``_members`` decoder), except ``fincat``'s ``lifting_rows`` fact, which builds
-the rows, and its constructor, which declares the table.
+frozensets back.  So only statements of ``lifting.py`` read those names,
+except ``fincat``'s ``lifting_rows`` fact, which builds the rows, and its
+constructor, which declares the table.
 
 A rebuilt weak factorization system is checked for factorization in one
 place: ``require_factorizations`` is called only by the rebuild step
@@ -295,8 +295,8 @@ def test_reader_check_finds_planted_readers(tmp_path):
     }
 
 
-# The names that hold a category's lifting masks, build them or decode them.
-MASK_NAMES = {"lifting_rows", "_lifting_rows", "_members", "_classes"}
+# The names that hold a category's lifting masks or build them.
+MASK_NAMES = {"lifting_rows", "_lifting_rows", "_classes"}
 
 
 def mask_reads(path, within=None):

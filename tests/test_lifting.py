@@ -168,7 +168,9 @@ def test_a_category_decodes_only_the_complements_asked_for(census):
     """Classifying every census structure leaves no decoded class behind but the
     answered complements: each value of ``_classes``, on the category and on its
     opposite, is a value of that category's ``_complements``.  The acyclic
-    classes are kept by each structure, and WL and WR are only returned."""
+    classes are kept by each structure, and WL and WR are only returned.  Only
+    frozenset asks are answered from ``_complements``; an ask with a list is
+    decoded all the same, and its answer is the one class it adds."""
     chain4 = poset_category("chain4", "abcd", [("b", "a"), ("c", "b"), ("d", "c")])
     for cat in (fixtures.chain3(), fixtures.barton(), chain4):
         for p in census[cat.name]:
@@ -176,6 +178,10 @@ def test_a_category_decodes_only_the_complements_asked_for(census):
         for side in (cat, cat.op):
             answered = {members for table in side._complements for members in table.values()}
             assert side._classes and set(side._classes.values()) <= answered, side.name
+    fresh = fixtures.chain3()
+    listed = complement_llp(fresh, ["cd"])
+    assert fresh._complements == ({}, {})
+    assert list(fresh._classes.values()) == [listed]
 
 
 def test_complements_are_galois(barton):
