@@ -13,9 +13,11 @@ from .fincat import (
     DiagramShape,
     FiniteCategory,
     FunctorData,
+    NatTrans,
     Verdict,
     check_adjunction,
     check_functor,
+    check_nat_trans,
     colimit,
     coproduct,
     identity_functor,
@@ -87,10 +89,8 @@ from .classify import (
     compute_WR,
 )
 from .olschok import (
-    NatTrans,
     OlschokReport,
     QuillenCylinderData,
-    check_nat_trans,
     check_pre_cylinder,
     corner_product,
     identity_cylinder,

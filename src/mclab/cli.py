@@ -149,14 +149,14 @@ def _dispatch(args):
         if not env.categories:
             print("document has no categories to validate", file=sys.stderr)
             return BAD_INPUT
-        directives = [Directive("validate", {"target": n}, 0, 0) for n in env.categories]
+        directives = [Directive("validate", {"target": n}) for n in env.categories]
     else:
         keys = {
             k: _split_list(v) if k in _LISTS else v
             for k, v in vars(args).items()
             if k not in _NOT_KEYS and v is not None
         }
-        directives = [Directive(args.command, keys, 0, 0)]
+        directives = [Directive(args.command, keys)]
     return _emit(run_directives(env, directives), args.json)
 
 

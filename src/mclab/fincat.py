@@ -10,7 +10,8 @@ factorization) it picks the first candidate in enumeration order.
 
 Conventions
 -----------
-* Objects and morphisms are referred to by their string ids everywhere.
+* Objects and morphisms are referred to by their string ids everywhere; every
+  module's unknown-id error comes from ``_unknown_morphism`` or ``_require_objects``.
 * ``compose(g, f)`` is "g after f" and requires target(f) == source(g).
 * ``cat.op`` keeps every id and reverses source/target; ``cat.op.op is cat``,
   the same category, not a copy.
@@ -97,6 +98,22 @@ def _closure(seeds, step):
     return frozenset(members)
 
 
+def _unknown_morphism(cat, m):
+    return InputError("unknown morphism %r in %s" % (m, cat.name))
+
+
+def _require_morphisms(cat, ms):
+    for m in ms:
+        if not cat.has_morphism(m):
+            raise _unknown_morphism(cat, m)
+
+
+def _require_objects(cat, xs):
+    for x in xs:
+        if not cat.has_object(x):
+            raise InputError("unknown object %r in %s" % (x, cat.name))
+
+
 class FiniteCategory:
     """A finite category given by explicit tables.
 
@@ -143,9 +160,7 @@ class FiniteCategory:
         return self._hom.get((x, y), [])
 
     def compose(self, g, f):
-        for m in (g, f):
-            if m not in self._morphism_index:
-                raise InputError("unknown morphism %r in %s" % (m, self.name))
+        _require_morphisms(self, (g, f))
         if self.target[f] != self.source[g]:
             raise InputError(
                 "cannot compose %s after %s: target/source mismatch" % (g, f)
@@ -376,17 +391,11 @@ class Cone(NamedTuple):
     legs: tuple[str, ...] = ()
 
 
-def _require_legs(cat, legs):
-    for leg in legs:
-        if not cat.has_morphism(leg):
-            raise InputError("shape leg %r is not a morphism of %s" % (leg, cat.name))
-
-
 def _shape_feet(cat, shape):
     """The checked shape's feet (where cocone legs attach) and cocone equations."""
     if shape.kind not in ("span", "pair"):
         raise InputError("unknown shape kind %r" % shape.kind)
-    _require_legs(cat, shape.legs)
+    _require_morphisms(cat, shape.legs)
     if len(shape.legs) != 2:
         raise InputError("%s shape needs exactly two legs" % shape.kind)
     f, g = shape.legs
@@ -458,7 +467,7 @@ def mediating_out(cat, cone, target_legs):
     off the apex or the first target leg's target, ConstructionError when no
     morphism matches and VerificationError on ambiguity, which a colimit rules out.
     """
-    _require_legs(cat, (*cone.legs, *target_legs))
+    _require_morphisms(cat, (*cone.legs, *target_legs))
     if not target_legs or len(target_legs) != len(cone.legs):
         raise InputError("mediating_out needs one target leg per cone leg, and at least one")
     tgt = cat.target[target_legs[0]]
@@ -493,7 +502,7 @@ def fold(cat, i):
     pushout is absent; found once per arrow and category, by ``_epi_fold`` for
     an epimorphism and by ``pushout`` and ``mediating_out`` otherwise."""
     if i not in cat._folds:
-        _require_legs(cat, (i,))
+        _require_morphisms(cat, (i,))
         folded = _epi_fold(cat, i)
         if folded is None:
             cone, ident = pushout(cat, i, i), cat.identity(cat.target[i])
@@ -519,15 +528,9 @@ def _epi_fold(cat, i):
                     return Cone(x, (phi, phi)), n
 
 
-def _pair(cat, x, y):
-    for z in (x, y):
-        if not cat.has_object(z):
-            raise InputError("unknown object %r in %s" % (z, cat.name))
-    return DiagramShape("pair", (cat.identity(x), cat.identity(y)))
-
-
 def coproduct(cat, x, y):
-    return colimit(cat, _pair(cat, x, y))
+    _require_objects(cat, (x, y))
+    return colimit(cat, DiagramShape("pair", (cat.identity(x), cat.identity(y))))
 
 
 # -- functors and adjunctions ----------------------------------------------
@@ -596,6 +599,65 @@ def check_functor(fun):
     return Verdict.from_violations(v)
 
 
+def _same(a, b):
+    """Category equality, with the cheap identity test first."""
+    return a is b or a == b
+
+
+def _composite(outer, inner):
+    """The functor outer∘inner, for two functors that pass ``check_functor``."""
+    src = inner.source
+    objects = {x: outer.on_object(inner.on_object(x)) for x in src.objects}
+    morphisms = {m: outer.on_morphism(inner.on_morphism(m)) for m in src.morphisms}
+    return FunctorData("%s∘%s" % (outer.name, inner.name), src, outer.target, objects, morphisms)
+
+
+class NatTrans(NamedTuple):
+    name: str
+    source: FunctorData
+    target: FunctorData
+    components: dict   # object -> morphism of the target category
+
+    def at(self, x):
+        return self.components[x]
+
+
+def check_nat_trans(nt):
+    """Parallel functors, components F(x) -> G(x), and naturality."""
+    F, G = nt.source, nt.target
+    if not (_same(F.source, G.source) and _same(F.target, G.target)):
+        return Verdict.from_violations(["source and target functors are not parallel"])
+    cat, dst, v = F.source, F.target, []
+    for x in cat.objects:
+        comp = nt.components.get(x)
+        if comp is None or not dst.has_morphism(comp):
+            v.append("component at %r missing or unknown" % x)
+            continue
+        if dst.source[comp] != F.on_object(x) or dst.target[comp] != G.on_object(x):
+            v.append("component at %r is not F(%r) -> G(%r)" % (x, x, x))
+    if v:
+        return Verdict.from_violations(v)
+    for f in cat.morphisms:
+        x, y = cat.source[f], cat.target[f]
+        lhs = dst.compose_table[(G.on_morphism(f), nt.components[x])]
+        rhs = dst.compose_table[(nt.components[y], F.on_morphism(f))]
+        if lhs != rhs:
+            v.append("naturality fails at %s" % f)
+    return Verdict.from_violations(v)
+
+
+def compose_nt(outer, inner):
+    """Vertical composition (outer after inner)."""
+    table = inner.source.target.compose_table
+    components = {x: table[(outer.at(x), inner.at(x))] for x in inner.source.source.objects}
+    return NatTrans("%s∘%s" % (outer.name, inner.name), inner.source, outer.target, components)
+
+
+def identity_nt(fun):
+    components = {x: fun.target.identity(fun.on_object(x)) for x in fun.source.objects}
+    return NatTrans("id_%s" % fun.name, fun, fun, components)
+
+
 class AdjunctionData(NamedTuple):
     """Left adjoint, right adjoint, and unit/counit components by object."""
 
@@ -607,50 +669,26 @@ class AdjunctionData(NamedTuple):
 
 
 def check_adjunction(adj):
-    """Functor checks, unit/counit naturality, both triangle identities."""
-    v = []
+    """Functor checks, the unit Id -> R∘L and the counit L∘R -> Id as natural
+    transformations, both triangle identities."""
     L, R = adj.left, adj.right
-    fl = check_functor(L)
-    fr = check_functor(R)
-    v.extend("left adjoint: %s" % x for x in fl.violations)
-    v.extend("right adjoint: %s" % x for x in fr.violations)
-    if L.source is not R.target and L.source != R.target:
+    v = ["left adjoint: %s" % x for x in check_functor(L).violations]
+    v.extend("right adjoint: %s" % x for x in check_functor(R).violations)
+    if not _same(L.source, R.target):
         v.append("left adjoint source differs from right adjoint target")
-    if L.target is not R.source and L.target != R.source:
+    if not _same(L.target, R.source):
         v.append("left adjoint target differs from right adjoint source")
     if v:
         return Verdict.from_violations(v)
 
     C, D = L.source, L.target
-    for x in C.objects:
-        eta = adj.unit.get(x)
-        if eta is None or not C.has_morphism(eta):
-            v.append("unit component at %r missing or unknown" % x)
-            continue
-        if C.source[eta] != x or C.target[eta] != R.on_object(L.on_object(x)):
-            v.append("unit component at %r is not %r -> R(L(%r))" % (x, x, x))
-    for y in D.objects:
-        eps = adj.counit.get(y)
-        if eps is None or not D.has_morphism(eps):
-            v.append("counit component at %r missing or unknown" % y)
-            continue
-        if D.source[eps] != L.on_object(R.on_object(y)) or D.target[eps] != y:
-            v.append("counit component at %r is not L(R(%r)) -> %r" % (y, y, y))
+    unit = NatTrans("unit", identity_functor(C), _composite(R, L), adj.unit)
+    counit = NatTrans("counit", _composite(L, R), identity_functor(D), adj.counit)
+    for nt in (unit, counit):
+        v.extend("%s %s" % (nt.name, x) for x in check_nat_trans(nt).violations)
     if v:
         return Verdict.from_violations(v)
 
-    for f in C.morphisms:
-        x, y = C.source[f], C.target[f]
-        lhs = C.compose_table[(R.on_morphism(L.on_morphism(f)), adj.unit[x])]
-        rhs = C.compose_table[(adj.unit[y], f)]
-        if lhs != rhs:
-            v.append("unit not natural at %s" % f)
-    for f in D.morphisms:
-        x, y = D.source[f], D.target[f]
-        lhs = D.compose_table[(adj.counit[y], L.on_morphism(R.on_morphism(f)))]
-        rhs = D.compose_table[(f, adj.counit[x])]
-        if lhs != rhs:
-            v.append("counit not natural at %s" % f)
     for x in C.objects:
         lx = L.on_object(x)
         if D.compose_table[(adj.counit[lx], L.on_morphism(adj.unit[x]))] != D.identity(lx):

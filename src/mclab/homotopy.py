@@ -35,7 +35,7 @@ trivial witness (id_Q, id_B, ∇), when it exists, is the first one found.
 from typing import NamedTuple
 
 from .errors import ConstructionError, InputError, VerificationError
-from .fincat import FiniteCategory, Verdict, fold, validate_category
+from .fincat import FiniteCategory, Verdict, _require_morphisms, fold, validate_category
 from .premodel import (
     _cofibrant_replacement,
     _fibrant_replacement,
@@ -44,7 +44,7 @@ from .premodel import (
     factor_cof_afib,
     verify_premodel,
 )
-from .lifting import _require_morphisms, _unknown_morphism, has_lift
+from .lifting import has_lift
 
 
 class CylinderWitness(NamedTuple):
@@ -343,8 +343,7 @@ def core_cofibration_representative(p, s):
     identity on an object that needs none.
     """
     cat = p.cat
-    if not cat.has_morphism(s):
-        raise _unknown_morphism(cat, s)
+    _require_morphisms(cat, (s,))
     _, r = _cofibrant_replacement(p, cat.source[s])
     _, j = _fibrant_replacement(p, cat.target[s])
     composite = cat.compose_table[(j, cat.compose_table[(s, r)])]
@@ -361,8 +360,7 @@ def is_equivalence(p, f):
     """
     if f not in p.equivalence_verdicts:
         cat = p.cat
-        if not cat.has_morphism(f):
-            raise _unknown_morphism(cat, f)
+        _require_morphisms(cat, (f,))
         for z in (cat.source[f], cat.target[f]):
             if z not in p.cofibrant and z not in p.fibrant:
                 raise InputError(

@@ -33,17 +33,7 @@ shares them.
 from types import SimpleNamespace
 
 from .errors import ConstructionError, InputError
-from .fincat import Verdict, pushout
-
-
-def _require_morphisms(cat, ms):
-    for m in ms:
-        if not cat.has_morphism(m):
-            raise _unknown_morphism(cat, m)
-
-
-def _unknown_morphism(cat, m):
-    return InputError("unknown morphism %r in %s" % (m, cat.name))
+from .fincat import Verdict, _require_morphisms, _unknown_morphism, pushout
 
 
 def has_lift(cat, f, g, u, v):

@@ -24,75 +24,22 @@ from .errors import ConstructionError, InputError, VerificationError
 from .classify import classify_full
 from .fincat import (
     FunctorData,
+    NatTrans,
     Verdict,
     _closure,
+    _require_morphisms,
     check_functor,
+    check_nat_trans,
+    compose_nt,
     coproduct,
     identity_functor,
+    identity_nt,
     mediating_out,
     pushout,
 )
-from .lifting import _require_morphisms, _unknown_morphism, complement_rlp, verify_wfs
+from .lifting import complement_rlp, verify_wfs
 from .premodel import PremodelStructure, _assert_premodel, _rebuild_fibrations
 from .saturate import saturate
-
-
-class NatTrans(NamedTuple):
-    name: str
-    source: FunctorData
-    target: FunctorData
-    components: dict   # object -> morphism of the target category
-
-    def at(self, x):
-        return self.components[x]
-
-
-def check_nat_trans(nt):
-    v = []
-    F, G = nt.source, nt.target
-    if F.source != G.source or F.target != G.target:
-        v.append("source and target functors are not parallel")
-        return Verdict.from_violations(v)
-    cat, dst = F.source, F.target
-    for x in cat.objects:
-        comp = nt.components.get(x)
-        if comp is None or not dst.has_morphism(comp):
-            v.append("component at %r missing or unknown" % x)
-            continue
-        if dst.source[comp] != F.on_object(x) or dst.target[comp] != G.on_object(x):
-            v.append("component at %r is not F(%r) -> G(%r)" % (x, x, x))
-    if v:
-        return Verdict.from_violations(v)
-    for f in cat.morphisms:
-        x, y = cat.source[f], cat.target[f]
-        lhs = dst.compose_table[(G.on_morphism(f), nt.components[x])]
-        rhs = dst.compose_table[(nt.components[y], F.on_morphism(f))]
-        if lhs != rhs:
-            v.append("naturality fails at %s" % f)
-    return Verdict.from_violations(v)
-
-
-def compose_nt(outer, inner):
-    """Vertical composition (outer after inner)."""
-    dst = inner.source.target
-    return NatTrans(
-        "%s∘%s" % (outer.name, inner.name),
-        inner.source,
-        outer.target,
-        {
-            x: dst.compose_table[(outer.components[x], inner.components[x])]
-            for x in inner.source.source.objects
-        },
-    )
-
-
-def identity_nt(fun):
-    return NatTrans(
-        "id_%s" % fun.name,
-        fun,
-        fun,
-        {x: fun.target.identity(fun.on_object(x)) for x in fun.source.objects},
-    )
 
 
 def pair_functor(cat):
@@ -132,8 +79,7 @@ def corner_product(lam, v):
     F, G = lam.source, lam.target
     cat = F.source
     dst = F.target
-    if not cat.has_morphism(v):
-        raise _unknown_morphism(cat, v)
+    _require_morphisms(cat, (v,))
     x, y = cat.source[v], cat.target[v]
     cone = pushout(dst, F.on_morphism(v), lam.components[x])
     if cone is None:

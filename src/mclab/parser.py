@@ -128,8 +128,6 @@ class CylinderDecl(NamedTuple):
 class Directive(NamedTuple):
     kind: str
     args: dict
-    line: int
-    col: int
 
 
 class Document(NamedTuple):
@@ -425,7 +423,7 @@ class _Parser:
             self.expect_keyword("mode")
             args["mode"] = self.expect_name("a saturation mode").value
         self.expect_punct(";")
-        return Directive(kind, args, head.line, head.col)
+        return Directive(kind, args)
 
 
 def parse(text):

@@ -23,8 +23,16 @@ The checks, ``verify_premodel`` and ``check_quillen_adjunction``, answer a
 
 from dataclasses import dataclass, replace
 
-from .errors import ConstructionError, InputError, VerificationError
-from .fincat import FiniteCategory, Verdict, _fact, check_adjunction, involution, validate_category
+from .errors import ConstructionError, VerificationError
+from .fincat import (
+    FiniteCategory,
+    Verdict,
+    _fact,
+    _require_objects,
+    check_adjunction,
+    involution,
+    validate_category,
+)
 from .lifting import (
     _system,
     complement_llp,
@@ -135,11 +143,6 @@ def _acyclic(cat, members, pair, ends, side):
 def same_classes(p, q):
     """Equality of the four marked classes (categories assumed shared)."""
     return p.classes() == q.classes()
-
-
-def _require_object(p, x):
-    if not p.cat.has_object(x):
-        raise InputError("unknown object %r in %s" % (x, p.cat.name))
 
 
 def _endpoint_arrows(cat, arrows, end):
@@ -294,14 +297,14 @@ def cofibrant_replacement(p, x):
     When x is already cofibrant this is the identity; otherwise factor the
     arrow from the initial object.
     """
-    _require_object(p, x)
+    _require_objects(p.cat, (x,))
     return _cofibrant_replacement(p, x)
 
 
 def fibrant_replacement(p, x):
     """(x', j) with x' fibrant and j: x -> x' an anodyne cofibration: the
     cofibrant replacement of x in the dual, kept there."""
-    _require_object(p, x)
+    _require_objects(p.cat, (x,))
     return _fibrant_replacement(p, x)
 
 

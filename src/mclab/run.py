@@ -69,12 +69,6 @@ class Session:
             raise InputError("unknown %s %r" % (kind, name))
         return found
 
-    def arrows_of(self, p, names):
-        for n in names:
-            if not p.cat.has_morphism(n):
-                raise InputError("unknown arrow %r in %s" % (n, p.cat.name))
-        return list(names)
-
 
 def _classes_tree(p):
     return {name: p.cat.sort_morphisms(members) for name, members in p.classes().items()}
@@ -245,8 +239,7 @@ def _do_check(session, what, name, tree):
 def _do_localize(session, args, tree):
     p = _verified_premodel(session, args["target"])
     if args["side"] == "left":
-        arrows = session.arrows_of(p, args["arrows"])
-        loc = left_bousfield(p, arrows, mode=args["mode"])
+        loc = left_bousfield(p, args["arrows"], mode=args["mode"])
         tree["representatives"] = {
             s: loc.representatives[s] for s in p.cat.sort_morphisms(loc.representatives)
         }
@@ -285,8 +278,7 @@ def _do_classify(session, p, name, tree):
 def _do_olschok(session, args, tree):
     p = session.lookup("premodel", args["target"])
     cyl = session.lookup("cylinder", args["cylinder"])
-    seeds = session.arrows_of(p, args.get("seeds", []))
-    rep = olschok_model(p, cyl, seeds=seeds)
+    rep = olschok_model(p, cyl, seeds=args.get("seeds", []))
     cat = p.cat
     tree["lambda"] = cat.sort_morphisms(rep.lambda_set)
     tree["lambda_without_second"] = cat.sort_morphisms(rep.lambda_without_second)

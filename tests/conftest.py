@@ -10,13 +10,14 @@ from mclab.fincat import (
     AdjunctionData,
     FiniteCategory,
     FunctorData,
+    NatTrans,
     check_functor,
     identity_functor,
     mediating_out,
     poset_category,
     pushout,
 )
-from mclab.olschok import NatTrans, QuillenCylinderData, pair_functor
+from mclab.olschok import QuillenCylinderData, pair_functor
 from mclab.premodel import PremodelStructure, verify_premodel
 from monoids import bounded_monoids
 

@@ -448,4 +448,51 @@ def test_adjunction_check_catches_bad_triangle():
     broken = AdjunctionData(
         adj.name, adj.left, adj.right, dict(adj.unit), {"0": "id_0", "1": "01"}
     )
-    assert not check_adjunction(broken).ok
+    # 01 does not even end at 1, so the triangles are not reached
+    assert check_adjunction(broken).violations == ("counit component at '1' is not F('1') -> G('1')",)
+    # on the idempotent monoid {1, e} the unit e is natural, as is the counit
+    # 1, but both triangles compose to e, not to the identity
+    idem = _one_object("idem", "e", "e")
+    ident = identity_functor(idem)
+    verdict = check_adjunction(AdjunctionData("idem", ident, ident, {"x": "e"}, {"x": "id_x"}))
+    assert verdict.violations == ("triangle identity fails at L('x')", "triangle identity fails at R('x')")
+
+
+def test_adjunction_check_names_unit_and_counit_failures():
+    # components: missing, unknown, or with the wrong endpoints
+    cat = fixtures.interval()
+    ident = identity_functor(cat)
+    verdict = check_adjunction(AdjunctionData("bad", ident, ident, {"0": "01"}, {"0": "zz", "1": "id_1"}))
+    assert verdict.violations == (
+        "unit component at '0' is not F('0') -> G('0')",
+        "unit component at '1' missing or unknown",
+        "counit component at '0' missing or unknown",
+    )
+    # naturality: in the left-zero monoid {1, p, q} (g∘f = g unless g = 1) the
+    # unit and counit p have the right endpoints, but q∘p = q and p∘q = p
+    arrows = ("id_x", "p", "q")
+    left_zero = FiniteCategory(
+        "left_zero", ["x"], [(m, "x", "x") for m in arrows], {"x": "id_x"},
+        {(g, f): f if g == "id_x" else g for g in arrows for f in arrows},
+    )
+    assert validate_category(left_zero).ok
+    ident = identity_functor(left_zero)
+    verdict = check_adjunction(AdjunctionData("lz", ident, ident, {"x": "p"}, {"x": "p"}))
+    assert verdict.violations == ("unit naturality fails at q", "counit naturality fails at q")
+
+
+def test_unknown_arrows_and_objects_are_named_with_their_category():
+    cat = fixtures.barton()
+    for call in (
+        lambda: cat.compose("zz", "ab"),
+        lambda: pushout(cat, "ab", "zz"),
+        lambda: colimit(cat, DiagramShape("pair", ("zz", "id_a"))),
+        lambda: mediating_out(cat, Cone("b", ("ab",)), ("zz",)),
+        lambda: fold(cat, "zz"),
+    ):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == "unknown morphism 'zz' in barton"
+    with pytest.raises(InputError) as err:
+        coproduct(cat, "b", "zz")
+    assert str(err.value) == "unknown object 'zz' in barton"

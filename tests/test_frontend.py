@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -541,6 +543,20 @@ def test_an_unknown_arrow_names_its_category(capsys):
     assert json.loads(out)["error"]["message"] == "unknown morphism 'zz' in barton"
 
 
+def test_unknown_localizer_and_seed_arrows_name_their_category(tmp_path, capsys):
+    doc = tmp_path / "barton.mcl"
+    for step in ("localize left P0 at {zz} mode Lc", "olschok P0 cylinder C seeds {zz}"):
+        doc.write_text(
+            BARTON_POSET + PREMODEL + "cylinder C { on: barton; kind: identity; }\n"
+            "run { %s; }\n" % step
+        )
+        assert main(["run", str(doc), "--json"]) == BAD_INPUT
+        assert json.loads(capsys.readouterr().out) == {
+            "directive": step,
+            "error": {"kind": "input", "message": "unknown morphism 'zz' in barton"},
+        }
+
+
 def test_cli_error_paths(tmp_path, capsys):
     missing = tmp_path / "missing.mcl"
     assert main(["validate", str(missing)]) == BAD_INPUT
@@ -659,6 +675,106 @@ def test_token_soup_loads_or_raises_a_parse_error(words):
     except ParseError:
         return
     assert isinstance(env, Environment)
+
+
+# The categories of the fuzz documents, each called G: a poset on up to four
+# objects, a thin category with an isomorphism f: a -> b (with an object c
+# below or above it, or none), and a bounded one-object category z -> x -> t
+# whose endomorphism e of x is an idempotent or an involution.
+BOUNDED = (
+    "category G {\n  objects: z, x, t;\n  arrows: i: z -> x, e: x -> x, o: x -> t, zt: z -> t;\n"
+    "  relations: e . e = %s, e . i = i, o . e = o, o . i = zt;\n}\n"
+)
+ISO_EXTRAS = {"none": "", "below": ", p: a -> c, q: b -> c", "above": ", p: c -> a, q: c -> b"}
+
+
+@st.composite
+def fuzz_categories(draw):
+    """The text of a fuzz category, and whether it has the coproducts X ⊔ X an
+    identity cylinder needs (the bounded categories have none)."""
+    shape = draw(st.sampled_from(["poset", "iso", "bounded"]))
+    if shape == "poset":
+        objects = "abcd"[: draw(st.integers(2, 4))]
+        pairs = [(x, y) for i, x in enumerate(objects) for y in objects[i + 1:]]
+        chains = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        return "poset G { %s }\n" % " ".join("%s <= %s;" % pair for pair in chains), True
+    if shape == "iso":
+        extra = draw(st.sampled_from(sorted(ISO_EXTRAS)))
+        objects = "a, b" + (", c" if ISO_EXTRAS[extra] else "")
+        arrows = "f: a -> b, g: b -> a" + ISO_EXTRAS[extra]
+        return "category G thin { objects: %s; arrows: %s; }\n" % (objects, arrows), True
+    return BOUNDED % draw(st.sampled_from(["e", "id_x"])), False
+
+
+@st.composite
+def fuzz_documents(draw):
+    """A document on one fuzz category G: a premodel P with a random class
+    expression for one class of each system, an identity cylinder C where G
+    has the coproducts it needs (when drawn), and one to five random
+    directives, whose arrows may include an unknown one."""
+    category, has_pairs = draw(fuzz_categories())
+    arrows = load(category).categories["G"].morphisms
+    some = st.lists(st.sampled_from(arrows), min_size=1, max_size=3, unique=True)
+    braces = some.map(lambda ms: "{%s}" % ", ".join(ms))
+    expr = st.one_of(
+        st.just("all"),
+        st.just("{ids}"),
+        braces.map("all_except ".__add__),
+        braces.map("generated ".__add__),
+        braces,
+        some.map(lambda ms: "{ids, %s}" % ", ".join(ms)),
+    )
+    classes = [
+        "%s: %s;" % (draw(st.sampled_from(pair)), draw(expr))
+        for pair in (("cofibrations", "anodyne_fibrations"), ("anodyne_cofibrations", "fibrations"))
+    ]
+    cylinder = has_pairs and draw(st.booleans())
+    arrow = st.sampled_from(arrows + ["zz"])
+    target = st.sampled_from(["P", "P", "P", "result"])
+    directive = st.one_of(
+        st.sampled_from(["validate G", "validate P", "validate C", "validate result"]),
+        st.tuples(st.sampled_from(["wfs", "premodel", "weakmodel"]), target).map(
+            lambda a: "check %s %s" % a
+        ),
+        st.tuples(target, st.sampled_from(["L", "Lc", "R", "Rc"])).map(
+            lambda a: "saturate %s mode %s" % a
+        ),
+        st.tuples(target, st.lists(arrow, min_size=1, max_size=2), st.sampled_from(["L", "Lc"])).map(
+            lambda a: "localize left %s at {%s} mode %s" % (a[0], ", ".join(a[1]), a[2])
+        ),
+        st.tuples(st.sampled_from(["hocat", "classify", "dualize"]), target).map(" ".join),
+        st.tuples(target, arrow).map(lambda a: "equiv %s %s" % a),
+        st.tuples(target, st.lists(arrow, max_size=2)).map(
+            lambda a: "olschok %s cylinder C%s" % (a[0], " seeds {%s}" % ", ".join(a[1]) if a[1] else "")
+        ),
+    )
+    steps = draw(st.lists(directive, min_size=1, max_size=5))
+    return "%spremodel P on G { %s }\n%srun { %s }\n" % (
+        category,
+        " ".join(classes),
+        "cylinder C { on: G; kind: identity; }\n" if cylinder else "",
+        " ".join(step + ";" for step in steps),
+    )
+
+
+@given(fuzz_documents())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_fuzzed_documents_end_in_a_documented_exit_code(tmp_path_factory, document):
+    """``mclab run`` on a fuzz document raises nothing and exits 0, 1, 2 or 3,
+    the same in text and in ``--json``, whose trees round-trip exactly."""
+    path = tmp_path_factory.mktemp("fuzz") / "doc.mcl"
+    path.write_text(document)
+    codes, outputs = [], []
+    for argv in (["run", str(path)], ["run", str(path), "--json"]):
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+            codes.append(main(argv))
+        outputs.append(out.getvalue())
+    assert codes[0] == codes[1] and codes[0] in (OK, CHECK_FAILED, BAD_INPUT, NO_CONSTRUCTION)
+    if outputs[1]:
+        payload = from_machine(outputs[1])
+        assert to_machine(payload) == outputs[1]
+        for tree in payload if isinstance(payload, list) else [payload]:
+            assert from_machine(to_machine(tree)) == tree
 
 
 def _cli(argv, capsys):

@@ -23,6 +23,11 @@ search: ``_cylinder_search`` is called only by
 ``homotopy._cylinder_verdict``, which keeps whether one exists.  Every witness
 is built by ``homotopy.iter_cylinder_witnesses``.
 
+Each category-level check is stated once, in ``fincat``: only its
+``_unknown_morphism`` and ``_require_objects`` spell an unknown-arrow or
+unknown-object ``InputError``, and ``check_adjunction`` checks its unit and
+counit through ``check_nat_trans``.
+
 No engine module reads or writes an instance's ``__dict__``: a derived fact
 is a ``fincat._fact`` (a ``cached_property`` without its lock) or an attribute
 set in ``__init__``.
@@ -323,6 +328,44 @@ def test_masks_stay_inside_lifting():
         ("fincat.py", "__init__"): ["_classes"],
         ("fincat.py", "lifting_rows"): ["_lifting_rows"],
     }
+
+
+# How an unknown arrow or object is spelled in an error text.
+EXISTENCE_TEXTS = ("unknown morphism", "unknown arrow", "unknown object")
+
+
+def existence_errors(path):
+    """The statements of ``path``, named as ``reads`` names them, that read
+    ``InputError`` and spell an ``EXISTENCE_TEXTS`` text."""
+    tree = ast.parse(path.read_text(), str(path))
+    spelled = {
+        (path.name, getattr(top, "name", top.lineno))
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Constant) and str(node.value).startswith(EXISTENCE_TEXTS)
+    }
+    return [stmt for stmt, names in reads(path).items() if "InputError" in names and stmt in spelled]
+
+
+def test_existence_check_finds_planted_errors(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class S:\n    def f(self, n):\n        raise InputError('unknown arrow %r' % n)\n\n"
+        "def g(m):\n    return InputError('unknown object %r' % m)\n\n"
+        "def h(m):\n    return ['unknown morphism %r' % m]\n\n"
+        "def k(m):\n    raise InputError('composite is unknown morphism %r' % m)\n"
+    )
+    assert existence_errors(probe) == [("probe.py", "S"), ("probe.py", "g")]
+
+
+def test_category_checks_are_stated_once_in_fincat():
+    """Only ``fincat`` builds an unknown-arrow or unknown-object ``InputError``,
+    and ``check_adjunction`` reads ``check_nat_trans`` for its unit and counit.
+    A verdict may still name an unknown arrow among its violations."""
+    found = sorted(hit for path in ENGINE for hit in existence_errors(path))
+    assert found == [("fincat.py", "_require_objects"), ("fincat.py", "_unknown_morphism")]
+    fincat = ROOT / "src" / "mclab" / "fincat.py"
+    assert "check_nat_trans" in reads(fincat)[("fincat.py", "check_adjunction")]
 
 
 # Every public function of ``src/`` that nothing in ``src/`` reads, with the

@@ -3,17 +3,13 @@ import pytest
 from conftest import oracle_premodels, poset_cylinders
 from mclab import fixtures
 from mclab.errors import ConstructionError, InputError, VerificationError
-from mclab.fincat import Verdict, identity_functor
+from mclab.fincat import NatTrans, Verdict, check_nat_trans, compose_nt, identity_functor, identity_nt
 from mclab.homotopy import verify_weak_model
 from mclab.olschok import (
-    NatTrans,
     _structural_cylinder_check,
-    check_nat_trans,
     check_pre_cylinder,
-    compose_nt,
     corner_product,
     identity_cylinder,
-    identity_nt,
     nt_is_anodyne,
     nt_is_cofibration,
     olschok_lambda,
