@@ -10,7 +10,6 @@ from .errors import ConstructionError, InputError, ParseError, VerificationError
 from .fincat import (
     AdjunctionData,
     Cone,
-    DiagramShape,
     FiniteCategory,
     FunctorData,
     NatTrans,
@@ -18,7 +17,6 @@ from .fincat import (
     check_adjunction,
     check_functor,
     check_nat_trans,
-    colimit,
     coproduct,
     identity_functor,
     isomorphisms,

@@ -16,12 +16,12 @@ Conventions
 * ``cat.op`` keeps every id and reverses source/target; ``cat.op.op is cat``,
   the same category, not a copy.
 * A category computes each derived fact once and keeps it: its opposite, its
-  endpoints and the arrows to and from them, its validation verdict, every
-  colimit asked of it, the fold of each arrow (its pushout along itself, with
-  the codiagonal; an epimorphism's is read off its hom-sets, without a colimit
-  search), its factorization index, its lifting rows, the
-  complements decoded from them and, in ``_complements``, the complement of
-  each frozenset class asked for, per side.
+  endpoints and the arrows to and from them, its validation verdict, in one
+  table ``_colimits`` every pushout, coproduct and fold asked of it (a fold is
+  an arrow's pushout along itself, with the codiagonal; an epimorphism's is
+  read off its hom-sets, without a colimit search), its factorization index,
+  its lifting rows, the complements decoded from them and, in
+  ``_complements``, the complement of each frozenset class asked for, per side.
 * The factorization index ``factor_pairs`` lists each arrow's factorizations
   in scan order, and every factorization search walks it.
 * Its per-WFS table ``_systems`` keeps what one (left, right) pair decides,
@@ -146,8 +146,7 @@ class FiniteCategory:
         for m in self.morphisms:
             self._hom.setdefault((self.source[m], self.target[m]), []).append(m)
             self._out.setdefault(self.source[m], []).append(m)
-        self._colimits = {}  # (shape kind, legs) -> Cone or None, filled by ``colimit``
-        self._folds = {}  # arrow -> (pushout of it along itself, codiagonal) or None, by ``fold``
+        self._colimits = {}  # ("span", f, g), ("pair", x, y), ("fold", i) -> answer or None
         self._classes = {}  # bitmask -> frozenset of ids, decoded by ``lifting._meet``
         self._complements = ({}, {})  # per ``lifting_rows`` side: frozenset -> its complement
         self._systems = {}  # (left, right) -> their facts, see ``lifting._system``
@@ -370,18 +369,7 @@ def isomorphisms(cat):
     return frozenset(out)
 
 
-# -- diagram shapes and colimits ------------------------------------------
-
-
-class DiagramShape(NamedTuple):
-    """A tiny diagram named by its morphisms.
-
-    kind ∈ {span, pair}: a ``span`` (what ``pushout`` builds) shares a source;
-    a ``pair`` (what ``coproduct`` builds) is discrete, its legs identities.
-    """
-
-    kind: str
-    legs: tuple[str, ...] = ()
+# -- colimits: pushouts of spans and coproducts of pairs ------------------
 
 
 class Cone(NamedTuple):
@@ -389,26 +377,6 @@ class Cone(NamedTuple):
 
     apex: str
     legs: tuple[str, ...] = ()
-
-
-def _shape_feet(cat, shape):
-    """The checked shape's feet (where cocone legs attach) and cocone equations."""
-    if shape.kind not in ("span", "pair"):
-        raise InputError("unknown shape kind %r" % shape.kind)
-    _require_morphisms(cat, shape.legs)
-    if len(shape.legs) != 2:
-        raise InputError("%s shape needs exactly two legs" % shape.kind)
-    f, g = shape.legs
-    if shape.kind == "pair":
-        for leg in shape.legs:
-            if not cat.is_identity(leg):
-                raise InputError(
-                    "pair shape designates objects by identity legs; %r is not an identity" % leg
-                )
-        return (cat.source[f], cat.source[g]), ()
-    if cat.source[f] != cat.source[g]:
-        raise InputError("span legs %s, %s must share their source" % (f, g))
-    return (cat.target[f], cat.target[g]), ((0, f, 1, g),)
 
 
 def _is_cocone(cat, legs, equations):
@@ -424,18 +392,30 @@ def _cocones(cat, feet, equations, apex):
             yield legs
 
 
-def colimit(cat, shape):
-    """First universal cocone in enumeration order, or None if absent.
-
-    Universality is checked literally: against *every* competing cocone
-    there must be exactly one mediating morphism.  The shape is checked on
-    every call; the search runs once per shape and category.
-    """
-    feet, equations = _shape_feet(cat, shape)
-    key = (shape.kind, tuple(shape.legs))
+def _colimit(cat, key, feet, equations):
+    """First universal cocone in enumeration order on the feet (where the
+    cocone legs attach) subject to the equations ``(i, f, j, g)``, legs[i]∘f =
+    legs[j]∘g; None if absent.  Universality is checked literally: against
+    *every* competing cocone there must be exactly one mediating morphism.
+    The search runs once per key and category."""
     if key not in cat._colimits:
         cat._colimits[key] = _search_colimit(cat, feet, equations)
     return cat._colimits[key]
+
+
+def pushout(cat, f, g):
+    """Pushout cone of the span f, g (shared source); None if absent.  The legs
+    are checked on every call."""
+    _require_morphisms(cat, (f, g))
+    if cat.source[f] != cat.source[g]:
+        raise InputError("span legs %s, %s must share their source" % (f, g))
+    return _colimit(cat, ("span", f, g), (cat.target[f], cat.target[g]), ((0, f, 1, g),))
+
+
+def coproduct(cat, x, y):
+    """Coproduct cone of the objects x, y; None if absent."""
+    _require_objects(cat, (x, y))
+    return _colimit(cat, ("pair", x, y), (x, y), ())
 
 
 def _search_colimit(cat, feet, equations):
@@ -492,23 +472,19 @@ def mediating_out(cat, cone, target_legs):
     return hits[0]
 
 
-def pushout(cat, f, g):
-    """Pushout cone of the span f, g (shared source); None if absent."""
-    return colimit(cat, DiagramShape("span", (f, g)))
-
-
 def fold(cat, i):
     """``(pushout cone of i along itself, codiagonal ∇)``, or None when that
     pushout is absent; found once per arrow and category, by ``_epi_fold`` for
     an epimorphism and by ``pushout`` and ``mediating_out`` otherwise."""
-    if i not in cat._folds:
+    key = ("fold", i)
+    if key not in cat._colimits:
         _require_morphisms(cat, (i,))
         folded = _epi_fold(cat, i)
         if folded is None:
             cone, ident = pushout(cat, i, i), cat.identity(cat.target[i])
             folded = None if cone is None else (cone, mediating_out(cat, cone, (ident, ident)))
-        cat._folds[i] = folded
-    return cat._folds[i]
+        cat._colimits[key] = folded
+    return cat._colimits[key]
 
 
 def _epi_fold(cat, i):
@@ -526,11 +502,6 @@ def _epi_fold(cat, i):
             for n in cat.hom(x, b):
                 if table[(n, phi)] == ident and table[(phi, n)] == cat.identity(x):
                     return Cone(x, (phi, phi)), n
-
-
-def coproduct(cat, x, y):
-    _require_objects(cat, (x, y))
-    return colimit(cat, DiagramShape("pair", (cat.identity(x), cat.identity(y))))
 
 
 # -- functors and adjunctions ----------------------------------------------

@@ -196,7 +196,8 @@ def _verified_premodel(session, name):
 
 def _do_validate(session, name, tree):
     tree["target"] = name
-    kind = session.latest if name == "result" else session.kind_of.get(name)
+    # before anything is produced, ``lookup`` says what ``result`` does not hold yet
+    kind = (session.latest or "premodel") if name == "result" else session.kind_of.get(name)
     if kind is None:
         raise InputError("unknown name %r" % name)
     check = {

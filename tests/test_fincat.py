@@ -11,12 +11,10 @@ from mclab.errors import ConstructionError, InputError, VerificationError
 from mclab.fincat import (
     AdjunctionData,
     Cone,
-    DiagramShape,
     FiniteCategory,
     FunctorData,
     check_adjunction,
     check_functor,
-    colimit,
     coproduct,
     fold,
     identity_functor,
@@ -130,13 +128,13 @@ def test_derived_facts_are_computed_once(monkeypatch):
     assert cat.op.op is cat
     assert cat.initial == "a"
     p = fixtures.barton_p1(cat)
-    calls = []
+    calls, search = [], mclab.fincat._search_colimit
 
-    def counting_colimit(*args):
+    def counting_search(*args):
         calls.append(args)
-        return colimit(*args)
+        return search(*args)
 
-    monkeypatch.setattr(mclab.fincat, "colimit", counting_colimit)
+    monkeypatch.setattr(mclab.fincat, "_search_colimit", counting_search)
     assert cat.initial == "a"
     assert [x in p.cofibrant for x in cat.objects] == [True, False, True, True]
     assert calls == []
@@ -151,17 +149,37 @@ def test_colimits_are_searched_once_per_shape():
     cat = fixtures.barton()
     assert pushout(cat, "ab", "ac") is pushout(cat, "ab", "ac")
     assert pushout(cat.op, "bd", "cd") is pushout(cat.op, "bd", "cd")
-    # the shape is checked on every call, also once a valid one is cached;
-    # only spans and pairs are built
-    with pytest.raises(InputError):
-        pushout(cat, "ab", "bd")
-    for kind, legs in (("cospan", ("bd", "cd")), ("empty", ())):
-        with pytest.raises(InputError, match="unknown shape kind %r" % kind):
-            colimit(cat, DiagramShape(kind, legs))
-    # a span and a pair with the same legs are different shapes
+    # a span's legs are checked on every call, also once its answer is kept
+    for _ in range(2):
+        with pytest.raises(InputError, match="span legs ab, bd must share their source"):
+            pushout(cat, "ab", "bd")
+    # the span on id_x and the pair on x are different colimits
     idem = _one_object("idem", "e", "e")
     assert pushout(idem, "id_x", "id_x") == Cone("x", ("id_x", "id_x"))
     assert coproduct(idem, "x", "x") is None
+    assert pushout(idem, "id_x", "id_x") == Cone("x", ("id_x", "id_x"))
+
+
+def test_pushouts_coproducts_and_folds_share_one_search(monkeypatch):
+    searched = []
+    search = mclab.fincat._search_colimit
+
+    def counted(cat, feet, equations):
+        searched.append((cat.name, feet, equations))
+        return search(cat, feet, equations)
+
+    monkeypatch.setattr(mclab.fincat, "_search_colimit", counted)
+    cat, sets = fixtures.barton(), finite_sets(2)
+    for _ in range(2):
+        pushout(cat, "ab", "ac")
+        coproduct(cat, "b", "c")
+        fold(sets, "0>1:")  # not epi: its fold searches the pushout of 0>1: along itself
+        fold(cat, "ab")  # epi: no search
+    assert searched == [
+        ("barton", ("b", "c"), ((0, "ab", 1, "ac"),)),
+        ("barton", ("b", "c"), ()),
+        (sets.name, ("1", "1"), ((0, "0>1:", 1, "0>1:"),)),
+    ]
 
 
 def test_cached_colimits_equal_a_fresh_search():
@@ -486,7 +504,6 @@ def test_unknown_arrows_and_objects_are_named_with_their_category():
     for call in (
         lambda: cat.compose("zz", "ab"),
         lambda: pushout(cat, "ab", "zz"),
-        lambda: colimit(cat, DiagramShape("pair", ("zz", "id_a"))),
         lambda: mediating_out(cat, Cone("b", ("ab",)), ("zz",)),
         lambda: fold(cat, "zz"),
     ):

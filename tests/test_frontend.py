@@ -347,6 +347,20 @@ def test_validate_result_is_the_latest_result(steps, kind):
     assert outcome.trees[-1]["target"] == "result"
 
 
+def test_validate_result_before_any_result_says_so(tmp_path, capsys):
+    # the same text as every other directive that reads ``result`` too early
+    doc = tmp_path / "early.mcl"
+    doc.write_text("poset M { y <= x; }\nrun { validate result; }\n")
+    message = "'result' does not hold a premodel yet"
+    code, out, _ = _cli(["run", str(doc), "--json"], capsys)
+    assert code == BAD_INPUT
+    assert json.loads(out) == {
+        "directive": "validate result", "error": {"kind": "input", "message": message},
+    }
+    code, out, _ = _cli(["run", str(doc)], capsys)
+    assert code == BAD_INPUT and "  message: %s\n" % message in out
+
+
 NOT_A_PREMODEL = BARTON_POSET + """
 premodel P on barton {
   cofibrations: {ids, ab};

@@ -598,7 +598,7 @@ def test_public_surface_is_pinned():
     )
     assert exported == [
         "AdjunctionData", "ClassificationReport", "Cone", "ConstructionError",
-        "CylinderWitness", "DiagramShape", "FiniteCategory", "FunctorData",
+        "CylinderWitness", "FiniteCategory", "FunctorData",
         "HomotopyCategory", "InputError", "LeftLocalization", "LeftSemiReport",
         "NatTrans", "OlschokReport", "ParseError", "PremodelStructure",
         "QuillenCylinderData", "QuillenReport", "RightLocalization", "RightSemiReport",
@@ -606,7 +606,7 @@ def test_public_surface_is_pinned():
         "WeakModelReport", "acyclic_cofibrations", "acyclic_fibrations",
         "cell_closure", "check_adjunction", "check_cylinder_witness",
         "check_functor", "check_nat_trans", "check_pre_cylinder",
-        "check_quillen_adjunction", "classify_full", "cofibrant_replacement", "colimit",
+        "check_quillen_adjunction", "classify_full", "cofibrant_replacement",
         "complement_llp", "complement_rlp", "compute_WL", "compute_WR", "coproduct",
         "core_acyclic_cofibrations", "core_acyclic_fibrations", "core_cofibrations",
         "core_fibrations", "corner_product", "dualize", "equivalences", "factor",
